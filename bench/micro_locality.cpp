@@ -147,6 +147,21 @@ int main(int argc, char** argv) {
   obs::set_enabled(true);
 
   const TreeTemplate tree = TreeTemplate::path(k);
+  // Untimed warm-up of the first grid cell (none:naive:inner, the
+  // baseline every naive ratio divides by): the process's first count
+  // pays one-off costs — OpenMP team spin-up, and a fresh mmap + page
+  // faults for every table-sized block until glibc raises its mmap
+  // threshold — that made that cell read several times slower than
+  // the same configuration run warm.
+  {
+    CountOptions warm;
+    warm.sampling.iterations = iters;
+    warm.sampling.seed = ctx.seed;
+    warm.execution.table = TableKind::kNaive;
+    warm.execution.mode = ParallelMode::kInnerLoop;
+    warm.execution.threads = ctx.threads;
+    (void)count_template(g, tree, warm);
+  }
   const std::vector<ReorderMode> reorders = {
       ReorderMode::kNone, ReorderMode::kDegree, ReorderMode::kBfs,
       ReorderMode::kHybrid};
