@@ -10,10 +10,12 @@
 // documents per-bench expectations.
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "graph/datasets.hpp"
+#include "obs/json.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/table_printer.hpp"
@@ -73,6 +75,21 @@ inline void banner(const std::string& bench, const std::string& anchor,
   std::printf("== %s ==\n", bench.c_str());
   std::printf("reproduces: %s\n", anchor.c_str());
   std::printf("workload:   %s\n\n", workload.c_str());
+}
+
+/// Parses a committed baseline document (the --check argument of the
+/// micro gates); nullopt when the file is missing or malformed.
+inline std::optional<obs::Json> read_baseline(const std::string& path) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) return std::nullopt;
+  std::string text;
+  char buffer[4096];
+  std::size_t got;
+  while ((got = std::fread(buffer, 1, sizeof buffer, file)) > 0) {
+    text.append(buffer, got);
+  }
+  std::fclose(file);
+  return obs::Json::parse(text);
 }
 
 inline std::string describe_graph(const Graph& graph) {

@@ -56,19 +56,6 @@ double median(std::vector<double> values) {
   return values[values.size() / 2];
 }
 
-std::optional<fascia::obs::Json> read_baseline(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return std::nullopt;
-  std::string text;
-  char buffer[4096];
-  std::size_t got;
-  while ((got = std::fread(buffer, 1, sizeof buffer, file)) > 0) {
-    text.append(buffer, got);
-  }
-  std::fclose(file);
-  return fascia::obs::Json::parse(text);
-}
-
 /// A random edit batch valid against `g`: `inserts` absent pairs and
 /// `deletes` existing edges, all distinct.
 fascia::GraphDelta random_delta(const fascia::Graph& g,
@@ -279,7 +266,7 @@ int main(int argc, char** argv) {
                    kDirtyFractionCeiling * 100.0);
       return 1;
     }
-    const std::optional<Json> baseline_doc = read_baseline(check_path);
+    const std::optional<Json> baseline_doc = bench::read_baseline(check_path);
     const double baseline =
         baseline_doc ? baseline_doc->get_double("speedup", 0.0) : 0.0;
     if (baseline <= 0.0) {

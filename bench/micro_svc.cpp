@@ -61,19 +61,6 @@ double percentile(std::vector<double> values, double p) {
   return values[lo] + frac * (values[hi] - values[lo]);
 }
 
-std::optional<fascia::obs::Json> read_baseline(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return std::nullopt;
-  std::string text;
-  char buffer[4096];
-  std::size_t got;
-  while ((got = std::fread(buffer, 1, sizeof buffer, file)) > 0) {
-    text.append(buffer, got);
-  }
-  std::fclose(file);
-  return fascia::obs::Json::parse(text);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -340,7 +327,7 @@ int main(int argc, char** argv) {
   std::printf("\nwrote %s\n", json_path.c_str());
 
   if (!check_path.empty()) {
-    const std::optional<Json> baseline_doc = read_baseline(check_path);
+    const std::optional<Json> baseline_doc = bench::read_baseline(check_path);
     const double baseline =
         baseline_doc ? baseline_doc->get_double("warm_speedup", 0.0) : 0.0;
     if (baseline <= 0.0) {

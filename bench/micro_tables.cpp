@@ -9,10 +9,12 @@
 // — the run completes by paging completed tables to disk, and its
 // estimates stay bit-identical to the unconstrained run.
 //
-// Writes BENCH_tables.json (--json to relocate).  --check turns the
-// expectations into a gate for CI:
+// Writes BENCH_tables.json (--json to relocate).  --check BASELINE
+// turns the expectations into a gate for CI:
 //   * succinct peak bytes <= 0.5x compact on every k = 9 template;
-//   * succinct time per iteration <= 1.3x compact;
+//   * succinct/compact time per iteration no worse than the baseline
+//     file's ratio by more than 1/0.75 (a same-host ratio of ratios,
+//     like the other micro gates);
 //   * the budget demo completes, spills > 0 bytes, stays bit-identical,
 //     and its budget is below the smallest dense-encoding estimate.
 
@@ -20,6 +22,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,6 +38,20 @@
 namespace {
 
 using namespace fascia;
+
+constexpr double kCheckTolerance = 0.75;  // fail past baseline / 0.75
+
+/// The baseline's succinct/compact time ratio per template.
+std::map<std::string, double> baseline_time_ratios(const obs::Json& doc) {
+  std::map<std::string, double> out;
+  if (const obs::Json* ratios = doc.find("ratios")) {
+    for (const obs::Json& entry : ratios->elements()) {
+      out[entry.get_string("template")] =
+          entry.get_double("succinct_over_compact_time", 0.0);
+    }
+  }
+  return out;
+}
 
 TreeTemplate spider(int legs, int leg_len) {
   // Center 0 with `legs` paths of `leg_len` edges each.
@@ -71,9 +89,22 @@ int main(int argc, char** argv) {
   bench::Context ctx("micro_tables: DP table encodings + out-of-core rung");
   ctx.cli.add_option("json", "output path for the results document",
                      "BENCH_tables.json");
-  ctx.cli.add_flag("check", "gate the succinct/paging expectations (CI)");
+  ctx.cli.add_option("check",
+                     "baseline BENCH_tables.json: exit 1 if a succinct/paging "
+                     "expectation fails (CI)",
+                     "");
   if (!ctx.parse(argc, argv)) return 0;
-  const bool check = ctx.cli.flag("check");
+  const std::string check_path = ctx.cli.str("check");
+  const bool check = !check_path.empty();
+  std::map<std::string, double> baseline_ratios;
+  if (check) {
+    const std::optional<obs::Json> baseline = bench::read_baseline(check_path);
+    if (baseline) baseline_ratios = baseline_time_ratios(*baseline);
+    if (baseline_ratios.empty()) {
+      std::fprintf(stderr, "check: no ratios in %s\n", check_path.c_str());
+      return 1;
+    }
+  }
 
   bench::banner("Micro: table encodings",
                 "ROADMAP 'succinct tables and adaptive sampling' "
@@ -166,11 +197,19 @@ int main(int argc, char** argv) {
                               ": succinct bytes ratio " +
                               TablePrinter::num(byte_ratio, 2) + " > 0.5");
     }
-    if (time_ratio > 1.3) {
-      gate_ok = false;
-      gate_failures.push_back(std::string(shape.name) +
-                              ": succinct time ratio " +
-                              TablePrinter::num(time_ratio, 2) + " > 1.3");
+    if (check) {
+      const auto base = baseline_ratios.find(shape.name);
+      if (base == baseline_ratios.end() || base->second <= 0.0) {
+        gate_ok = false;
+        gate_failures.push_back(std::string(shape.name) +
+                                ": missing from " + check_path);
+      } else if (time_ratio > base->second / kCheckTolerance) {
+        gate_ok = false;
+        gate_failures.push_back(
+            std::string(shape.name) + ": succinct time ratio " +
+            TablePrinter::num(time_ratio, 2) + " > baseline " +
+            TablePrinter::num(base->second, 2) + " / 0.75");
+      }
     }
   }
   table.print();

@@ -1029,9 +1029,8 @@ class DpEngine {
                        stat);
       }
     }
-    // MemTracker::current() is an O(1) atomic read covering every live
-    // table; Table::bytes() can be an O(n) row scan (compact), far too
-    // slow to pay per stage just for a metric sample.
+    // The stage metric samples every live table's bytes at once:
+    // MemTracker::current(), one O(1) atomic read.
     const std::size_t table_bytes = obs_on ? MemTracker::current() : 0;
     tables_[static_cast<std::size_t>(index)] = std::move(table);
     if (opts_.reference_kernels) {
@@ -1076,15 +1075,17 @@ class DpEngine {
     double start_ = 0.0;
   };
 
-  /// Per-thread scratch for one kernel pass.
-  struct Workspace {
+  /// Per-thread scratch for one kernel pass.  Workspaces sit side by
+  /// side in workspaces_, so each gets its own cache lines: otherwise
+  /// one thread's per-vertex `macs` update shares a line with the next
+  /// thread's vector headers, which its kernel reads on every vertex.
+  struct alignas(64) Workspace {
     std::vector<double> row;   ///< count per parent colorset, for one v
     std::vector<double> psum;  ///< passive-row accumulator / color counts
     std::vector<double> gather;  ///< row materialized via get() (hash)
     /// Hoisted nonzero active-row colorset indices (general kernel).
     std::vector<ColorsetIndex> nz_active;
-    std::vector<VertexId> survivors;  ///< vertices that committed a row
-    std::uint64_t macs = 0;           ///< multiply-accumulate tally
+    std::uint64_t macs = 0;  ///< multiply-accumulate tally
   };
 
   /// Candidate set of one kernel pass: an explicit frontier, or all n
@@ -1120,10 +1121,12 @@ class DpEngine {
 
   /// Runs `body(v, ws)` over the candidate set (optionally
   /// OpenMP-parallel); a body returning true means "committed a row",
-  /// and those vertices become the node's frontier (sorted ascending —
-  /// commit-layer filtering keeps zero rows out of the tables, so a
-  /// frontier vertex without a stored row is read as zeros
-  /// downstream).  Workspace buffers are sized once per thread.
+  /// and those vertices are appended to the node's frontier in
+  /// candidate order — ascending, since every candidate source (all
+  /// vertices, label lists, child frontiers, dirty balls) is sorted.
+  /// Commit-layer filtering keeps zero rows out of the tables, so a
+  /// frontier vertex without a stored row is read as zeros downstream.
+  /// Workspace buffers are sized once per thread.
   template <class Body>
   void for_frontier(bool parallel, const FrontierView& front,
                     std::uint32_t row_width, std::uint32_t psum_width,
@@ -1136,7 +1139,6 @@ class DpEngine {
       ws.row.resize(row_width);
       ws.psum.resize(psum_width);
       if (active_bound > 0) ws.nz_active.reserve(active_bound);
-      ws.survivors.clear();
       ws.macs = 0;
     };
 #ifdef _OPENMP
@@ -1149,8 +1151,17 @@ class DpEngine {
       if (workspaces_.size() < static_cast<std::size_t>(threads)) {
         workspaces_.resize(static_cast<std::size_t>(threads));
       }
+      // One survivor flag per candidate position, written by whichever
+      // thread ran it; the ordered pass below compacts them into the
+      // frontier with no merge lock and no sort.
+      std::uint8_t* keep = nullptr;
+      if (frontier_out != nullptr) {
+        survivor_flags_.resize(count);
+        keep = survivor_flags_.data();
+      }
       const bool guided = opts_.guided_schedule;
-#pragma omp parallel num_threads(threads)
+      std::uint64_t macs = 0;
+#pragma omp parallel num_threads(threads) reduction(+ : macs)
       {
         Workspace& ws =
             workspaces_[static_cast<std::size_t>(omp_get_thread_num())];
@@ -1161,27 +1172,24 @@ class DpEngine {
           // block last in small ones.
 #pragma omp for schedule(guided, chunk)
           for (std::size_t i = 0; i < count; ++i) {
-            const VertexId v = front[count - 1 - i];
-            if (body(v, ws)) ws.survivors.push_back(v);
+            const std::size_t pos = count - 1 - i;
+            const bool kept = body(front[pos], ws);
+            if (keep != nullptr) keep[pos] = kept;
           }
         } else {
 #pragma omp for schedule(dynamic, chunk)
           for (std::size_t i = 0; i < count; ++i) {
-            const VertexId v = front[i];
-            if (body(v, ws)) ws.survivors.push_back(v);
+            const bool kept = body(front[i], ws);
+            if (keep != nullptr) keep[i] = kept;
           }
         }
-#pragma omp critical(fascia_frontier_merge)
-        {
-          if (frontier_out != nullptr) {
-            frontier_out->insert(frontier_out->end(), ws.survivors.begin(),
-                                 ws.survivors.end());
-          }
-          stat.macs += ws.macs;
-        }
+        macs += ws.macs;
       }
-      if (frontier_out != nullptr) {
-        std::sort(frontier_out->begin(), frontier_out->end());
+      stat.macs += macs;
+      if (keep != nullptr) {
+        for (std::size_t i = 0; i < count; ++i) {
+          if (keep[i] != 0) frontier_out->push_back(front[i]);
+        }
       }
       return;
     }
@@ -1191,9 +1199,8 @@ class DpEngine {
     prepare(ws);
     for (std::size_t i = 0; i < count; ++i) {
       const VertexId v = front[i];
-      if (body(v, ws)) ws.survivors.push_back(v);
+      if (body(v, ws) && frontier_out != nullptr) frontier_out->push_back(v);
     }
-    if (frontier_out != nullptr) *frontier_out = ws.survivors;
     stat.macs += ws.macs;
   }
 
@@ -2014,6 +2021,8 @@ class DpEngine {
   std::vector<DpStageStats> stats_;
   /// Per-thread scratch, persistent across stages and iterations.
   std::vector<Workspace> workspaces_;
+  /// for_frontier's per-candidate survivor flags (capacity persists).
+  std::vector<std::uint8_t> survivor_flags_;
   /// SpMM multivector export, rebuilt per eligible stage (buffers keep
   /// their capacity), plus the peak bytes it ever held.
   SpmmMultivector spmm_;

@@ -10,68 +10,60 @@
 
 namespace fascia {
 
-namespace {
-
-// Row allocations are batched into MemTracker updates per commit; the
-// pointer array itself is charged up front.
-std::size_t row_bytes(std::uint32_t num_colorsets) {
-  return num_colorsets * sizeof(double);
-}
-
-}  // namespace
-
 CompactTable::CompactTable(VertexId n, std::uint32_t num_colorsets,
                            TableInit init)
-    : n_(n), num_colorsets_(num_colorsets) {
+    : n_(n),
+      num_colorsets_(num_colorsets),
+      // Even word counts keep every row 16-byte aligned (what a per-row
+      // malloc guaranteed), and leave room for the free-list link.
+      stride_words_((std::max<std::size_t>(num_colorsets, 1) + 1) &
+                    ~std::size_t{1}) {
   if (fault::fire("dp.alloc")) {
     throw resource_error("injected DP table allocation failure");
   }
   rows_ = std::make_unique_for_overwrite<double*[]>(
       static_cast<std::size_t>(n_));
   // The nullptr fill is the pointer array's first touch; rows are
-  // first-touched by whichever thread commits them.
+  // first-touched by whichever thread commits them (its arena chunk).
   detail::first_touch_zero(rows_.get(), static_cast<std::size_t>(n_),
                            init.zero_threads);
-  MemTracker::add(static_cast<std::size_t>(n_) * sizeof(double*));
+  MemTracker::add(pointer_bytes());
 }
 
-CompactTable::~CompactTable() {
-  MemTracker::sub(bytes());
-  for (VertexId v = 0; v < n_; ++v) {
-    delete[] rows_[static_cast<std::size_t>(v)];
-  }
-}
+CompactTable::~CompactTable() { MemTracker::sub(pointer_bytes()); }
 
 void CompactTable::commit_row(VertexId v, std::span<const double> row) {
   const bool any_nonzero =
       std::any_of(row.begin(), row.end(), [](double x) { return x != 0.0; });
   if (!any_nonzero) return;
-  double* copy = new double[num_colorsets_];
-  std::memcpy(copy, row.data(), row_bytes(num_colorsets_));
   double*& slot = rows_[static_cast<std::size_t>(v)];
   if (slot == nullptr) {
-    MemTracker::add(row_bytes(num_colorsets_));
-  } else {
-    delete[] slot;
+    slot = reinterpret_cast<double*>(arena_.allocate(stride_words_));
   }
-  slot = copy;
+  std::memcpy(slot, row.data(), num_colorsets_ * sizeof(double));
 }
 
 void CompactTable::patch_row(VertexId v, std::span<const double> row) {
   double*& slot = rows_[static_cast<std::size_t>(v)];
   if (slot == nullptr) {
-    slot = new double[num_colorsets_];
-    MemTracker::add(row_bytes(num_colorsets_));
+    if (free_rows_ != nullptr) {
+      slot = free_rows_;
+      std::memcpy(&free_rows_, slot, sizeof(double*));
+    } else {
+      slot = reinterpret_cast<double*>(arena_.allocate(stride_words_));
+    }
   }
-  std::memcpy(slot, row.data(), row_bytes(num_colorsets_));
+  std::memcpy(slot, row.data(), num_colorsets_ * sizeof(double));
 }
 
 void CompactTable::clear_row(VertexId v) noexcept {
   double*& slot = rows_[static_cast<std::size_t>(v)];
   if (slot == nullptr) return;
-  delete[] slot;
+  // Every row has the same width, so the freed row is a drop-in for the
+  // next patch_row: link it through its first word.
+  std::memcpy(slot, &free_rows_, sizeof(double*));
+  free_rows_ = slot;
   slot = nullptr;
-  MemTracker::sub(row_bytes(num_colorsets_));
 }
 
 double CompactTable::total() const noexcept {
@@ -90,16 +82,6 @@ double CompactTable::vertex_total(VertexId v) const noexcept {
   double sum = 0.0;
   for (std::uint32_t i = 0; i < num_colorsets_; ++i) sum += row[i];
   return sum;
-}
-
-std::size_t CompactTable::bytes() const noexcept {
-  std::size_t held = static_cast<std::size_t>(n_) * sizeof(double*);
-  for (VertexId v = 0; v < n_; ++v) {
-    if (rows_[static_cast<std::size_t>(v)] != nullptr) {
-      held += row_bytes(num_colorsets_);
-    }
-  }
-  return held;
 }
 
 VertexId CompactTable::num_active_vertices() const noexcept {

@@ -3,13 +3,15 @@
 // received at least one nonzero count.  Besides the memory saving
 // (Fig. 6), the has_vertex() boolean check lets the DP skip whole
 // vertices and neighbor reads (§III-C) — the source of FASCIA's
-// speedup on selective (labeled / sparse) instances.
+// speedup on selective (labeled / sparse) instances.  Rows come from a
+// per-table RowArena (dp/row_arena.hpp), not one heap allocation each.
 
 #include <cstring>
 #include <memory>
 #include <span>
 
 #include "dp/count_table.hpp"
+#include "dp/row_arena.hpp"
 
 namespace fascia {
 
@@ -25,8 +27,8 @@ class CompactTable {
   /// commit), so the DP can borrow a raw row pointer per vertex.
   static constexpr bool kContiguousRows = true;
   static constexpr bool kDenseRows = false;
-  /// Rows are independent heap allocations behind a pointer array, so
-  /// a finished table can be patched row-wise (count_table.hpp).
+  /// Rows are fixed-width blocks behind a pointer array, so a finished
+  /// table can be patched row-wise (count_table.hpp).
   static constexpr bool kPatchableRows = true;
   static constexpr const char* kName = "compact";
 
@@ -69,17 +71,21 @@ class CompactTable {
     }
   }
 
-  /// Allocates the vertex row iff `row` has a nonzero entry.  Safe to
-  /// call concurrently for distinct vertices: each writes its own slot
-  /// and operator new is thread-safe.
+  /// Stores the vertex row iff `row` has a nonzero entry, overwriting
+  /// an existing row in place.  Safe to call concurrently for distinct
+  /// vertices: each writes its own slot, and new rows come from the
+  /// calling thread's arena chunk.
   void commit_row(VertexId v, std::span<const double> row);
 
   /// Replaces (or creates) v's row with `row`, which the caller
   /// guarantees has a nonzero entry — the delta path's in-place patch
-  /// (count_table.hpp).  Not safe concurrently with reads.
+  /// (count_table.hpp).  A created row reuses one freed by clear_row
+  /// first, so repeated recounts do not grow the table.  Serial: not
+  /// safe concurrently with reads, commits, or other patches.
   void patch_row(VertexId v, std::span<const double> row);
 
-  /// Drops v's row; has_vertex(v) turns false.  No-op when absent.
+  /// Drops v's row onto the free list; has_vertex(v) turns false.
+  /// No-op when absent.  Serial, like patch_row.
   void clear_row(VertexId v) noexcept;
 
   [[nodiscard]] double total() const noexcept;
@@ -88,18 +94,29 @@ class CompactTable {
   [[nodiscard]] std::uint32_t num_colorsets() const noexcept {
     return num_colorsets_;
   }
-  [[nodiscard]] std::size_t bytes() const noexcept;
+  /// Pointer array plus every arena chunk (rows freed by clear_row
+  /// stay counted until reused or the table dies).
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return pointer_bytes() + arena_.bytes();
+  }
 
   /// Vertices with at least one count (selectivity statistics).
   [[nodiscard]] VertexId num_active_vertices() const noexcept;
 
  private:
+  [[nodiscard]] std::size_t pointer_bytes() const noexcept {
+    return static_cast<std::size_t>(n_) * sizeof(double*);
+  }
+
   VertexId n_;
   std::uint32_t num_colorsets_;
+  std::size_t stride_words_;  ///< arena words per row
   // Raw pointer array so the nullptr fill can run under TableInit's
   // first-touch partition; rows themselves are first-touched by the
-  // committing thread (commit_row allocates and writes in one place).
+  // committing thread (its own arena chunk).
   std::unique_ptr<double*[]> rows_;
+  RowArena arena_;
+  double* free_rows_ = nullptr;  ///< rows dropped by clear_row, linked
 };
 
 }  // namespace fascia

@@ -1,6 +1,7 @@
 #include "dp/table_succinct.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "dp/first_touch.hpp"
 #include "util/error.hpp"
@@ -8,14 +9,6 @@
 #include "util/mem_tracker.hpp"
 
 namespace fascia {
-
-namespace {
-
-// 64 KiB starting slab; grows geometrically so a table of any size
-// settles into O(log) slab allocations.
-constexpr std::size_t kMinSlabWords = 8192;
-
-}  // namespace
 
 SuccinctTable::SuccinctTable(VertexId n, std::uint32_t num_colorsets,
                              TableInit init)
@@ -29,36 +22,10 @@ SuccinctTable::SuccinctTable(VertexId n, std::uint32_t num_colorsets,
       static_cast<std::size_t>(n_));
   detail::first_touch_zero(rows_.get(), static_cast<std::size_t>(n_),
                            init.zero_threads);
-  MemTracker::add(static_cast<std::size_t>(n_) * sizeof(std::uint64_t*));
+  MemTracker::add(pointer_bytes());
 }
 
-SuccinctTable::~SuccinctTable() { MemTracker::sub(bytes()); }
-
-std::uint64_t* SuccinctTable::alloc_blob(std::size_t total_words) {
-  for (;;) {
-    Slab* slab = current_slab_.load(std::memory_order_acquire);
-    if (slab != nullptr) {
-      const std::size_t off =
-          slab->offset.fetch_add(total_words, std::memory_order_relaxed);
-      if (off + total_words <= slab->capacity) return slab->data.get() + off;
-    }
-    std::lock_guard<std::mutex> lock(slab_mutex_);
-    if (current_slab_.load(std::memory_order_acquire) != slab) {
-      continue;  // another thread already installed a fresh slab
-    }
-    const std::size_t prev = slab != nullptr ? slab->capacity : 0;
-    const std::size_t capacity =
-        std::max({total_words, prev * 2, kMinSlabWords});
-    auto fresh = std::make_unique<Slab>();
-    fresh->data = std::make_unique_for_overwrite<std::uint64_t[]>(capacity);
-    fresh->capacity = capacity;
-    MemTracker::add(capacity * sizeof(std::uint64_t));
-    slab_bytes_.fetch_add(capacity * sizeof(std::uint64_t),
-                          std::memory_order_relaxed);
-    current_slab_.store(fresh.get(), std::memory_order_release);
-    slabs_.push_back(std::move(fresh));
-  }
-}
+SuccinctTable::~SuccinctTable() { MemTracker::sub(pointer_bytes()); }
 
 void SuccinctTable::commit_row(VertexId v, std::span<const double> row) {
   // One branchless pass builds the occupancy bitmap in per-thread
@@ -88,7 +55,10 @@ void SuccinctTable::commit_row(VertexId v, std::span<const double> row) {
   const bool bitmap = bitmap_words_total <= sparse_words;
   const std::size_t total_words = bitmap ? bitmap_words_total : sparse_words;
 
-  std::uint64_t* blob = alloc_blob(total_words);
+  std::uint64_t*& slot = rows_[static_cast<std::size_t>(v)];
+  std::uint64_t* blob = slot != nullptr && blob_words(slot) >= total_words
+                            ? slot
+                            : arena_.allocate(total_words);
   blob[0] = nnz | (bitmap ? (std::uint64_t{1} << 32) : 0);
   if (bitmap) {
     std::uint64_t* words = blob + 1;
@@ -125,14 +95,6 @@ void SuccinctTable::commit_row(VertexId v, std::span<const double> row) {
     }
   }
 
-  std::uint64_t*& slot = rows_[static_cast<std::size_t>(v)];
-  if (slot == nullptr) {
-    active_.fetch_add(1, std::memory_order_relaxed);
-  } else if ((slot[0] >> 32) != 0) {
-    // Recommit (restore path): the old blob strands in its slab.
-    bitmap_rows_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  if (bitmap) bitmap_rows_.fetch_add(1, std::memory_order_relaxed);
   slot = blob;
 }
 
@@ -161,9 +123,21 @@ double SuccinctTable::vertex_total(VertexId v) const noexcept {
   return sum;
 }
 
-std::size_t SuccinctTable::bytes() const noexcept {
-  return static_cast<std::size_t>(n_) * sizeof(std::uint64_t*) +
-         slab_bytes_.load(std::memory_order_relaxed);
+VertexId SuccinctTable::num_active_vertices() const noexcept {
+  VertexId active = 0;
+  for (VertexId v = 0; v < n_; ++v) {
+    if (rows_[static_cast<std::size_t>(v)] != nullptr) ++active;
+  }
+  return active;
+}
+
+std::size_t SuccinctTable::num_bitmap_rows() const noexcept {
+  std::size_t bitmap = 0;
+  for (VertexId v = 0; v < n_; ++v) {
+    const std::uint64_t* blob = rows_[static_cast<std::size_t>(v)];
+    if (blob != nullptr && (blob[0] >> 32) != 0) ++bitmap;
+  }
+  return bitmap;
 }
 
 }  // namespace fascia

@@ -29,20 +29,19 @@
 // per-element get() through the same frontier machinery.
 //
 // Concurrency contract matches count_table.hpp: commit_row may run
-// concurrently for distinct vertices (each writes its own row slot;
-// shared counters are relaxed atomics), reads never overlap commits.
+// concurrently for distinct vertices (each writes its own row slot and
+// allocates from its own arena chunk; no counter is shared), reads
+// never overlap commits.
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <utility>
-#include <vector>
 
 #include "dp/count_table.hpp"
+#include "dp/row_arena.hpp"
 
 namespace fascia {
 
@@ -122,23 +121,27 @@ class SuccinctTable {
   [[nodiscard]] std::uint32_t num_colorsets() const noexcept {
     return num_colorsets_;
   }
-  [[nodiscard]] std::size_t bytes() const noexcept;
+  /// Pointer array plus every arena chunk.
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return pointer_bytes() + arena_.bytes();
+  }
 
   /// Vertices with at least one count (selectivity statistics).
-  [[nodiscard]] VertexId num_active_vertices() const noexcept {
-    return active_.load(std::memory_order_relaxed);
-  }
+  /// Counted when read — an O(n) scan, kept off the commit path.
+  [[nodiscard]] VertexId num_active_vertices() const noexcept;
 
-  /// Encoding-mix introspection for tests and the micro_tables bench.
-  [[nodiscard]] std::size_t num_bitmap_rows() const noexcept {
-    return bitmap_rows_.load(std::memory_order_relaxed);
-  }
+  /// Encoding-mix introspection for tests (O(n) scans, like above).
+  [[nodiscard]] std::size_t num_bitmap_rows() const noexcept;
   [[nodiscard]] std::size_t num_sparse_rows() const noexcept {
     return static_cast<std::size_t>(num_active_vertices()) -
            num_bitmap_rows();
   }
 
  private:
+  [[nodiscard]] std::size_t pointer_bytes() const noexcept {
+    return static_cast<std::size_t>(n_) * sizeof(std::uint64_t*);
+  }
+
   // Row blob: a u64 array so every region is 8-byte aligned.
   //   word 0          header: nnz in the low 32 bits, mode in the high
   //   sparse (mode 0) [nnz doubles][nnz u32 sorted slots, padded]
@@ -153,21 +156,12 @@ class SuccinctTable {
     return 1 + words_ + (words_ + 1) / 2 + nnz;
   }
 
-  // Row blobs live in bump-allocated slabs: every row is committed
-  // exactly once per DP stage and the whole table dies together, so a
-  // per-row new[]/delete[] (one malloc per frontier vertex per stage,
-  // contended across the inner sweep threads) buys nothing.  The fast
-  // path is one fetch_add on the current slab; the mutex only guards
-  // slab creation.  A recommitted row (the restore path) allocates a
-  // fresh blob and strands the old one until the table dies — rows are
-  // never recommitted inside a stage, so the slack is theoretical.
-  std::uint64_t* alloc_blob(std::size_t total_words);
-
-  struct Slab {
-    std::unique_ptr<std::uint64_t[]> data;
-    std::size_t capacity = 0;           ///< words
-    std::atomic<std::size_t> offset{0};  ///< words handed out
-  };
+  [[nodiscard]] std::size_t blob_words(const std::uint64_t* blob)
+      const noexcept {
+    const auto nnz = static_cast<std::uint32_t>(blob[0]);
+    return (blob[0] >> 32) != 0 ? blob_words_bitmap(nnz)
+                                : blob_words_sparse(nnz);
+  }
 
   VertexId n_;
   std::uint32_t num_colorsets_;
@@ -175,12 +169,12 @@ class SuccinctTable {
   // Raw pointer array so the nullptr fill can run under TableInit's
   // first-touch partition, exactly like the compact layout.
   std::unique_ptr<std::uint64_t*[]> rows_;
-  std::vector<std::unique_ptr<Slab>> slabs_;  ///< guarded by slab_mutex_
-  std::atomic<Slab*> current_slab_{nullptr};
-  std::mutex slab_mutex_;
-  std::atomic<std::size_t> slab_bytes_{0};  ///< capacity across slabs
-  std::atomic<VertexId> active_{0};
-  std::atomic<std::size_t> bitmap_rows_{0};
+  // Blobs are bump-allocated from the committing thread's chunk
+  // (dp/row_arena.hpp): no per-row malloc, no shared atomic.  A
+  // recommit (the restore path) overwrites the old blob in place when
+  // the new one fits and otherwise strands it until the table dies;
+  // rows are never recommitted inside a stage.
+  RowArena arena_;
 };
 
 // get() is the kernels' fallback read path (kContiguousRows == false)

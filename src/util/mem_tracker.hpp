@@ -8,9 +8,11 @@
 // allocates/frees to this global tracker.  The tracker keeps a current
 // and a high-water-mark figure; benches reset the peak around the DP.
 //
-// Counters are atomics so the inner-loop-parallel counter can update
-// them from any thread; tables batch their updates per vertex-row or
-// per resize, so contention is negligible.
+// Counters are atomics shared by every thread, so tables keep updates
+// off their per-row paths: the lazy layouts (compact, succinct) are
+// charged once per arena chunk (dp/row_arena.hpp), the others per
+// allocation or resize.  Current and peak therefore include, per live
+// lazy table, at most one partly filled chunk per committing thread.
 
 #include <atomic>
 #include <cstddef>

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -7,6 +9,7 @@
 #include <omp.h>
 #endif
 
+#include "dp/row_arena.hpp"
 #include "dp/table_compact.hpp"
 #include "dp/table_hash.hpp"
 #include "dp/table_naive.hpp"
@@ -77,17 +80,58 @@ TYPED_TEST(TableContract, MemTrackerBalanced) {
 }
 
 TYPED_TEST(TableContract, ConcurrentCommitsDistinctVertices) {
-  constexpr VertexId kN = 500;
+  // Large enough that, on the lazy layouts, every committing thread
+  // runs through more than one arena chunk (the first chunks are 4-32
+  // KiB, one thread's share of rows here is ~250 KB).
+  constexpr VertexId kN = 20000;
   TypeParam table(kN, 5);
 #ifdef _OPENMP
-#pragma omp parallel for
+#pragma omp parallel for schedule(static)
 #endif
   for (VertexId v = 0; v < kN; ++v) {
     std::vector<double> row(5, static_cast<double>(v + 1));
     table.commit_row(v, row);
   }
   for (VertexId v = 0; v < kN; ++v) {
-    EXPECT_DOUBLE_EQ(table.get(v, 3), static_cast<double>(v + 1));
+    ASSERT_DOUBLE_EQ(table.get(v, 3), static_cast<double>(v + 1));
+  }
+}
+
+TYPED_TEST(TableContract, RebuiltTableNeverReusesDeadTableRows) {
+  // Each round destroys the table and builds the next one at the SAME
+  // address (std::optional storage), then commits from the same
+  // threads.  The lazy layouts keep a per-thread bump cursor across
+  // tables; were it keyed by address, round r + 1 would carve rows out
+  // of round r's freed chunks (a use-after-free under ASan, or values
+  // from the wrong table).
+  constexpr VertexId kN = 3000;
+  constexpr std::uint32_t kWidth = 7;
+  std::optional<TypeParam> table;
+  const void* first_address = nullptr;
+  for (int round = 0; round < 4; ++round) {
+    table.emplace(kN, kWidth);
+    if (round == 0) first_address = &*table;
+    ASSERT_EQ(static_cast<const void*>(&*table), first_address);
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static)
+#endif
+    for (VertexId v = 0; v < kN; v += 2) {  // odd vertices stay absent
+      std::vector<double> row(kWidth, 0.0);
+      row[static_cast<std::size_t>(v) % kWidth] =
+          static_cast<double>(round * 100000 + static_cast<int>(v) + 1);
+      table->commit_row(v, row);
+    }
+    for (VertexId v = 0; v < kN; ++v) {
+      for (ColorsetIndex c = 0; c < kWidth; ++c) {
+        const bool set = v % 2 == 0 && c == v % kWidth;
+        ASSERT_EQ(table->get(v, c),
+                  set ? static_cast<double>(round * 100000 +
+                                            static_cast<int>(v) + 1)
+                      : 0.0)
+            << "round " << round << " v " << v << " c " << c;
+      }
+    }
+    table.reset();
   }
 }
 
@@ -187,6 +231,35 @@ TEST(CompactTable, EmptyRowNotAllocated) {
   EXPECT_EQ(table.num_active_vertices(), 0);
   table.commit_row(2, std::vector<double>{0.0, 1.0, 0.0});
   EXPECT_EQ(table.num_active_vertices(), 1);
+}
+
+TEST(CompactTable, ClearThenPatchRoundsKeepBytesFlat) {
+  // The delta path's retained-table recount: rows in the dirty ball are
+  // cleared or patched, round after round.  Cleared rows go onto a free
+  // list that patch_row draws from first, so the table must not grow.
+  constexpr VertexId kN = 64;
+  constexpr std::uint32_t kWidth = 10;
+  CompactTable table(kN, kWidth);
+  for (VertexId v = 0; v < kN; ++v) {
+    table.commit_row(v, std::vector<double>(kWidth, 1.0));
+  }
+  const std::size_t settled = table.bytes();
+  for (int round = 0; round < 50; ++round) {
+    // Clear a block, then patch a shifted block back in: some patches
+    // re-create cleared vertices, some overwrite live rows in place.
+    const auto base = static_cast<VertexId>(round % 8 * 8);
+    for (VertexId v = base; v < base + 8; ++v) table.clear_row(v);
+    for (VertexId v = base + 4; v < base + 12 && v < kN; ++v) {
+      table.patch_row(v, std::vector<double>(kWidth, round + 2.0));
+    }
+    for (VertexId v = base; v < base + 4; ++v) {
+      table.patch_row(v, std::vector<double>(kWidth, round + 3.0));
+    }
+    EXPECT_EQ(table.bytes(), settled) << "round " << round;
+    EXPECT_EQ(table.num_active_vertices(), kN);
+    EXPECT_DOUBLE_EQ(table.get(base, kWidth - 1), round + 3.0);
+    EXPECT_DOUBLE_EQ(table.get(base + 4, 0), round + 2.0);
+  }
 }
 
 TEST(CompactTable, UsesLessMemoryThanNaiveWhenSparse) {
@@ -327,9 +400,9 @@ TEST(SuccinctTable, ForEachNonzeroAscendingSlots) {
 }
 
 TEST(SuccinctTable, RecommitReplacesRow) {
-  // The restore path (checkpoint / spill page-in) re-commits rows;
-  // the old blob strands in its slab but readers must see only the
-  // new encoding, across a mode flip.
+  // The restore path (checkpoint / spill page-in) re-commits rows; the
+  // new blob overwrites the old one in place when it fits, and readers
+  // must see only the new encoding, across a mode flip either way.
   constexpr std::uint32_t kWidth = 256;
   SuccinctTable table(2, kWidth);
   table.commit_row(0, std::vector<double>(kWidth, 1.0));  // bitmap
@@ -343,12 +416,18 @@ TEST(SuccinctTable, RecommitReplacesRow) {
     EXPECT_DOUBLE_EQ(table.get(0, c), c == 17 ? 9.0 : 0.0);
   }
   EXPECT_DOUBLE_EQ(table.vertex_total(0), 9.0);
+  table.commit_row(0, std::vector<double>(kWidth, 2.0));  // outgrows it
+  EXPECT_EQ(table.num_bitmap_rows(), 1u);
+  EXPECT_EQ(table.num_sparse_rows(), 0u);
+  for (ColorsetIndex c = 0; c < kWidth; ++c) {
+    EXPECT_DOUBLE_EQ(table.get(0, c), 2.0);
+  }
 }
 
 TEST(SuccinctTable, SparseFootprintBeatsCompact) {
   // Fig. 7's regime: the whole point of the layout.  Compact pays the
   // full row width per active vertex; succinct pays ~12 B per nonzero
-  // (plus slab slack bounded by one geometric growth step).
+  // (plus the unfilled tail of the last arena chunk).
   constexpr VertexId kN = 20000;
   constexpr std::uint32_t kWidth = 924;  // C(12,6): the k = 12 midpoint
   SuccinctTable succinct(kN, kWidth);
@@ -363,14 +442,14 @@ TEST(SuccinctTable, SparseFootprintBeatsCompact) {
   EXPECT_DOUBLE_EQ(succinct.total(), compact.total());
 }
 
-TEST(SuccinctTable, BytesCoverSlabsAndMemTrackerBalances) {
+TEST(SuccinctTable, BytesCoverChunksAndMemTrackerBalances) {
   MemTracker::reset_all();
   const std::size_t before = MemTracker::current();
   {
     SuccinctTable table(1000, 64);
     std::vector<double> row(64, 1.0);
     for (VertexId v = 0; v < 1000; ++v) table.commit_row(v, row);
-    // bytes() reports slab *capacity* (the allocation), never less
+    // bytes() reports chunk *capacity* (the allocation), never less
     // than the handed-out blobs: 1000 rows x (1 header + 1 bitmap +
     // 1 rank + 64 values) words, plus the row-pointer array.
     const std::size_t floor_bytes =
@@ -379,6 +458,45 @@ TEST(SuccinctTable, BytesCoverSlabsAndMemTrackerBalances) {
     EXPECT_EQ(MemTracker::current() - before, table.bytes());
   }
   EXPECT_EQ(MemTracker::current(), before);
+}
+
+TEST(RowArena, ConcurrentThreadsGetDisjointBlocks) {
+  // Plain std::threads (no OpenMP runtime in between), so every
+  // sanitizer sees the real synchronization.  Each thread fills its
+  // blocks with a tag and checks them after all threads are done: any
+  // overlap between two threads' blocks would clobber a tag.
+  constexpr int kThreads = 4;
+  constexpr std::size_t kBlocks = 3000;
+  constexpr std::size_t kWords = 6;
+  MemTracker::reset_all();
+  {
+    RowArena arena;
+    std::vector<std::vector<std::uint64_t*>> blocks(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (std::size_t i = 0; i < kBlocks; ++i) {
+          std::uint64_t* block = arena.allocate(kWords);
+          for (std::size_t w = 0; w < kWords; ++w) {
+            block[w] = static_cast<std::uint64_t>(t) * kBlocks + i;
+          }
+          blocks[static_cast<std::size_t>(t)].push_back(block);
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (int t = 0; t < kThreads; ++t) {
+      for (std::size_t i = 0; i < kBlocks; ++i) {
+        const std::uint64_t* block = blocks[static_cast<std::size_t>(t)][i];
+        for (std::size_t w = 0; w < kWords; ++w) {
+          ASSERT_EQ(block[w], static_cast<std::uint64_t>(t) * kBlocks + i);
+        }
+      }
+    }
+    EXPECT_GE(arena.bytes(), kThreads * kBlocks * kWords * sizeof(double));
+    EXPECT_EQ(MemTracker::current(), arena.bytes());
+  }
+  EXPECT_EQ(MemTracker::current(), 0u);
 }
 
 }  // namespace
