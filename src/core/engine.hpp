@@ -969,7 +969,7 @@ class DpEngine {
     // export falls back to the frontier kernel (bit-identical).
     const bool spmm_on = opts_.spmm_kernels && !opts_.reference_kernels;
     if (spmm_on && stat.kernel == 'A' &&
-        spmm_profitable_single_active(index, node)) {
+        spmm_profitable_single_active(node)) {
       stat.kernel = 'a';
     } else if (spmm_on && stat.kernel == 'G' &&
                spmm_profitable_general(node)) {
@@ -1204,6 +1204,76 @@ class DpEngine {
     stat.macs += ws.macs;
   }
 
+  /// Zeroes ps[0..width) and adds into it the passive row of every
+  /// neighbor in nbr[0..deg) that has one, in CSR order; returns how
+  /// many did.  Borrowed rows are added four at a time as
+  /// (((ps + r0) + r1) + r2) + r3 over the present rows, the remainder
+  /// one row at a time: every entry sees the same additions in the
+  /// same order as a one-row-at-a-time fold (and as the reference
+  /// kernels), so sums stay bit-identical even past 2^53, while four
+  /// row streams are in flight at once.  Decodable rows add only their
+  /// stored nonzeros; hash rows are probed per colorset.
+  [[nodiscard]] std::size_t fold_neighbor_rows(const Table& tp,
+                                               const VertexId* nbr,
+                                               std::size_t deg,
+                                               std::uint32_t width,
+                                               double* ps) const noexcept {
+    std::fill(ps, ps + width, 0.0);
+    std::size_t nu = 0;
+    if constexpr (Table::kContiguousRows) {
+      const double* held[4];
+      std::size_t num_held = 0;
+      for (std::size_t j = 0; j < deg; ++j) {
+        if (j + kPrefetchSlotAhead < deg) {
+          tp.prefetch_slot(nbr[j + kPrefetchSlotAhead]);
+        }
+        if (j + kPrefetchRowAhead < deg) {
+          tp.prefetch_row(nbr[j + kPrefetchRowAhead]);
+        }
+        const double* prow = tp.row_ptr(nbr[j]);
+        if (prow == nullptr) continue;
+        held[num_held++] = prow;
+        if (num_held < 4) continue;
+        num_held = 0;
+        nu += 4;
+        const double* r0 = held[0];
+        const double* r1 = held[1];
+        const double* r2 = held[2];
+        const double* r3 = held[3];
+#ifdef _OPENMP
+#pragma omp simd
+#endif
+        for (std::uint32_t c = 0; c < width; ++c) {
+          ps[c] = (((ps[c] + r0[c]) + r1[c]) + r2[c]) + r3[c];
+        }
+      }
+      for (std::size_t i = 0; i < num_held; ++i) {
+        const double* prow = held[i];
+#ifdef _OPENMP
+#pragma omp simd
+#endif
+        for (std::uint32_t c = 0; c < width; ++c) {
+          ps[c] += prow[c];
+        }
+      }
+      nu += num_held;
+    } else {
+      for (std::size_t j = 0; j < deg; ++j) {
+        const VertexId u = nbr[j];
+        if (!tp.has_vertex(u)) continue;
+        ++nu;
+        if constexpr (DecodableRowTable<Table>) {
+          tp.add_row_into(u, ps);
+        } else {
+          for (std::uint32_t c = 0; c < width; ++c) {
+            ps[c] += tp.get(u, c);
+          }
+        }
+      }
+    }
+    return nu;
+  }
+
   // ---- vectorized kernels (the default path) ----------------------------
   // Each iterates the stage's frontier, fills a thread-private row of
   // C(k,h) counts for vertex v over borrowed contiguous child rows,
@@ -1262,78 +1332,85 @@ class DpEngine {
         delta_restrict_ != nullptr ? delta_restrict_ : leaf_frontier(active);
     const bool check_active =
         delta_restrict_ != nullptr || candidates == nullptr;
+    const std::uint32_t passive_width = tp.num_colorsets();
+    // Every color's split list has C(k-1, h-1) entries.
+    const std::size_t m = split.passives(0).size();
+    // Fold the neighbor rows into one partial-sum row and apply color
+    // c(v)'s split list once per vertex (DESIGN.md §8), instead of m
+    // indexed scatter-adds per neighbor.  Borrowed rows fold while a
+    // whole row costs no more than the scatter it replaces, with the
+    // same ~3x scatter-vs-contiguous weighting as kernel_general;
+    // decodable rows always fold (add_row_into touches only the
+    // nonzeros); hash rows keep the direct per-entry probes.
+    bool fold_neighbors;
+    if constexpr (Table::kContiguousRows) {
+      fold_neighbors = passive_width <= 3 * m;
+    } else {
+      fold_neighbors = DecodableRowTable<Table>;
+    }
     for_frontier(
         parallel, {candidates, graph_.num_vertices()}, out.num_colorsets(),
-        0, 0, frontier_out, stat, [&](VertexId v, Workspace& ws) {
+        passive_width, 0, frontier_out, stat, [&](VertexId v, Workspace& ws) {
           if (check_active && !leaf_matches(active, v)) return false;
           const int cv = colors[static_cast<std::size_t>(v)];
-          const auto passives = split.passives(cv);
-          const auto parents = split.parents(cv);
-          const std::size_t m = passives.size();
-          const ColorsetIndex* pas = passives.data();
-          const ColorsetIndex* par = parents.data();
+          const ColorsetIndex* pas = split.passives(cv).data();
+          const ColorsetIndex* par = split.parents(cv).data();
           auto& row = ws.row;
           std::fill(row.begin(), row.end(), 0.0);
           double* r = row.data();
-          std::size_t nu = 0;
           const auto neighbors = graph_.neighbors(v);
           const VertexId* nbr = neighbors.data();
           const std::size_t deg = neighbors.size();
-          if constexpr (!Table::kContiguousRows &&
-                        DecodableRowTable<Table>) {
-            ws.psum.resize(tp.num_colorsets());
-            std::fill(ws.psum.begin(), ws.psum.end(), 0.0);
-          }
-          for (std::size_t j = 0; j < deg; ++j) {
-            if constexpr (Table::kContiguousRows) {
-              if (j + kPrefetchSlotAhead < deg) {
-                tp.prefetch_slot(nbr[j + kPrefetchSlotAhead]);
-              }
-              if (j + kPrefetchRowAhead < deg) {
-                tp.prefetch_row(nbr[j + kPrefetchRowAhead]);
-              }
-            }
-            const VertexId u = nbr[j];
-            if constexpr (Table::kContiguousRows) {
-              const double* prow = tp.row_ptr(u);
-              if (prow == nullptr) continue;
-              ++nu;
-              // Parents within one color are all distinct, so the
-              // scatter has no intra-loop conflicts; the passive reads
-              // are a monotone gather over one contiguous row.
-#ifdef _OPENMP
-#pragma omp simd
-#endif
-              for (std::size_t s = 0; s < m; ++s) {
-                r[par[s]] += prow[pas[s]];
-              }
-            } else if constexpr (DecodableRowTable<Table>) {
-              if (!tp.has_vertex(u)) continue;
-              ++nu;
-              // Fold the neighbor rows first — O(nnz) adds into a
-              // dense partial-sum row — and apply the split list once
-              // per vertex after the loop, not once per neighbor.
-              tp.add_row_into(u, ws.psum.data());
-            } else {
-              if (!tp.has_vertex(u)) continue;
-              ++nu;
-              for (std::size_t s = 0; s < m; ++s) {
-                r[par[s]] += tp.get(u, pas[s]);
-              }
-            }
-          }
-          if (nu == 0) return false;
-          if constexpr (!Table::kContiguousRows &&
-                        DecodableRowTable<Table>) {
-            const double* ps = ws.psum.data();
+          std::size_t nu = 0;
+          if (fold_neighbors) {
+            double* ps = ws.psum.data();
+            nu = fold_neighbor_rows(tp, nbr, deg, passive_width, ps);
+            if (nu == 0) return false;
+            // Parents within one color are all distinct, so this is a
+            // conflict-free scatter of each parent's finished sum.
 #ifdef _OPENMP
 #pragma omp simd
 #endif
             for (std::size_t s = 0; s < m; ++s) {
               r[par[s]] += ps[pas[s]];
             }
+          } else {
+            for (std::size_t j = 0; j < deg; ++j) {
+              if constexpr (Table::kContiguousRows) {
+                if (j + kPrefetchSlotAhead < deg) {
+                  tp.prefetch_slot(nbr[j + kPrefetchSlotAhead]);
+                }
+                if (j + kPrefetchRowAhead < deg) {
+                  tp.prefetch_row(nbr[j + kPrefetchRowAhead]);
+                }
+              }
+              const VertexId u = nbr[j];
+              if constexpr (Table::kContiguousRows) {
+                const double* prow = tp.row_ptr(u);
+                if (prow == nullptr) continue;
+                ++nu;
+                // Parents within one color are all distinct, so the
+                // scatter has no intra-loop conflicts; the passive
+                // reads are a monotone gather over one contiguous row.
+#ifdef _OPENMP
+#pragma omp simd
+#endif
+                for (std::size_t s = 0; s < m; ++s) {
+                  r[par[s]] += prow[pas[s]];
+                }
+              } else {
+                if (!tp.has_vertex(u)) continue;
+                ++nu;
+                for (std::size_t s = 0; s < m; ++s) {
+                  r[par[s]] += tp.get(u, pas[s]);
+                }
+              }
+            }
+            if (nu == 0) return false;
           }
           out.commit_row(v, row);
+          // Tallied as the direct path's work either way, so the MAC
+          // count does not depend on which path a stage took.
           ws.macs += nu * m;
           return true;
         });
@@ -1514,41 +1591,8 @@ class DpEngine {
           }
           const VertexId* nbr = neighbors.data();
           if (fold_neighbors) {
-            auto& psum = ws.psum;
-            std::fill(psum.begin(), psum.end(), 0.0);
-            double* ps = psum.data();
-            for (std::size_t j = 0; j < deg; ++j) {
-              if constexpr (Table::kContiguousRows) {
-                if (j + kPrefetchSlotAhead < deg) {
-                  tp.prefetch_slot(nbr[j + kPrefetchSlotAhead]);
-                }
-                if (j + kPrefetchRowAhead < deg) {
-                  tp.prefetch_row(nbr[j + kPrefetchRowAhead]);
-                }
-              }
-              const VertexId u = nbr[j];
-              if constexpr (Table::kContiguousRows) {
-                const double* prow = tp.row_ptr(u);
-                if (prow == nullptr) continue;
-                ++nu;
-#ifdef _OPENMP
-#pragma omp simd
-#endif
-                for (std::uint32_t c = 0; c < passive_width; ++c) {
-                  ps[c] += prow[c];
-                }
-              } else {
-                if (!tp.has_vertex(u)) continue;
-                ++nu;
-                if constexpr (DecodableRowTable<Table>) {
-                  tp.add_row_into(u, ps);
-                } else {
-                  for (std::uint32_t c = 0; c < passive_width; ++c) {
-                    ps[c] += tp.get(u, c);
-                  }
-                }
-              }
-            }
+            double* ps = ws.psum.data();
+            nu = fold_neighbor_rows(tp, nbr, deg, passive_width, ps);
             if (nu == 0) return false;
             const ColorsetIndex* act = all_act;
             const ColorsetIndex* pas = all_pas;
@@ -1648,37 +1692,38 @@ class DpEngine {
   //   hash      — per-edge keyed probes per colorset; export amortizes
   //               whenever neighbors outnumber frontier rows.
   //   naive     — per-edge row gathers stride the full n-row table;
-  //               L2-resident slabs win across the board.
+  //               the general kernel's export wins when neighbors
+  //               outnumber frontier rows.
   //   compact   — per-edge row borrow is already one contiguous read,
-  //               so only the slab-blocking win remains; it shrinks
-  //               with width while the export grows with it.
-  //   succinct  — the a == 1 kernel folds via add_row_into (one
-  //               decode-and-add sweep per edge, no cheaper read
-  //               exists), and the general kernel's per-edge decode
-  //               only loses to the export at small widths.
+  //               so the export saves only the null-row branch and the
+  //               pointer chase; that shrinks with width while the
+  //               export grows with it.
+  //   succinct  — the general kernel's per-edge decode only loses to
+  //               the export at small widths.
+  // The a == 1 frontier kernel already folds borrowed and decodable
+  // rows into a partial-sum row, so for those layouts its SpMM form is
+  // the same fold plus an export copy.
 
-  /// Cost gate for the a == 1 SpMM form.  Compact and succinct never
-  /// take it: their per-edge accumulate is a single contiguous sweep
-  /// already, so the export is pure overhead.
+  /// Cost gate for the a == 1 SpMM form.  Only hash tables take it:
+  /// naive and compact rows are borrowed and summed four at a time by
+  /// the frontier kernel, and succinct rows are added with
+  /// add_row_into, so the export is pure overhead for them.
   [[nodiscard]] bool spmm_profitable_single_active(
-      int /*index*/, const Subtemplate& node) const noexcept {
-    const auto& passive_frontier =
-        frontiers_[static_cast<std::size_t>(node.passive)];
-    const std::size_t fp = passive_frontier.size();
-    if (fp == 0) return false;
-    // Delta passes sweep only the dirty candidates: price the export
-    // against that restricted edge work, not the full frontier's.
-    const std::size_t deg_sum = frontier_degree_sum(
-        delta_restrict_ != nullptr
-            ? delta_restrict_
-            : leaf_frontier(partition_.node(node.active)));
-    if constexpr (Table::kDenseRows) {
-      return deg_sum >= 2 * fp;  // naive
-    } else if constexpr (Table::kContiguousRows ||
-                         DecodableRowTable<Table>) {
-      return false;  // compact / succinct
+      const Subtemplate& node) const noexcept {
+    if constexpr (Table::kContiguousRows || DecodableRowTable<Table>) {
+      (void)node;
+      return false;
     } else {
-      return deg_sum >= 2 * fp;  // hash
+      const std::size_t fp =
+          frontiers_[static_cast<std::size_t>(node.passive)].size();
+      if (fp == 0) return false;
+      // Delta passes sweep only the dirty candidates: price the export
+      // against that restricted edge work, not the full frontier's.
+      const std::size_t deg_sum = frontier_degree_sum(
+          delta_restrict_ != nullptr
+              ? delta_restrict_
+              : leaf_frontier(partition_.node(node.active)));
+      return deg_sum >= 2 * fp;
     }
   }
 

@@ -17,11 +17,15 @@
 // in doubles below 2^53).
 //
 // Column blocking: the width-W colorset dimension is cut into blocks
-// of kSpmmBlockWidth columns (FASCIA_SPMM_BLOCK override), each block
+// of spmm_block_width columns (FASCIA_SPMM_BLOCK override), each block
 // stored as its own (|frontier|+1) × block-width row-major slab.  The
-// accumulate loop sweeps block-by-block, so the slab a stage re-reads
-// across its frontier stays L2-resident instead of striding across
-// the full W-wide rows.
+// accumulate loop runs the blocks inside each active vertex: per block
+// it walks the vertex's neighbors again and adds one block-width run
+// of each neighbor's row.  Every vertex touches every block, so across
+// the frontier the working set is the whole multivector, not one slab.
+// (A block-outer sweep that kept one slab cached was measured and lost:
+// each block re-walks every neighbor list, and per-visit latency, not
+// bytes, is the cost — DESIGN.md §13.)
 //
 // What the export buys per table layout:
 //   * hash      — the gather kernels pay one keyed probe per EDGE per
@@ -49,9 +53,11 @@
 
 namespace fascia {
 
-/// Default column-block width in doubles: sized so one block slab of a
-/// half-occupied frontier plus the psum accumulator stays within a
-/// conservative L2 share.  Overridable via FASCIA_SPMM_BLOCK (columns).
+/// Default column-block width in doubles: about 256 KiB of slab per
+/// block for the given frontier, at least 16 columns.  The accumulate
+/// loop is vertex-outer (header comment), so this sets the length of
+/// the contiguous runs it adds, not a cache-resident working set.
+/// Overridable via FASCIA_SPMM_BLOCK (columns).
 inline std::uint32_t spmm_block_width(std::size_t frontier_rows,
                                       std::uint32_t width) noexcept {
   static const long env = [] {
@@ -62,8 +68,6 @@ inline std::uint32_t spmm_block_width(std::size_t frontier_rows,
     return std::min<std::uint32_t>(width,
                                    static_cast<std::uint32_t>(env));
   }
-  // ~256 KiB of slab per block: beyond that the re-read rows of hub
-  // neighborhoods start missing L2.
   constexpr std::size_t kTargetSlabBytes = 256 * 1024;
   const std::size_t rows = frontier_rows + 1;
   std::size_t bw = kTargetSlabBytes / (rows * sizeof(double) + 1);

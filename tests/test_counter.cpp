@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/engine.hpp"
 #include "dp/table_compact.hpp"
+#include "dp/table_naive.hpp"
 #include "graph/components.hpp"
 #include "graph/generators.hpp"
 #include "graph/labels.hpp"
@@ -180,6 +182,82 @@ TEST(Counter, VectorizedKernelsBitIdenticalToReference) {
   labeled_star.set_labels({0, 1, 1, 2, 3, 1});
   check_matrix(cl_labeled, {labeled_path, labeled_star},
                "chung-lu-labeled");
+}
+
+// ---- bit-identity past 2^53.  On a dense graph the colorful path
+// counts outgrow the exact-integer range of doubles, so additions round
+// and only the order of the sums keeps two kernels in step.  (On a
+// complete graph every count is (h-1)! times a product of color-class
+// sizes, a multiple of a large power of two, and nothing rounds.)  The
+// one-at-a-time partition gives pair and single-active stages only; at
+// k = 12 the single-active stages up to h = 9 fold whole neighbor rows
+// (C(12, h-1) <= 3 C(11, h-1)), so the four-row fold must add the rows
+// in exactly the reference kernel's neighbor order.  Every table entry
+// is compared, not just the totals.
+template <class Table>
+void expect_tables_equal(const DpEngine<Table>& fast,
+                         const DpEngine<CompactTable>& ref,
+                         const PartitionTree& part, VertexId n,
+                         const char* tag) {
+  for (int node = 0; node < part.num_nodes(); ++node) {
+    if (part.node(node).is_leaf()) continue;
+    const Table* got = fast.table(node);
+    const CompactTable* want = ref.table(node);
+    ASSERT_NE(got, nullptr) << tag << " node " << node;
+    ASSERT_NE(want, nullptr) << tag << " node " << node;
+    ASSERT_EQ(got->num_colorsets(), want->num_colorsets());
+    int mismatches = 0;
+    for (VertexId v = 0; v < n; ++v) {
+      for (ColorsetIndex c = 0; c < want->num_colorsets(); ++c) {
+        if (got->get(v, c) != want->get(v, c)) ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << tag << " node " << node << " (h = "
+                             << part.node(node).size() << ")";
+  }
+}
+
+TEST(Counter, FoldedGatherBitIdenticalPastTwoToThe53) {
+  constexpr int k = 12;
+  constexpr int kWidestFoldedStage = 9;
+  const Graph g = erdos_renyi_gnp(400, 0.9, 3);
+  const VertexId n = g.num_vertices();
+  const auto part = partition_template(TreeTemplate::path(k),
+                                       PartitionStrategy::kOneAtATime, true);
+  ColorArray colors(static_cast<std::size_t>(n));
+  Xoshiro256 rng(41);
+  for (auto& c : colors) {
+    c = static_cast<std::uint8_t>(rng.bounded(static_cast<std::uint32_t>(k)));
+  }
+  DpEngineOptions ref_opts;
+  ref_opts.reference_kernels = true;
+  DpEngine<CompactTable> ref(g, part, k, ref_opts);
+  ref.run(colors, /*parallel_inner=*/false, nullptr, /*keep_tables=*/true);
+
+  // The regime is real: a folded stage's table holds a count past 2^53.
+  double widest_folded_max = 0.0;
+  for (int node = 0; node < part.num_nodes(); ++node) {
+    const Subtemplate& sub = part.node(node);
+    if (sub.is_leaf() || sub.size() > kWidestFoldedStage) continue;
+    const CompactTable& table = *ref.table(node);
+    for (VertexId v = 0; v < n; ++v) {
+      for (ColorsetIndex c = 0; c < table.num_colorsets(); ++c) {
+        widest_folded_max = std::max(widest_folded_max, table.get(v, c));
+      }
+    }
+  }
+  ASSERT_GT(widest_folded_max, 0x1p53);
+
+  for (const bool parallel : {false, true}) {
+    DpEngine<CompactTable> compact(g, part, k);
+    compact.run(colors, parallel, nullptr, /*keep_tables=*/true);
+    expect_tables_equal(compact, ref, part, n,
+                        parallel ? "compact inner" : "compact serial");
+    DpEngine<NaiveTable> naive(g, part, k);
+    naive.run(colors, parallel, nullptr, /*keep_tables=*/true);
+    expect_tables_equal(naive, ref, part, n,
+                        parallel ? "naive inner" : "naive serial");
+  }
 }
 
 // ---- SpMM kernel family (DESIGN.md §13): same bit-identity contract.

@@ -16,7 +16,7 @@
 
 #include "core/counter.hpp"
 #include "core/engine.hpp"
-#include "dp/table_naive.hpp"
+#include "dp/table_hash.hpp"
 #include "graph/generators.hpp"
 #include "helpers.hpp"
 #include "run/checkpoint.hpp"
@@ -293,12 +293,12 @@ TEST(MemoryPlan, SpmmEstimateBracketsMeasuredWorkspace) {
       part, 7, g.num_vertices(), false);
   ASSERT_GT(estimate, 0u);
 
-  // Naive tables: dense rows keep every SpMM-eligible stage past the
-  // per-layout profitability gate on this graph, so the measured peak
-  // covers the widest stage the estimate prices.
+  // Hash tables: the only layout whose single-active stages still take
+  // the SpMM form; on this graph they pass the profitability gate, so
+  // the measured peak reflects the stages the estimate prices.
   DpEngineOptions engine_opts;
   engine_opts.spmm_kernels = true;
-  DpEngine<NaiveTable> engine(g, part, 7, engine_opts);
+  DpEngine<HashTable> engine(g, part, 7, engine_opts);
   ColorArray colors(static_cast<std::size_t>(g.num_vertices()));
   Xoshiro256 rng(5);
   for (auto& c : colors) c = static_cast<std::uint8_t>(rng.bounded(7));
