@@ -3,13 +3,12 @@
 // Chung-Lu network so the reorder passes have real disorder to undo
 // (the generator itself emits near-degree-sorted graphs).
 //
-// The harness sweeps the whole grid kRounds times and records, per
-// configuration, the median of each round's fastest per-iteration DP
-// time (reorder cost is reported separately — it is paid once and
-// amortizes over iterations).  The speedup of a configuration is
-// measured against the SAME table layout on the baseline path
-// (reorder=none, inner layout), so the number isolates what
-// reordering + scheduling buy, not table-vs-table differences.
+// Per configuration the harness runs count_template and records the
+// fastest per-iteration DP time (reorder cost is reported separately —
+// it is paid once and amortizes over iterations).  The speedup of a
+// configuration is measured against the SAME table layout on the
+// baseline path (reorder=none, inner layout), so the number isolates
+// what reordering + scheduling buy, not table-vs-table differences.
 // Estimates across the whole grid are checked against the baseline:
 // bit-identical while colorful counts stay inside the exact-integer
 // double range (< 2^53, which the unit tests pin down), and within a
@@ -47,11 +46,6 @@ namespace {
 using namespace fascia;
 
 constexpr double kCheckTolerance = 0.75;  // fail below 0.75x baseline
-
-// Each configuration's time is the median over this many rounds of its
-// fastest iteration: a single run's per-config spread (about ±20% on a
-// shared 4-core box) nearly filled the 0.75 tolerance on its own.
-constexpr int kRounds = 3;
 
 // Permitted relative deviation between configurations' estimates.
 // Counts are exact integers in doubles up to 2^53; past that, each of
@@ -141,8 +135,7 @@ int main(int argc, char** argv) {
                 "first-touch tables, hybrid scheduler",
                 "shuffled Chung-Lu, " + bench::describe_graph(g) +
                     ", U" + std::to_string(k) + "-1 path, " +
-                    std::to_string(iters) + " iterations x " +
-                    std::to_string(kRounds) + " rounds/config");
+                    std::to_string(iters) + " iterations/config");
   std::printf("avg neighbor-id gap (shuffled input): %.1f\n\n",
               avg_neighbor_gap(g));
 
@@ -179,107 +172,85 @@ int main(int argc, char** argv) {
   const std::vector<ParallelMode> layouts = {ParallelMode::kInnerLoop,
                                              ParallelMode::kHybrid};
 
-  struct Config {
-    TableKind table;
-    const char* table_name;
-    ReorderMode reorder;
-    ParallelMode mode;
-    std::string key;  // reorder:table:layout
-  };
-  std::vector<Config> grid;
-  for (const auto& [table, table_name] : tables) {
-    for (ReorderMode reorder : reorders) {
-      for (ParallelMode mode : layouts) {
-        grid.push_back({table, table_name, reorder, mode,
-                        std::string(reorder_mode_name(reorder)) + ":" +
-                            table_name + ":" + layout_name(mode)});
-      }
-    }
-  }
-
-  std::map<std::string, Entry> entries;
-  std::map<std::string, std::vector<double>> bests;  // per key, per round
+  std::map<std::string, Entry> entries;  // reorder:table:layout
+  std::map<std::string, double> baseline_seconds;  // per table
   std::vector<double> reference_iterations;
   int mismatches = 0;
   double max_deviation = 0.0;
 
-  // Round-robin over the grid, so slow phases of a shared host spread
-  // over every configuration instead of skewing the ones timed then.
-  for (int round = 0; round < kRounds; ++round) {
-    for (const Config& config : grid) {
-      CountOptions options;
-      options.sampling.iterations = iters;
-      options.sampling.seed = ctx.seed;
-      options.execution.table = config.table;
-      options.execution.mode = config.mode;
-      options.execution.reorder = config.reorder;
-      options.execution.threads = ctx.threads;
-      obs::Registry::global().reset();
-      const CountResult result = count_template(g, tree, options);
+  for (const auto& [table, table_name] : tables) {
+    for (ReorderMode reorder : reorders) {
+      for (ParallelMode mode : layouts) {
+        CountOptions options;
+        options.sampling.iterations = iters;
+        options.sampling.seed = ctx.seed;
+        options.execution.table = table;
+        options.execution.mode = mode;
+        options.execution.reorder = reorder;
+        options.execution.threads = ctx.threads;
+        obs::Registry::global().reset();
+        const CountResult result = count_template(g, tree, options);
 
-      // Fastest iteration straight from the registry histogram; the
-      // RunReport supplies the reorder cost.  (result.* still holds
-      // the same numbers — the scrape is the point of this bench.)
-      const auto iter_hist =
-          obs::Registry::global().read("run.iteration.seconds").hist;
-      bests[config.key].push_back(iter_hist.count > 0
-                                      ? iter_hist.min
-                                      : result.seconds_per_iteration.front());
-      Entry& entry = entries[config.key];
-      entry.gap_before = result.reorder_gap_before;
-      entry.gap_after = result.reorder_gap_after;
-      entry.reorder_seconds =
-          result.report != nullptr ? result.report->timing.reorder_seconds
-                                   : result.reorder_seconds;
-      entry.outer_copies = result.layout.outer_copies;
-      entry.inner_threads = result.layout.inner_threads;
-      entry.stage_passes = static_cast<long long>(
-          obs::Registry::global().read("dp.stage.seconds").hist.count);
+        // Fastest iteration straight from the registry histogram; the
+        // RunReport supplies the reorder cost.  (result.* still holds
+        // the same numbers — the scrape is the point of this bench.)
+        const auto iter_hist =
+            obs::Registry::global().read("run.iteration.seconds").hist;
+        const double best = iter_hist.count > 0
+                                ? iter_hist.min
+                                : result.seconds_per_iteration.front();
+        Entry entry;
+        entry.seconds_per_iter = best;
+        entry.gap_before = result.reorder_gap_before;
+        entry.gap_after = result.reorder_gap_after;
+        entry.reorder_seconds =
+            result.report != nullptr ? result.report->timing.reorder_seconds
+                                     : result.reorder_seconds;
+        entry.outer_copies = result.layout.outer_copies;
+        entry.inner_threads = result.layout.inner_threads;
+        entry.stage_passes = static_cast<long long>(
+            obs::Registry::global().read("dp.stage.seconds").hist.count);
 
-      // Determinism across the whole grid: every run must reproduce
-      // the very first run's per-iteration estimates to within
-      // rounding (see kEstimateTolerance).
-      if (reference_iterations.empty()) {
-        reference_iterations = result.per_iteration;
-        continue;
-      }
-      double dev = 0.0;
-      const std::size_t shared = std::min(reference_iterations.size(),
-                                          result.per_iteration.size());
-      for (std::size_t i = 0; i < shared; ++i) {
-        const double ref = reference_iterations[i];
-        const double got = result.per_iteration[i];
-        const double scale_ref = std::max(std::abs(ref), 1.0);
-        dev = std::max(dev, std::abs(got - ref) / scale_ref);
-      }
-      if (reference_iterations.size() != result.per_iteration.size()) {
-        dev = 1.0;  // missing iterations are a hard divergence
-      }
-      max_deviation = std::max(max_deviation, dev);
-      if (dev > kEstimateTolerance) {
-        std::fprintf(stderr,
-                     "MISMATCH %s: estimates deviate by %.3e "
-                     "(tolerance %.1e)\n",
-                     config.key.c_str(), dev, kEstimateTolerance);
-        ++mismatches;
+        const std::string key = std::string(reorder_mode_name(reorder)) +
+                                ":" + table_name + ":" + layout_name(mode);
+        if (reorder == ReorderMode::kNone &&
+            mode == ParallelMode::kInnerLoop) {
+          baseline_seconds[table_name] = best;
+        }
+        entry.speedup = best > 0.0
+                            ? baseline_seconds[table_name] / best
+                            : 0.0;
+        entries[key] = entry;
+
+        // Determinism across the whole grid: every configuration must
+        // reproduce the very first run's per-iteration estimates to
+        // within rounding (see kEstimateTolerance).
+        if (reference_iterations.empty()) {
+          reference_iterations = result.per_iteration;
+        } else {
+          double dev = 0.0;
+          const std::size_t shared = std::min(
+              reference_iterations.size(), result.per_iteration.size());
+          for (std::size_t i = 0; i < shared; ++i) {
+            const double ref = reference_iterations[i];
+            const double got = result.per_iteration[i];
+            const double scale_ref = std::max(std::abs(ref), 1.0);
+            dev = std::max(dev, std::abs(got - ref) / scale_ref);
+          }
+          if (reference_iterations.size() != result.per_iteration.size()) {
+            dev = 1.0;  // missing iterations are a hard divergence
+          }
+          max_deviation = std::max(max_deviation, dev);
+          if (dev > kEstimateTolerance) {
+            std::fprintf(stderr,
+                         "MISMATCH %s: estimates deviate by %.3e "
+                         "(tolerance %.1e)\n",
+                         key.c_str(), dev, kEstimateTolerance);
+            ++mismatches;
+          }
+        }
       }
     }
-  }
-
-  // Median round per configuration; each speedup divides by the same
-  // table's median on the baseline path (reorder=none, inner layout).
-  for (auto& [key, times] : bests) {
-    std::sort(times.begin(), times.end());
-    entries[key].seconds_per_iter = times[times.size() / 2];
-  }
-  for (const Config& config : grid) {
-    const double baseline =
-        entries[std::string("none:") + config.table_name + ":inner"]
-            .seconds_per_iter;
-    Entry& entry = entries[config.key];
-    entry.speedup =
-        entry.seconds_per_iter > 0.0 ? baseline / entry.seconds_per_iter
-                                     : 0.0;
   }
 
   TablePrinter table({"Reorder", "table", "layout", "t/iter (s)", "speedup",
@@ -330,7 +301,6 @@ int main(int argc, char** argv) {
                static_cast<long long>(g.num_edges()));
   std::fprintf(json, "  \"k\": %d,\n", k);
   std::fprintf(json, "  \"iters\": %d,\n", iters);
-  std::fprintf(json, "  \"rounds\": %d,\n", kRounds);
   std::fprintf(json, "  \"mismatches\": %d,\n", mismatches);
   std::fprintf(json, "  \"max_relative_deviation\": %.3e,\n", max_deviation);
   std::fprintf(json, "  \"best_speedup\": %.4f,\n", best_speedup);

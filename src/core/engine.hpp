@@ -1338,19 +1338,21 @@ class DpEngine {
     // Fold the neighbor rows into one partial-sum row and apply color
     // c(v)'s split list once per vertex (DESIGN.md §8), instead of m
     // indexed scatter-adds per neighbor.  Borrowed rows fold while a
-    // whole row costs no more than the scatter it replaces, with the
-    // same ~3x scatter-vs-contiguous weighting as kernel_general;
-    // decodable rows always fold (add_row_into touches only the
-    // nonzeros); hash rows keep the direct per-entry probes.
+    // row holds at most 4x the split list's entries: per stage, the
+    // fold measured faster up to W = 4m and slower from W = 5m on
+    // (DESIGN.md §8).  Decodable rows always fold (add_row_into
+    // touches only the nonzeros); hash rows keep the direct per-entry
+    // probes.
     bool fold_neighbors;
     if constexpr (Table::kContiguousRows) {
-      fold_neighbors = passive_width <= 3 * m;
+      fold_neighbors = passive_width <= 4 * m;
     } else {
       fold_neighbors = DecodableRowTable<Table>;
     }
     for_frontier(
         parallel, {candidates, graph_.num_vertices()}, out.num_colorsets(),
-        passive_width, 0, frontier_out, stat, [&](VertexId v, Workspace& ws) {
+        fold_neighbors ? passive_width : 0, 0, frontier_out, stat,
+        [&](VertexId v, Workspace& ws) {
           if (check_active && !leaf_matches(active, v)) return false;
           const int cv = colors[static_cast<std::size_t>(v)];
           const ColorsetIndex* pas = split.passives(cv).data();
@@ -1700,14 +1702,15 @@ class DpEngine {
   //               export grows with it.
   //   succinct  — the general kernel's per-edge decode only loses to
   //               the export at small widths.
-  // The a == 1 frontier kernel already folds borrowed and decodable
-  // rows into a partial-sum row, so for those layouts its SpMM form is
-  // the same fold plus an export copy.
+  // The a == 1 SpMM form sums whole neighbor rows.  For borrowed and
+  // decodable rows that is the frontier kernel's own fold plus an
+  // export copy, or, on stages where the frontier kernel keeps the
+  // scatter (passive row > 4x the split list), a fold that measured
+  // slower than that scatter.
 
   /// Cost gate for the a == 1 SpMM form.  Only hash tables take it:
-  /// naive and compact rows are borrowed and summed four at a time by
-  /// the frontier kernel, and succinct rows are added with
-  /// add_row_into, so the export is pure overhead for them.
+  /// for naive, compact and succinct rows the export never pays (see
+  /// above).
   [[nodiscard]] bool spmm_profitable_single_active(
       const Subtemplate& node) const noexcept {
     if constexpr (Table::kContiguousRows || DecodableRowTable<Table>) {

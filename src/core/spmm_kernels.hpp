@@ -71,7 +71,8 @@ inline std::uint32_t spmm_block_width(std::size_t frontier_rows,
   constexpr std::size_t kTargetSlabBytes = 256 * 1024;
   const std::size_t rows = frontier_rows + 1;
   std::size_t bw = kTargetSlabBytes / (rows * sizeof(double) + 1);
-  bw = std::clamp<std::size_t>(bw, 16, width);
+  // Not std::clamp: a stage narrower than 16 columns has width < 16.
+  bw = std::max<std::size_t>(bw, 16);
   return static_cast<std::uint32_t>(std::min<std::size_t>(bw, width));
 }
 

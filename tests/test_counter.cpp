@@ -190,8 +190,8 @@ TEST(Counter, VectorizedKernelsBitIdenticalToReference) {
 // complete graph every count is (h-1)! times a product of color-class
 // sizes, a multiple of a large power of two, and nothing rounds.)  The
 // one-at-a-time partition gives pair and single-active stages only; at
-// k = 12 the single-active stages up to h = 9 fold whole neighbor rows
-// (C(12, h-1) <= 3 C(11, h-1)), so the four-row fold must add the rows
+// k = 12 the single-active stages up to h = 10 fold whole neighbor rows
+// (C(12, h-1) <= 4 C(11, h-1)), so the four-row fold must add the rows
 // in exactly the reference kernel's neighbor order.  Every table entry
 // is compared, not just the totals.
 template <class Table>
@@ -219,7 +219,7 @@ void expect_tables_equal(const DpEngine<Table>& fast,
 
 TEST(Counter, FoldedGatherBitIdenticalPastTwoToThe53) {
   constexpr int k = 12;
-  constexpr int kWidestFoldedStage = 9;
+  constexpr int kWidestFoldedStage = 10;
   const Graph g = erdos_renyi_gnp(400, 0.9, 3);
   const VertexId n = g.num_vertices();
   const auto part = partition_template(TreeTemplate::path(k),
