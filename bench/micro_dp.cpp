@@ -1,7 +1,6 @@
 // micro_dp: per-kernel DP harness — reference (pre-frontier scalar
 // full-scan) vs vectorized (frontier + SoA split layout + row borrow,
-// DESIGN.md §8) kernels, plus the masked-SpMM family (DESIGN.md §13)
-// against the frontier kernels it replaces.
+// DESIGN.md §8) kernels.
 //
 // Workload: a labeled Chung-Lu network (4 label values) counted with
 // labeled path and star templates under both partition strategies, so
@@ -10,27 +9,23 @@
 // kernel (the peeled leaf is the passive side), balanced path
 // partitions the general split-table kernel.  Each (table, shape,
 // strategy, k) configuration runs the same colorings through a
-// reference-kernel engine, a vectorized engine, and an SpMM-family
-// engine, and checks all per-iteration totals are bitwise identical
+// reference-kernel engine and a vectorized engine, and checks the
+// per-iteration totals are bitwise identical
 // (DP values are exact integer counts, so reassociation must not
 // change them).  All four table layouts are in the grid.
 //
 // Reported per kernel and table type: reference vs vectorized seconds
 // (per-stage minimum across colorings, summed over stages), speedup,
 // effective GFLOP/s (2·MACs / s on the vectorized path), and frontier
-// occupancy (surviving vertices / n per pass).  For the SpMM family
-// the comparison is frontier-vs-spmm seconds on exactly the stages
-// the SpMM engine took ('a'/'g' forms; fallback stages run identical
-// code on both sides and are excluded).  Results are written as
-// machine-readable JSON (--json, default BENCH_dp.json).
+// occupancy (surviving vertices / n per pass).  Results are written
+// as machine-readable JSON (--json, default BENCH_dp.json).
 //
 // --check BASELINE re-runs the measurement and fails (exit 1) if any
 // per-(kernel, table) speedup drops below 0.75x the baseline file's
 // value — a machine-independent regression gate (both numbers are
 // ref/fast ratios measured on the same host), run by CI on every push.
-// Two absolute gates need no baseline: the obs toggle must stay under
-// 1.05x, and on every (table, shape) the SpMM family must be >= 1.0x
-// the frontier kernels it replaced (within measurement noise).
+// One absolute gate needs no baseline: the obs toggle must stay under
+// 1.05x.
 
 #include <algorithm>
 #include <cstdio>
@@ -61,22 +56,6 @@ using namespace fascia;
 constexpr int kNumLabels = 4;
 constexpr double kCheckTolerance = 0.75;  // fail below 0.75x baseline
 constexpr double kObsOverheadGate = 1.05;  // obs-on / obs-off wall ratio
-// SpMM >= 1.0x gate noise allowance: sub-millisecond stage sums jitter
-// more than any real regression, so a shape only fails when it is both
-// slower and slower by more than this absolute margin.
-constexpr double kSpmmNoiseFloorSeconds = 0.002;
-
-const char* kernel_name(char kernel) {
-  switch (kernel) {
-    case 'P': return "pair";
-    case 'A': return "single_active";
-    case 'S': return "single_passive";
-    case 'G': return "general";
-    case 'a': return "single_active_spmm";
-    case 'g': return "general_spmm";
-    default: return "unknown";
-  }
-}
 
 const char* strategy_name(PartitionStrategy strategy) {
   return strategy == PartitionStrategy::kOneAtATime ? "oneatatime"
@@ -136,12 +115,6 @@ struct Harness {
   std::uint64_t seed;
   std::map<std::string, Agg> per_config;  // kernel:table:kN:strategy
   std::map<std::string, Agg> per_kernel;  // kernel:table
-  // SpMM family vs the frontier kernels it replaced, on exactly the
-  // stages the SpMM engine took (ref_seconds = frontier engine's time
-  // on those stages, fast_seconds = SpMM engine's).
-  std::map<std::string, Agg> spmm_per_config;  // kernel:table:shape:kN:strategy
-  std::map<std::string, Agg> spmm_per_kernel;  // kernel:table
-  std::map<std::string, Agg> spmm_per_shape;   // table:shape
   int mismatches = 0;
 
   template <class Table>
@@ -161,18 +134,14 @@ struct Harness {
     ref_opts.collect_stats = true;
     DpEngineOptions fast_opts;
     fast_opts.collect_stats = true;
-    DpEngineOptions spmm_opts;
-    spmm_opts.spmm_kernels = true;
-    spmm_opts.collect_stats = true;
     DpEngine<Table> ref_engine(graph, tmpl, partition, k, ref_opts);
     DpEngine<Table> fast_engine(graph, tmpl, partition, k, fast_opts);
-    DpEngine<Table> spmm_engine(graph, tmpl, partition, k, spmm_opts);
 
     // Per-stage minimum across the colorings: every run emits the same
     // stage sequence, so the elementwise min is the least-noise
     // estimate of each stage's cost (a single preempted pass cannot
     // pollute the aggregate).  Work counters are averaged.
-    std::vector<DpStageStats> ref_stats, fast_stats, spmm_stats;
+    std::vector<DpStageStats> ref_stats, fast_stats;
     const auto merge_min = [this](std::vector<DpStageStats>& into,
                                   const std::vector<DpStageStats>& run) {
       if (into.empty()) {
@@ -190,13 +159,10 @@ struct Harness {
           graph, k, detail::iteration_seed(seed, iter));
       ref_engine.clear_stage_stats();
       fast_engine.clear_stage_stats();
-      spmm_engine.clear_stage_stats();
       const double ref_total =
           ref_engine.run(colors, /*parallel_inner=*/false);
       const double fast_total =
           fast_engine.run(colors, /*parallel_inner=*/false);
-      const double spmm_total =
-          spmm_engine.run(colors, /*parallel_inner=*/false);
       if (ref_total != fast_total) {
         std::fprintf(stderr,
                      "MISMATCH %s/%s/%s/k%d iter %d: ref %.17g fast %.17g\n",
@@ -204,16 +170,8 @@ struct Harness {
                      ref_total, fast_total);
         ++mismatches;
       }
-      if (ref_total != spmm_total) {
-        std::fprintf(stderr,
-                     "MISMATCH %s/%s/%s/k%d iter %d: ref %.17g spmm %.17g\n",
-                     table_name, shape, strategy_name(strategy), k, iter,
-                     ref_total, spmm_total);
-        ++mismatches;
-      }
       merge_min(ref_stats, ref_engine.stage_stats());
       merge_min(fast_stats, fast_engine.stage_stats());
-      merge_min(spmm_stats, spmm_engine.stage_stats());
     }
 
     const std::string suffix = std::string(":") + table_name;
@@ -221,7 +179,7 @@ struct Harness {
                                     std::to_string(k) + ":" +
                                     strategy_name(strategy);
     for (const DpStageStats& stat : ref_stats) {
-      const std::string kernel = kernel_name(stat.kernel);
+      const std::string kernel = dp_kernel_name(stat.kernel);
       Agg& config = per_config[kernel + suffix + config_tail];
       config.ref_seconds += stat.seconds;
       ++config.ref_passes;
@@ -230,7 +188,7 @@ struct Harness {
       ++total.ref_passes;
     }
     for (const DpStageStats& stat : fast_stats) {
-      const std::string kernel = kernel_name(stat.kernel);
+      const std::string kernel = dp_kernel_name(stat.kernel);
       Agg& config = per_config[kernel + suffix + config_tail];
       config.fast_seconds += stat.seconds;
       config.macs += stat.macs;
@@ -241,26 +199,6 @@ struct Harness {
       total.macs += stat.macs;
       total.survivors += stat.survivors;
       ++total.fast_passes;
-    }
-    // SpMM vs frontier: both engines emit the same stage sequence, so
-    // align by index and score only the stages the SpMM engine ran in
-    // an 'a'/'g' form — the fallback stages execute identical code.
-    for (std::size_t i = 0;
-         i < spmm_stats.size() && i < fast_stats.size(); ++i) {
-      const DpStageStats& spmm = spmm_stats[i];
-      if (spmm.kernel != 'a' && spmm.kernel != 'g') continue;
-      const std::string kernel = kernel_name(spmm.kernel);
-      const auto add = [&](Agg& agg) {
-        agg.ref_seconds += fast_stats[i].seconds;
-        agg.fast_seconds += spmm.seconds;
-        agg.macs += spmm.macs;
-        agg.survivors += spmm.survivors;
-        ++agg.ref_passes;
-        ++agg.fast_passes;
-      };
-      add(spmm_per_config[kernel + suffix + config_tail]);
-      add(spmm_per_kernel[kernel + suffix]);
-      add(spmm_per_shape[std::string(table_name) + ":" + shape]);
     }
   }
 
@@ -425,22 +363,6 @@ int main(int argc, char** argv) {
   }
   table.print();
 
-  if (!harness.spmm_per_kernel.empty()) {
-    std::printf("\nSpMM family vs the frontier kernels it replaced "
-                "(matched stages only):\n");
-    TablePrinter spmm_table({"SpMM kernel", "table", "frontier s", "spmm s",
-                             "speedup", "GFLOP/s"});
-    for (const auto& [key, agg] : harness.spmm_per_kernel) {
-      const auto sep = key.find(':');
-      spmm_table.add_row({key.substr(0, sep), key.substr(sep + 1),
-                          TablePrinter::num(agg.ref_seconds, 4),
-                          TablePrinter::num(agg.fast_seconds, 4),
-                          TablePrinter::num(agg.speedup(), 2),
-                          TablePrinter::num(agg.gflops(), 3)});
-    }
-    spmm_table.print();
-  }
-
   std::printf("\nestimate bit-identity: %s (%d mismatches)\n",
               harness.mismatches == 0 ? "PASS" : "FAIL", harness.mismatches);
   if (harness.mismatches != 0) return 1;
@@ -493,37 +415,6 @@ int main(int argc, char** argv) {
     }
   }
   std::fprintf(json, "  ],\n");
-  std::fprintf(json, "  \"spmm_entries\": [\n");
-  {
-    std::size_t emitted = 0;
-    for (const auto& [key, agg] : harness.spmm_per_config) {
-      std::fprintf(
-          json,
-          "    {\"key\": \"%s\", \"frontier_seconds\": %.6f, "
-          "\"spmm_seconds\": %.6f, \"speedup\": %.4f, \"gflops\": %.4f}%s\n",
-          key.c_str(), agg.ref_seconds, agg.fast_seconds, agg.speedup(),
-          agg.gflops(), ++emitted < harness.spmm_per_config.size() ? "," : "");
-    }
-  }
-  std::fprintf(json, "  ],\n");
-  std::fprintf(json, "  \"spmm_speedups\": {\n");
-  {
-    std::size_t emitted = 0;
-    for (const auto& [key, agg] : harness.spmm_per_kernel) {
-      std::fprintf(json, "    \"%s\": %.4f%s\n", key.c_str(), agg.speedup(),
-                   ++emitted < harness.spmm_per_kernel.size() ? "," : "");
-    }
-  }
-  std::fprintf(json, "  },\n");
-  std::fprintf(json, "  \"spmm_shape_speedups\": {\n");
-  {
-    std::size_t emitted = 0;
-    for (const auto& [key, agg] : harness.spmm_per_shape) {
-      std::fprintf(json, "    \"%s\": %.4f%s\n", key.c_str(), agg.speedup(),
-                   ++emitted < harness.spmm_per_shape.size() ? "," : "");
-    }
-  }
-  std::fprintf(json, "  },\n");
   std::fprintf(json, "  \"kernel_speedups\": {\n");
   {
     std::size_t emitted = 0;
@@ -575,30 +466,6 @@ int main(int argc, char** argv) {
     }
     std::printf("check: obs toggle overhead %.3fx within %.2fx gate\n",
                 obs_overhead.ratio(), kObsOverheadGate);
-    // Absolute SpMM gate, no baseline needed: on every (table, shape)
-    // the SpMM family must match or beat the frontier kernels on the
-    // stages it took.  The per-stage cost model falls back when the
-    // export cannot amortize, so anything below 1.0x beyond the noise
-    // floor means the model let an unprofitable stage through.
-    int spmm_regressions = 0;
-    for (const auto& [key, agg] : harness.spmm_per_shape) {
-      const bool ok =
-          agg.fast_seconds <= agg.ref_seconds + kSpmmNoiseFloorSeconds;
-      std::printf("check: spmm %-18s %.2fx vs frontier  %s\n", key.c_str(),
-                  agg.speedup(), ok ? "ok" : "BELOW 1.0x");
-      if (!ok) ++spmm_regressions;
-    }
-    if (spmm_regressions != 0) {
-      std::fprintf(stderr,
-                   "check: spmm slower than the frontier kernels on %d "
-                   "shape(s)\n",
-                   spmm_regressions);
-      return 1;
-    }
-    if (!harness.spmm_per_shape.empty()) {
-      std::printf("check: spmm >= 1.0x of the frontier kernels on every "
-                  "shape (within noise)\n");
-    }
   }
   return 0;
 }

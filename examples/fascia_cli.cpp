@@ -81,12 +81,6 @@ fascia::PartitionStrategy parse_partition(const std::string& name) {
   throw std::invalid_argument("--partition must be oaat|balanced");
 }
 
-fascia::KernelFamily parse_kernel_family(const std::string& name) {
-  if (name == "frontier") return fascia::KernelFamily::kFrontier;
-  if (name == "spmm") return fascia::KernelFamily::kSpmm;
-  throw std::invalid_argument("--kernel must be frontier|spmm");
-}
-
 fascia::ParallelMode parse_mode(const std::string& name) {
   if (name == "serial") return fascia::ParallelMode::kSerial;
   if (name == "inner") return fascia::ParallelMode::kInnerLoop;
@@ -173,14 +167,11 @@ int main(int argc, char** argv) {
                  "compact");
   cli.add_option("partition", "partitioning: oaat|balanced", "oaat");
   cli.add_option("mode", "parallel mode: serial|inner|outer|hybrid", "inner");
-  cli.add_option("kernel",
-                 "DP kernel family: frontier|spmm (bit-identical "
-                 "estimates; spmm = masked-SpMM backend, FASCIA_SPMM_BLOCK "
-                 "tunes the column block)",
-                 "frontier");
   cli.add_option("reorder",
-                 "vertex reordering: none|degree|bfs|hybrid "
-                 "(estimates are bit-identical; results use original ids)",
+                 "vertex reordering: none|degree|bfs|hybrid (estimates "
+                 "are bit-identical while the colorful root sum stays "
+                 "below 2^53 and may differ in the last bits past it; "
+                 "results use original ids)",
                  "none");
   cli.add_option("outer-copies",
                  "hybrid mode: force this many outer engine copies "
@@ -250,7 +241,6 @@ int main(int argc, char** argv) {
     options.execution.table = parse_table(cli.str("table"));
     options.execution.partition = parse_partition(cli.str("partition"));
     options.execution.mode = parse_mode(cli.str("mode"));
-    options.execution.kernel_family = parse_kernel_family(cli.str("kernel"));
     options.execution.reorder = parse_reorder_mode(cli.str("reorder"));
     options.execution.outer_copies = static_cast<int>(cli.integer("outer-copies"));
     options.execution.threads = static_cast<int>(cli.integer("threads"));

@@ -47,27 +47,6 @@ enum class ParallelMode {
 
 const char* parallel_mode_name(ParallelMode mode) noexcept;
 
-/// Which kernel family executes the non-leaf DP stages.  Both families
-/// walk the same sparse vertex frontiers and produce bit-identical
-/// tables (all DP values are exact integer counts in doubles), so the
-/// choice is purely a performance knob:
-///   * kFrontier — the PR 3 gather/scatter kernels: per-vertex neighbor
-///     walks reading child-table rows in place (row borrowing, split
-///     SoA scatter, cost-gated neighbor folding).
-///   * kSpmm — the linear-algebra backend (core/spmm_kernels.hpp): each
-///     stage first exports the passive child's table as a
-///     column-blocked dense multivector over its frontier, then runs a
-///     masked CSR SpMM restricted to the stage's frontier and folds the
-///     product back through the split tables.  Decouples table storage
-///     from kernel iteration order; stages where the export cannot pay
-///     for itself fall back to the frontier kernels per stage.
-enum class KernelFamily {
-  kFrontier,
-  kSpmm,
-};
-
-const char* kernel_family_name(KernelFamily family) noexcept;
-
 /// How the thread pool is split: outer_copies engines each run whole
 /// iterations with private tables, and each parallelizes its DP
 /// stages over inner_threads.  The static modes are the corners:
@@ -109,9 +88,11 @@ struct ExecutionOptions {
   int threads = 0;
 
   /// Locality pass applied to the graph before counting (graph/
-  /// reorder.hpp).  Estimates are bit-identical under any mode —
-  /// colorings are keyed on original vertex ids — and all reported
-  /// per-vertex outputs stay keyed by original ids.  Deliberately
+  /// reorder.hpp).  Colorings are keyed on original vertex ids, so
+  /// estimates are bit-identical under any mode while the colorful
+  /// root sum stays below 2^53; past it the root sum, which runs in
+  /// reordered vertex order, may differ in the last bits.  All
+  /// reported per-vertex outputs stay keyed by original ids.  Deliberately
   /// excluded from checkpoint fingerprints: a run may resume under a
   /// different reorder mode.  Honored by count_template,
   /// graphlet_degrees, and the extraction routines; count_triangles
@@ -139,14 +120,6 @@ struct ExecutionOptions {
   /// benchmarking, so it is deliberately excluded from checkpoint
   /// fingerprints.
   bool reference_kernels = false;
-
-  /// Kernel family for the non-leaf DP stages (DESIGN.md §13).
-  /// Bit-identical to the frontier family and to reference_kernels;
-  /// like reorder and reference_kernels it is excluded from checkpoint
-  /// fingerprints, so a run may resume under a different family.
-  /// validate() rejects combining kSpmm with reference_kernels (the
-  /// reference path predates frontiers and has no SpMM form).
-  KernelFamily kernel_family = KernelFamily::kFrontier;
 
   /// Retain per-iteration DP state for incremental recounting after
   /// graph deltas (core/incremental.hpp: begin_incremental /
@@ -257,10 +230,6 @@ class CountOptions::Builder {
   }
   Builder& reference_kernels(bool on) {
     opts_.execution.reference_kernels = on;
-    return *this;
-  }
-  Builder& kernel_family(KernelFamily family) {
-    opts_.execution.kernel_family = family;
     return *this;
   }
   Builder& incremental(bool on) {

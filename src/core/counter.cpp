@@ -147,19 +147,10 @@ ResilientSetup resolve_setup(const Graph& graph, const TreeTemplate& tmpl,
         options.execution.mode == ParallelMode::kInnerLoop
             ? resolve_threads(options.execution.threads)
             : 1;
-    // The SpMM family carries its dense multivector per engine copy;
-    // price it into the plan so the ladder degrades before the run
-    // overshoots the budget at the first eligible stage.
-    const std::size_t spmm_bytes =
-        options.execution.kernel_family == KernelFamily::kSpmm
-            ? run::estimate_spmm_multivector_bytes(
-                  partition, k, graph.num_vertices(), graph.has_labels())
-            : 0;
     const run::MemoryPlan plan = run::plan_memory(
         partition, k, graph.num_vertices(), graph.has_labels(),
         options.execution.table, copies, options.run.memory_budget_bytes,
-        threads_per_copy, /*spill_available=*/!options.run.spill_dir.empty(),
-        spmm_bytes);
+        threads_per_copy, /*spill_available=*/!options.run.spill_dir.empty());
     setup.table = plan.table;
     setup.engine_copies = plan.engine_copies;
     setup.spill = plan.spill;
@@ -222,8 +213,6 @@ std::shared_ptr<const obs::RunReport> build_report(
        std::to_string(options.execution.outer_copies)},
       {"execution.reference_kernels",
        format_bool(options.execution.reference_kernels)},
-      {"execution.kernel_family",
-       kernel_family_name(options.execution.kernel_family)},
       {"root", std::to_string(options.root)},
       {"per_vertex", format_bool(options.per_vertex)},
   };
@@ -480,8 +469,6 @@ CountResult run_count(const Graph& graph, const TreeTemplate& tmpl,
   // instead of once per thread.
   DpEngineOptions engine_opts;
   engine_opts.reference_kernels = options.execution.reference_kernels;
-  engine_opts.spmm_kernels =
-      options.execution.kernel_family == KernelFamily::kSpmm;
   engine_opts.collect_stats = collect_stages;
   if (graph.has_labels()) {
     engine_opts.label_frontiers = LabelFrontiers::build(graph);
@@ -584,10 +571,6 @@ CountResult run_count(const Graph& graph, const TreeTemplate& tmpl,
       inputs.table_bytes_per_copy = run::estimate_peak_bytes(
           partition, k, graph.num_vertices(), setup.table,
           graph.has_labels());
-      if (engine_opts.spmm_kernels) {
-        inputs.spmm_bytes_per_copy = run::estimate_spmm_multivector_bytes(
-            partition, k, graph.num_vertices(), graph.has_labels());
-      }
       inputs.memory_budget_bytes = controls.memory_budget_bytes;
       inputs.forced_outer_copies = options.execution.outer_copies;
       layout = choose_layout(inputs);

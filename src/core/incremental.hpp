@@ -24,7 +24,7 @@
 // by run::estimate_retained_bytes — retention is opt-in for a reason.
 // Restrictions (CountOptions::validate with execution.incremental):
 // serial/inner parallelism only, no reorder, no reference kernels, no
-// RunControls.  All four table layouts and both kernel families work.
+// RunControls.  All four table layouts work.
 
 #include <cstddef>
 #include <cstdint>

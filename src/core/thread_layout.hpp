@@ -33,12 +33,6 @@ struct LayoutInputs {
   VertexId num_vertices = 0;
   double frontier_occupancy = 1.0;  ///< mean candidates / n per stage, [0, 1]
   std::size_t table_bytes_per_copy = 0;  ///< modeled peak of one engine copy
-  /// SpMM dense-multivector working set each copy carries on top of its
-  /// tables (run::estimate_spmm_multivector_bytes; 0 for the frontier
-  /// kernel family).  Outer copies duplicate the multivector while
-  /// inner threads share one, so pricing it here steers the model
-  /// toward inner parallelism under the SpMM family.
-  std::size_t spmm_bytes_per_copy = 0;
   std::size_t memory_budget_bytes = 0;   ///< 0 = unlimited
   int forced_outer_copies = 0;           ///< >0 overrides the model
 };

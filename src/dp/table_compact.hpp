@@ -6,7 +6,6 @@
 // speedup on selective (labeled / sparse) instances.  Rows come from a
 // per-table RowArena (dp/row_arena.hpp), not one heap allocation each.
 
-#include <cstring>
 #include <memory>
 #include <span>
 
@@ -56,19 +55,6 @@ class CompactTable {
   void prefetch_row(VertexId v) const noexcept {
     const double* row = rows_[static_cast<std::size_t>(v)];
     if (row != nullptr) FASCIA_PREFETCH(row);
-  }
-
-  /// Blocked row export for the SpMM multivector (core/
-  /// spmm_kernels.hpp): columns [begin, begin + count) of v's row into
-  /// out — one contiguous copy, exact zeros when the row is absent.
-  void export_row_block(VertexId v, ColorsetIndex begin, std::uint32_t count,
-                        double* out) const noexcept {
-    const double* row = rows_[static_cast<std::size_t>(v)];
-    if (row == nullptr) {
-      std::memset(out, 0, count * sizeof(double));
-    } else {
-      std::memcpy(out, row + begin, count * sizeof(double));
-    }
   }
 
   /// Stores the vertex row iff `row` has a nonzero entry, overwriting

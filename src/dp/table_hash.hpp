@@ -66,19 +66,6 @@ class HashTable {
     }
   }
 
-  /// Blocked row export for the SpMM multivector (core/
-  /// spmm_kernels.hpp): columns [begin, begin + count) of v's row into
-  /// out.  One keyed probe per column — expensive per call, but the
-  /// export runs once per stage per frontier vertex where the gather
-  /// kernels probe once per *edge*; that amortization is the SpMM
-  /// family's whole win on this layout.
-  void export_row_block(VertexId v, ColorsetIndex begin, std::uint32_t count,
-                        double* out) const noexcept {
-    for (std::uint32_t c = 0; c < count; ++c) {
-      out[c] = get(v, begin + c);
-    }
-  }
-
   void commit_row(VertexId v, std::span<const double> row);
 
   [[nodiscard]] double total() const noexcept;

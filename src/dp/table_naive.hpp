@@ -3,7 +3,6 @@
 // paper's naive baseline: no per-vertex existence tracking, so
 // has_vertex() is constant true and the DP cannot skip empty vertices.
 
-#include <cstring>
 #include <memory>
 #include <span>
 
@@ -44,14 +43,6 @@ class NaiveTable {
   void prefetch_slot(VertexId) const noexcept {}
   void prefetch_row(VertexId v) const noexcept {
     FASCIA_PREFETCH(data_.get() + static_cast<std::size_t>(v) * num_colorsets_);
-  }
-
-  /// Blocked row export for the SpMM multivector (core/
-  /// spmm_kernels.hpp): columns [begin, begin + count) of v's row into
-  /// out.  Rows are dense, so this is one contiguous copy.
-  void export_row_block(VertexId v, ColorsetIndex begin, std::uint32_t count,
-                        double* out) const noexcept {
-    std::memcpy(out, row_ptr(v) + begin, count * sizeof(double));
   }
 
   void commit_row(VertexId v, std::span<const double> row) noexcept;

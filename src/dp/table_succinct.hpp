@@ -95,13 +95,6 @@ class SuccinctTable {
   void decode_row(VertexId v, double* out) const noexcept;
   void add_row_into(VertexId v, double* out) const noexcept;
 
-  /// Blocked row export for the SpMM multivector (core/
-  /// spmm_kernels.hpp): columns [begin, begin + count) of v's row into
-  /// out (exact zeros included).  Bitmap rows rank-skip to the block's
-  /// first word; sparse rows scan their sorted slots to the block.
-  void export_row_block(VertexId v, ColorsetIndex begin, std::uint32_t count,
-                        double* out) const noexcept;
-
   /// Calls emit(slot, value) for v's stored nonzeros in ascending
   /// slot order (no-op for a missing row).  Kernels whose split lists
   /// are also slot-sorted merge-join against this instead of paying a
@@ -300,48 +293,6 @@ inline void SuccinctTable::add_row_into(VertexId v,
   succinct_row_for_each(blob, words_, [&](ColorsetIndex idx, double value) {
     out[idx] += value;
   });
-}
-
-inline void SuccinctTable::export_row_block(VertexId v, ColorsetIndex begin,
-                                            std::uint32_t count,
-                                            double* out) const noexcept {
-  std::memset(out, 0, count * sizeof(double));
-  const std::uint64_t* blob = rows_[static_cast<std::size_t>(v)];
-  if (blob == nullptr) return;
-  const std::uint32_t end = begin + count;
-  if ((blob[0] >> 32) != 0) {  // bitmap mode
-    const std::uint64_t* words = blob + 1;
-    const auto* values = reinterpret_cast<const double*>(
-        blob + 1 + words_ + (words_ + 1) / 2);
-    // Rank of the block's first word: popcount over the words before
-    // it (words_ is tiny — ceil(C(k,h) / 64)).
-    std::size_t w = begin / 64;
-    std::uint32_t rank = 0;
-    for (std::size_t i = 0; i < w; ++i) {
-      rank += static_cast<std::uint32_t>(std::popcount(words[i]));
-    }
-    for (; w < words_ && w * 64 < end; ++w) {
-      const std::size_t base = w * 64;
-      std::uint64_t bits = words[w];
-      while (bits != 0) {
-        const std::size_t idx =
-            base + static_cast<std::size_t>(std::countr_zero(bits));
-        if (idx >= begin && idx < end) out[idx - begin] = values[rank];
-        ++rank;
-        bits &= bits - 1;
-      }
-    }
-    return;
-  }
-  const auto nnz = static_cast<std::uint32_t>(blob[0]);
-  const auto* values = reinterpret_cast<const double*>(blob + 1);
-  const auto* slots = reinterpret_cast<const std::uint32_t*>(blob + 1 + nnz);
-  for (std::uint32_t i = 0; i < nnz; ++i) {
-    const std::uint32_t slot = slots[i];
-    if (slot < begin) continue;
-    if (slot >= end) break;
-    out[slot - begin] = values[i];
-  }
 }
 
 }  // namespace fascia

@@ -177,50 +177,20 @@ std::size_t estimate_workspace_bytes(const PartitionTree& partition,
   return peak;
 }
 
-std::size_t estimate_spmm_multivector_bytes(const PartitionTree& partition,
-                                            int num_colors, VertexId n,
-                                            bool labeled) {
-  // The multivector exports the PASSIVE child's rows, so a stage is
-  // eligible exactly when it has an SpMM form in the engine: a
-  // single-active or general stage (passive width >= num_colors).
-  // Pair and single-passive stages stay on the leaf-diagonal kernels.
-  const double rows_occ =
-      labeled ? kCompactOccupancyLabeled : kCompactOccupancyUnlabeled;
-  std::size_t peak = 0;
-  for (const Subtemplate& node : partition.nodes()) {
-    if (node.is_leaf() || node.size() == 2) continue;
-    const Subtemplate& passive = partition.node(node.passive);
-    if (passive.size() < 2) continue;  // single-passive: no SpMM form
-    const auto width = static_cast<std::size_t>(
-        num_colorsets(num_colors, passive.size()));
-    const auto frontier_rows = static_cast<std::size_t>(
-        rows_occ * static_cast<double>(n));
-    const std::size_t bytes =
-        (frontier_rows + 1) * width * sizeof(double) +  // block slabs
-        static_cast<std::size_t>(n) * sizeof(std::uint32_t);  // remap
-    peak = std::max(peak, bytes);
-  }
-  return peak;
-}
-
 MemoryPlan plan_memory(const PartitionTree& partition, int num_colors,
                        VertexId n, bool labeled, TableKind requested,
                        int engine_copies, std::size_t budget_bytes,
-                       int threads_per_copy, bool spill_available,
-                       std::size_t spmm_bytes_per_copy) {
+                       int threads_per_copy, bool spill_available) {
   MemoryPlan plan;
   plan.table = requested;
   plan.engine_copies = std::max(1, engine_copies);
   const std::size_t threads =
       static_cast<std::size_t>(std::max(1, threads_per_copy));
   // Per engine copy, beyond its tables: one scratch workspace per sweep
-  // thread, the frontier in/out lists (~2 x 4 bytes per vertex), and —
-  // under the SpMM kernel family — the stage-peak dense multivector
-  // (one per copy; sweep threads share it).
+  // thread plus the frontier in/out lists (~2 x 4 bytes per vertex).
   const std::size_t per_copy_overhead =
       threads * estimate_workspace_bytes(partition, num_colors) +
-      static_cast<std::size_t>(n) * 2 * sizeof(VertexId) +
-      spmm_bytes_per_copy;
+      static_cast<std::size_t>(n) * 2 * sizeof(VertexId);
   const auto per_copy = [&](TableKind kind) {
     return (plan.spill ? estimate_spill_working_set_bytes(
                              partition, num_colors, n, kind, labeled)

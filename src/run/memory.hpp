@@ -68,19 +68,6 @@ std::size_t estimate_spill_working_set_bytes(const PartitionTree& partition,
 std::size_t estimate_workspace_bytes(const PartitionTree& partition,
                                      int num_colors);
 
-/// Modeled bytes of the SpMM kernel family's per-engine-copy dense
-/// multivector (core/spmm_kernels.hpp): the worst SpMM-eligible stage's
-/// passive-table export — (occupied rows + 1 shared zero row) x
-/// passive-width doubles of column-blocked slabs plus the n-entry u32
-/// vertex -> row remap.  Occupancy follows the compact-table regime
-/// (the frontier is exactly the set of vertices with stored rows).
-/// Zero when the partition has no SpMM-eligible stage; callers pass
-/// the result to plan_memory as `spmm_bytes_per_copy` only when the
-/// run requested KernelFamily::kSpmm.
-std::size_t estimate_spmm_multivector_bytes(const PartitionTree& partition,
-                                            int num_colors, VertexId n,
-                                            bool labeled);
-
 struct MemoryPlan {
   TableKind table = TableKind::kCompact;  ///< layout after degradation
   int engine_copies = 1;                  ///< outer-mode private engines
@@ -103,15 +90,11 @@ struct MemoryPlan {
 /// returned unchanged).  `spill_available` (RunControls::spill_dir set)
 /// arms the out-of-core rung: when even the floor layout exceeds the
 /// budget in memory, the plan pages completed tables instead of
-/// reporting fits = false.  `spmm_bytes_per_copy` is the SpMM kernel
-/// family's dense-multivector working set (estimate_spmm_multivector_
-/// bytes), carried once per engine copy on top of the tables; 0 for
-/// the frontier family.
+/// reporting fits = false.
 MemoryPlan plan_memory(const PartitionTree& partition, int num_colors,
                        VertexId n, bool labeled, TableKind requested,
                        int engine_copies, std::size_t budget_bytes,
                        int threads_per_copy = 1,
-                       bool spill_available = false,
-                       std::size_t spmm_bytes_per_copy = 0);
+                       bool spill_available = false);
 
 }  // namespace fascia::run

@@ -97,12 +97,6 @@ struct BatchOptions {
   /// fingerprints: estimates are identical either way.
   bool reference_kernels = false;
 
-  /// DP kernel family (see CountOptions::Execution::kernel_family):
-  /// kSpmm swaps eligible stages onto the masked-SpMM backend, bit-
-  /// identical estimates.  Excluded from checkpoint fingerprints like
-  /// reference_kernels; mutually exclusive with it.
-  KernelFamily kernel_family = KernelFamily::kFrontier;
-
   /// Iterations adaptive jobs run before their first convergence
   /// check, and the granularity of later checks; >= 2.
   int min_iterations = 4;

@@ -133,10 +133,6 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
     in.table_bytes_per_copy = run::estimate_peak_bytes(
         plan.merged, k, graph.num_vertices(), setup.table,
         graph.has_labels());
-    if (options.kernel_family == KernelFamily::kSpmm) {
-      in.spmm_bytes_per_copy = run::estimate_spmm_multivector_bytes(
-          plan.merged, k, graph.num_vertices(), graph.has_labels());
-    }
     in.memory_budget_bytes = options.run.memory_budget_bytes;
     layout = choose_layout(in);
     if (setup.engine_copies > 0 &&
@@ -186,8 +182,6 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
   // share them across all engine copies.
   DpEngineOptions engine_opts;
   engine_opts.reference_kernels = options.reference_kernels;
-  engine_opts.spmm_kernels =
-      options.kernel_family == KernelFamily::kSpmm;
   engine_opts.collect_stats =
       obs::enabled() && options.observability.collect_stages;
   engine_opts.inner_threads = layout.inner_threads;
@@ -609,12 +603,6 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
 BatchResult run_batch(const Graph& graph, const std::vector<BatchJob>& jobs,
                       const BatchOptions& options) {
   if (options.observability.enabled) obs::set_enabled(true);
-  if (options.reference_kernels &&
-      options.kernel_family == KernelFamily::kSpmm) {
-    throw usage_error(
-        "run_batch: reference_kernels and KernelFamily::kSpmm are mutually "
-        "exclusive (the reference path has no SpMM form; pick one)");
-  }
   FASCIA_TRACE("batch.run", static_cast<std::int64_t>(jobs.size()));
   WallTimer total_timer;
   const BatchPlan plan = plan_batch(graph, jobs, options);
@@ -636,17 +624,11 @@ BatchResult run_batch(const Graph& graph, const std::vector<BatchJob>& jobs,
     const int threads_per_copy = options.mode == ParallelMode::kInnerLoop
                                      ? resolve_threads(options.num_threads)
                                      : 1;
-    const std::size_t spmm_bytes =
-        options.kernel_family == KernelFamily::kSpmm
-            ? run::estimate_spmm_multivector_bytes(
-                  plan.merged, plan.num_colors, graph.num_vertices(),
-                  graph.has_labels())
-            : 0;
     const run::MemoryPlan memory = run::plan_memory(
         plan.merged, plan.num_colors, graph.num_vertices(),
         graph.has_labels(), options.table, copies,
         options.run.memory_budget_bytes, threads_per_copy,
-        /*spill_available=*/!options.run.spill_dir.empty(), spmm_bytes);
+        /*spill_available=*/!options.run.spill_dir.empty());
     setup.table = memory.table;
     setup.engine_copies = memory.engine_copies;
     setup.spill = memory.spill;

@@ -40,12 +40,6 @@ TableKind table_from_name(const std::string& name) {
   bad_request("unknown table kind '" + name + "'");
 }
 
-KernelFamily kernel_family_from_name(const std::string& name) {
-  if (name == "frontier") return KernelFamily::kFrontier;
-  if (name == "spmm") return KernelFamily::kSpmm;
-  bad_request("unknown kernel family '" + name + "'");
-}
-
 ParallelMode mode_from_name(const std::string& name) {
   if (name == "serial") return ParallelMode::kSerial;
   if (name == "inner") return ParallelMode::kInnerLoop;
@@ -108,7 +102,6 @@ Json run_report_to_json(const RunReport& run) {
 Json capabilities_json() {
   Json out = Json::array();
   out.push_back("mutate_graph");
-  out.push_back("kernel_family");
   out.push_back("adaptive_batch");
   return out;
 }
@@ -189,7 +182,6 @@ Json count_options_to_json(const CountOptions& options) {
   out["mode"] = mode_to_name(options.execution.mode);
   out["threads"] = options.execution.threads;
   out["reorder"] = reorder_mode_name(options.execution.reorder);
-  out["kernel_family"] = kernel_family_name(options.execution.kernel_family);
   if (options.run.deadline_seconds > 0) {
     out["deadline_seconds"] = options.run.deadline_seconds;
   }
@@ -242,9 +234,16 @@ CountOptions count_options_from_json(const Json& spec) {
   if (const Json* reorder = spec.find("reorder")) {
     options.execution.reorder = parse_reorder_mode(reorder->as_string());
   }
+  // Older clients and journal records carry "kernel_family":
+  // "frontier", the one kernel path there is; anything else asks for
+  // a path the engine no longer has.
   if (const Json* family = spec.find("kernel_family")) {
-    options.execution.kernel_family =
-        kernel_family_from_name(family->as_string());
+    const std::string name = family->as_string();
+    if (name != "frontier") {
+      bad_request("unsupported kernel_family '" + name +
+                  "': the SpMM kernel family was removed; only "
+                  "'frontier' is accepted");
+    }
   }
   options.execution.incremental = spec.get_bool("incremental", false);
   options.run.deadline_seconds = spec.get_double("deadline_seconds", 0.0);

@@ -75,22 +75,14 @@ namespace {
 std::size_t estimate_job_bytes(GraphRegistry& registry,
                                const TreeTemplate& tmpl, VertexId n,
                                int num_colors, TableKind table,
-                               KernelFamily family,
                                PartitionStrategy strategy, bool share_tables,
                                int root, int engine_copies, int threads) {
   const auto partition =
       registry.partition_of(tmpl, strategy, share_tables, root);
   const int colors = num_colors > 0 ? num_colors : tmpl.size();
-  std::size_t per_copy = run::estimate_peak_bytes(*partition, colors, n,
-                                                  table, tmpl.has_labels());
-  if (family == KernelFamily::kSpmm) {
-    // The SpMM family's dense multivector lives once per engine copy
-    // on top of the copy's tables (sweep threads share it).
-    per_copy += run::estimate_spmm_multivector_bytes(*partition, colors, n,
-                                                     tmpl.has_labels());
-  }
-  std::size_t bytes =
-      per_copy * static_cast<std::size_t>(std::max(1, engine_copies));
+  std::size_t bytes = run::estimate_peak_bytes(*partition, colors, n, table,
+                                               tmpl.has_labels());
+  bytes *= static_cast<std::size_t>(std::max(1, engine_copies));
   bytes += run::estimate_workspace_bytes(*partition, colors) *
            static_cast<std::size_t>(std::max(1, threads));
   return bytes;
@@ -228,8 +220,7 @@ std::unique_ptr<Service::Record> Service::build_record(JobSpec spec) {
         // per-template estimates is a safe admission bound.
         worst = std::max(
             worst, estimate_job_bytes(registry_, job.tmpl, n, bo.num_colors,
-                                      table, bo.kernel_family, bo.partition,
-                                      bo.share_tables,
+                                      table, bo.partition, bo.share_tables,
                                       /*root=*/-1,
                                       bo.mode == ParallelMode::kOuterLoop
                                           ? std::max(1, bo.num_threads)
@@ -241,8 +232,7 @@ std::unique_ptr<Service::Record> Service::build_record(JobSpec spec) {
     const CountOptions& co = record->spec.options;
     std::size_t bytes = estimate_job_bytes(
         registry_, record->spec.tmpl, n, co.sampling.num_colors, table,
-        co.execution.kernel_family, co.execution.partition,
-        co.execution.share_tables, co.root,
+        co.execution.partition, co.execution.share_tables, co.root,
         admission_engine_copies(co.execution),
         std::max(1, co.execution.threads));
     if (co.execution.incremental) {

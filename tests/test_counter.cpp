@@ -260,82 +260,6 @@ TEST(Counter, FoldedGatherBitIdenticalPastTwoToThe53) {
   }
 }
 
-// ---- SpMM kernel family (DESIGN.md §13): same bit-identity contract.
-// Eligible stages export the passive table as a column-blocked dense
-// multivector and run a masked SpMM over the frontier; ineligible
-// stages fall back to the frontier kernels per stage.  Either way
-// every per-iteration estimate must reproduce the reference kernels
-// bit for bit — DP values are exact integers below 2^53 and the SpMM
-// path accumulates per column in the same neighbor order.
-TEST(Counter, SpmmKernelFamilyBitIdenticalToReference) {
-  const Graph cl = largest_component(chung_lu(300, 900, 2.3, 60, 5));
-  Graph cl_labeled = cl;
-  assign_random_labels(cl_labeled, 4, 17);
-
-  std::vector<TreeTemplate> trees;
-  for (const char* name : {"U5-2", "U7-1", "U7-2"}) {
-    trees.push_back(catalog_entry(name).tree);
-  }
-  trees.push_back(all_free_trees(8).back());
-
-  const auto check_matrix = [](const Graph& g,
-                               const std::vector<TreeTemplate>& shapes,
-                               const char* tag) {
-    for (const TreeTemplate& tree : shapes) {
-      for (TableKind table :
-           {TableKind::kNaive, TableKind::kCompact, TableKind::kHash,
-            TableKind::kSuccinct}) {
-        for (auto strategy : {PartitionStrategy::kOneAtATime,
-                              PartitionStrategy::kBalanced}) {
-          for (auto mode :
-               {ParallelMode::kSerial, ParallelMode::kInnerLoop}) {
-            CountOptions options;
-            options.sampling.iterations = 3;
-            options.sampling.seed = 97;
-            options.execution.mode = mode;
-            options.execution.table = table;
-            options.execution.partition = strategy;
-            options.execution.kernel_family = KernelFamily::kSpmm;
-            CountOptions ref_options = options;
-            ref_options.execution.kernel_family = KernelFamily::kFrontier;
-            ref_options.execution.reference_kernels = true;
-            const CountResult spmm = count_template(g, tree, options);
-            const CountResult ref = count_template(g, tree, ref_options);
-            ASSERT_EQ(ref.per_iteration.size(), spmm.per_iteration.size());
-            for (std::size_t i = 0; i < ref.per_iteration.size(); ++i) {
-              // Exact ==, not NEAR: this is a bit-identity contract.
-              EXPECT_EQ(ref.per_iteration[i], spmm.per_iteration[i])
-                  << tag << " " << tree.describe()
-                  << " table=" << table_kind_name(table)
-                  << " mode=" << parallel_mode_name(mode) << " iter=" << i;
-            }
-          }
-        }
-      }
-    }
-  };
-  check_matrix(cl, trees, "chung-lu");
-  // Labeled templates: SpMM stage frontiers are per-label lists and
-  // the passive export skips label-filtered rows.
-  TreeTemplate labeled_path = TreeTemplate::path(5);
-  labeled_path.set_labels({0, 1, 2, 1, 0});
-  TreeTemplate labeled_star = TreeTemplate::star(6);
-  labeled_star.set_labels({0, 1, 1, 2, 3, 1});
-  check_matrix(cl_labeled, {labeled_path, labeled_star},
-               "chung-lu-labeled");
-}
-
-TEST(Counter, SpmmRejectedUnderReferenceKernels) {
-  // The reference path predates frontiers and has no SpMM form;
-  // validate() refuses the combination instead of silently ignoring
-  // one of the two knobs.
-  CountOptions options;
-  options.execution.reference_kernels = true;
-  options.execution.kernel_family = KernelFamily::kSpmm;
-  EXPECT_THROW(count_template(test_graph(), TreeTemplate::path(3), options),
-               Error);
-}
-
 TEST(Counter, ExtraColorsStillUnbiased) {
   const Graph g = test_graph();
   const TreeTemplate tree = TreeTemplate::path(4);

@@ -257,7 +257,6 @@ void expect_bit_identical(const CountResult& incremental,
 
 struct IncrementalCase {
   TableKind table;
-  KernelFamily family;
   bool labeled;
 };
 
@@ -276,7 +275,6 @@ TEST_P(IncrementalBitIdentity, RecountMatchesFullRecount) {
                                    .iterations(3)
                                    .seed(42)
                                    .table(param.table)
-                                   .kernel_family(param.family)
                                    .partition(PartitionStrategy::kBalanced)
                                    .per_vertex(true)
                                    .build();
@@ -308,19 +306,13 @@ TEST_P(IncrementalBitIdentity, RecountMatchesFullRecount) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AllLayoutsAndFamilies, IncrementalBitIdentity,
-    ::testing::Values(
-        IncrementalCase{TableKind::kNaive, KernelFamily::kFrontier, false},
-        IncrementalCase{TableKind::kCompact, KernelFamily::kFrontier, false},
-        IncrementalCase{TableKind::kHash, KernelFamily::kFrontier, false},
-        IncrementalCase{TableKind::kSuccinct, KernelFamily::kFrontier,
-                        false},
-        IncrementalCase{TableKind::kNaive, KernelFamily::kSpmm, false},
-        IncrementalCase{TableKind::kCompact, KernelFamily::kSpmm, false},
-        IncrementalCase{TableKind::kHash, KernelFamily::kSpmm, false},
-        IncrementalCase{TableKind::kSuccinct, KernelFamily::kSpmm, false},
-        IncrementalCase{TableKind::kCompact, KernelFamily::kFrontier, true},
-        IncrementalCase{TableKind::kHash, KernelFamily::kSpmm, true}));
+    AllLayouts, IncrementalBitIdentity,
+    ::testing::Values(IncrementalCase{TableKind::kNaive, false},
+                      IncrementalCase{TableKind::kCompact, false},
+                      IncrementalCase{TableKind::kHash, false},
+                      IncrementalCase{TableKind::kSuccinct, false},
+                      IncrementalCase{TableKind::kCompact, true},
+                      IncrementalCase{TableKind::kHash, true}));
 
 TEST(Incremental, DeleteOnlyAndInsertOnlyDeltas) {
   Graph g = grid_graph();

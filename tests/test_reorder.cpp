@@ -187,35 +187,6 @@ TEST(ReorderCounting, BitIdenticalAgainstReferenceKernels) {
   }
 }
 
-TEST(ReorderCounting, SpmmFamilyBitIdenticalAcrossReorders) {
-  // Reordering permutes the SpMM frontier rows and the vertex -> row
-  // remap, but per-column accumulation still walks neighbors in
-  // (relabeled) CSR order, so the family stays bit-identical to the
-  // reference kernels under every permutation.
-  const Graph g = shuffled_chung_lu(400, 2000, 29);
-  const TreeTemplate& tree = catalog_entry("U7-2").tree;
-
-  CountOptions reference_options = reorder_options(
-      ReorderMode::kNone, ParallelMode::kSerial, TableKind::kCompact);
-  reference_options.execution.reference_kernels = true;
-  const CountResult reference = count_template(g, tree, reference_options);
-
-  for (ReorderMode reorder : kAllModes) {
-    for (TableKind table : {TableKind::kNaive, TableKind::kHash}) {
-      CountOptions options =
-          reorder_options(reorder, ParallelMode::kHybrid, table);
-      options.execution.kernel_family = KernelFamily::kSpmm;
-      const CountResult result = count_template(g, tree, options);
-      ASSERT_EQ(result.per_iteration.size(), reference.per_iteration.size());
-      for (std::size_t i = 0; i < reference.per_iteration.size(); ++i) {
-        EXPECT_DOUBLE_EQ(result.per_iteration[i], reference.per_iteration[i])
-            << reorder_mode_name(reorder)
-            << " table=" << table_kind_name(table) << " iter=" << i;
-      }
-    }
-  }
-}
-
 TEST(ReorderCounting, LabeledBitIdenticalAcrossReorders) {
   Graph g = shuffled_chung_lu(500, 2500, 31);
   attach_labels(g);

@@ -15,8 +15,6 @@
 #include <vector>
 
 #include "core/counter.hpp"
-#include "core/engine.hpp"
-#include "dp/table_hash.hpp"
 #include "graph/generators.hpp"
 #include "helpers.hpp"
 #include "run/checkpoint.hpp"
@@ -29,7 +27,6 @@
 #include "treelet/catalog.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
-#include "util/rng.hpp"
 
 namespace fascia {
 namespace {
@@ -276,45 +273,6 @@ TEST(MemoryPlan, SuccinctEstimateBracketsMeasuredPeak) {
   EXPECT_LT(run::estimate_peak_bytes(part, 7, g.num_vertices(),
                                      TableKind::kSuccinct, false),
             naive);
-}
-
-TEST(MemoryPlan, SpmmEstimateBracketsMeasuredWorkspace) {
-  // The SpMM multivector estimate prices the widest eligible stage
-  // from compact-occupancy row counts; the engine records the actual
-  // slab + remap peak across the stages that really took the SpMM
-  // path.  Like the succinct table bracket, the contract is a 4x
-  // factor in either direction, and plan_memory must carry the bytes
-  // on top of the table peak.
-  const Graph g = erdos_renyi_gnm(2000, 6000, 7);
-  const TreeTemplate& tree = catalog_entry("U7-1").tree;
-  const auto part =
-      partition_template(tree, PartitionStrategy::kOneAtATime, true);
-  const std::size_t estimate = run::estimate_spmm_multivector_bytes(
-      part, 7, g.num_vertices(), false);
-  ASSERT_GT(estimate, 0u);
-
-  // Hash tables: the only layout whose single-active stages still take
-  // the SpMM form; on this graph they pass the profitability gate, so
-  // the measured peak reflects the stages the estimate prices.
-  DpEngineOptions engine_opts;
-  engine_opts.spmm_kernels = true;
-  DpEngine<HashTable> engine(g, part, 7, engine_opts);
-  ColorArray colors(static_cast<std::size_t>(g.num_vertices()));
-  Xoshiro256 rng(5);
-  for (auto& c : colors) c = static_cast<std::uint8_t>(rng.bounded(7));
-  engine.run(colors, /*parallel_inner=*/false);
-  const std::size_t measured = engine.spmm_workspace_bytes();
-  ASSERT_GT(measured, 0u);
-  EXPECT_GE(4 * estimate, measured);
-  EXPECT_LE(estimate, 4 * measured);
-
-  const auto base = run::plan_memory(part, 7, g.num_vertices(), false,
-                                     TableKind::kNaive, 1, 0, 1);
-  const auto with_spmm = run::plan_memory(part, 7, g.num_vertices(), false,
-                                          TableKind::kNaive, 1, 0, 1,
-                                          /*spill_available=*/false, estimate);
-  EXPECT_GE(with_spmm.estimated_peak_bytes,
-            base.estimated_peak_bytes + estimate);
 }
 
 TEST(MemoryPlan, SpillRungArmsOnlyWithDirectory) {
@@ -582,43 +540,6 @@ TEST(ResilientCount, ResumeExtendsToBitIdenticalEstimates) {
   // Phase 2: resume and extend to the full 10.  Same seed + counter
   // -mode colorings => the estimates must match bit for bit.
   CountOptions second = reference_options;
-  second.run.checkpoint_path = path;
-  second.run.resume = true;
-  const CountResult resumed = count_template(g, tree, second);
-  EXPECT_TRUE(resumed.run.resumed);
-  EXPECT_EQ(resumed.run.resumed_iterations, 4);
-  EXPECT_TRUE(resumed.run.resume_rejected.empty());
-  ASSERT_EQ(resumed.per_iteration.size(), reference.per_iteration.size());
-  for (std::size_t i = 0; i < reference.per_iteration.size(); ++i) {
-    EXPECT_EQ(resumed.per_iteration[i], reference.per_iteration[i]) << i;
-  }
-  EXPECT_EQ(resumed.estimate, reference.estimate);
-  std::remove(path.c_str());
-}
-
-TEST(ResilientCount, ResumeAcrossKernelFamilyBitIdentical) {
-  // kernel_family is execution strategy, not sampling state, so —
-  // like reference_kernels and reorder — it is excluded from the
-  // checkpoint fingerprint: a checkpoint written under the frontier
-  // family must resume under KernelFamily::kSpmm and extend to
-  // bit-identical estimates (the families agree bit for bit).
-  const Graph g = test_graph();
-  const TreeTemplate& tree = catalog_entry("U5-2").tree;
-  const std::string path = temp_path("fascia_resume_family.bin");
-  std::remove(path.c_str());
-
-  CountOptions reference_options = base_options();
-  reference_options.sampling.iterations = 10;
-  const CountResult reference = count_template(g, tree, reference_options);
-
-  CountOptions first = reference_options;
-  first.sampling.iterations = 4;
-  first.run.checkpoint_path = path;
-  first.run.checkpoint_every = 2;
-  count_template(g, tree, first);
-
-  CountOptions second = reference_options;
-  second.execution.kernel_family = KernelFamily::kSpmm;
   second.run.checkpoint_path = path;
   second.run.resume = true;
   const CountResult resumed = count_template(g, tree, second);

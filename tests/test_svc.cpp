@@ -19,10 +19,12 @@
 
 #include "core/counter.hpp"
 #include "graph/builder.hpp"
+#include "graph/datasets.hpp"
 #include "graph/delta.hpp"
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
 #include "run/checkpoint.hpp"
+#include "svc/protocol.hpp"
 #include "svc/service.hpp"
 #include "treelet/catalog.hpp"
 #include "util/error.hpp"
@@ -313,36 +315,100 @@ TEST(SvcService, AdmissionRequotesSuccinctInsteadOfRejecting) {
   EXPECT_EQ(got.estimate, expected.estimate);
 }
 
-TEST(SvcService, AdmissionQuotesSpmmWorkspaceOnTopOfTables) {
-  // The SpMM kernel family carries a dense multivector working set
-  // per engine copy on top of the table peak; admission must price it
-  // (otherwise a fleet of SpMM jobs admitted on table-only quotes
-  // blows the budget), and the job must still complete with numbers
-  // bit-identical to the frontier family.
-  const TreeTemplate tmpl = catalog_entry("U7-1").tree;
+// ---- wire compatibility: "kernel_family" --------------------------------
+// Journals and clients written before the SpMM kernel family was
+// removed carry "kernel_family": "frontier" in every count job.  That
+// value still parses (it names the one kernel path); any other value
+// is a bad request.
 
-  svc::Service service({});
-  service.registry().put("g", erdos_renyi_gnm(5000, 20000, 1));
-  svc::JobSpec frontier_spec = count_spec("g", tmpl, 2);
-  svc::JobSpec spmm_spec = count_spec("g", tmpl, 2);
-  spmm_spec.options.execution.kernel_family = KernelFamily::kSpmm;
-  const svc::JobId a = service.submit(std::move(frontier_spec));
-  const svc::JobId b = service.submit(std::move(spmm_spec));
-  const std::size_t frontier_quote = service.info(a).estimated_peak_bytes;
-  const std::size_t spmm_quote = service.info(b).estimated_peak_bytes;
-  EXPECT_GT(spmm_quote, frontier_quote);
-
-  EXPECT_EQ(service.wait(a).state, svc::JobState::kCompleted);
-  EXPECT_EQ(service.wait(b).state, svc::JobState::kCompleted);
-  const CountResult frontier_result = service.count_result(a);
-  const CountResult spmm_result = service.count_result(b);
-  ASSERT_EQ(spmm_result.per_iteration.size(),
-            frontier_result.per_iteration.size());
-  for (std::size_t i = 0; i < frontier_result.per_iteration.size(); ++i) {
-    EXPECT_EQ(spmm_result.per_iteration[i], frontier_result.per_iteration[i])
-        << i;
+TEST(SvcProtocol, KernelFamilyAcceptedOnlyAsFrontier) {
+  const obs::Json written = svc::count_options_to_json(CountOptions{});
+  EXPECT_EQ(written.find("kernel_family"), nullptr);
+  const obs::Json capabilities = svc::capabilities_json();
+  for (const obs::Json& capability : capabilities.elements()) {
+    EXPECT_NE(capability.as_string(), "kernel_family");
   }
-  EXPECT_EQ(spmm_result.estimate, frontier_result.estimate);
+
+  obs::Json legacy = written;
+  legacy["kernel_family"] = "frontier";
+  const CountOptions parsed = svc::count_options_from_json(legacy);
+  EXPECT_EQ(svc::count_options_to_json(parsed).dump(), written.dump());
+
+  for (const char* family : {"spmm", "bogus"}) {
+    obs::Json removed = written;
+    removed["kernel_family"] = family;
+    try {
+      (void)svc::count_options_from_json(removed);
+      ADD_FAILURE() << "kernel_family " << family << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.category(), ErrorCategory::kBadInput) << family;
+      EXPECT_NE(std::string(e.what()).find("SpMM kernel family was removed"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(SvcService, RecoversJournaledJobsThatNameAKernelFamily) {
+  const std::string journal = temp_dir("kernel_family") + "/jobs.fjrn";
+  const TreeTemplate tmpl = catalog_entry("U5-2").tree;
+  svc::Service::Config config;
+  config.workers = 1;
+  config.journal_path = journal;
+  {
+    // Journals the graph registration; no job runs in this incarnation.
+    svc::Service service(config);
+    service.load_graph("g", "enron", "", 0.02, 1, /*reload=*/false);
+  }
+  // Accept records as the previous wire format wrote them: the full
+  // request document with "kernel_family" in its options.
+  const auto spec_with_id = [&](const char* request_id) {
+    svc::JobSpec spec = count_spec("g", tmpl, 3);
+    spec.request_id = request_id;
+    return spec;
+  };
+  const auto accept_record = [&](const char* family, const char* request_id) {
+    obs::Json doc = svc::job_spec_to_request_json(spec_with_id(request_id));
+    doc["options"]["kernel_family"] = family;
+    return doc.dump();
+  };
+  {
+    svc::Journal appender = svc::Journal::open_append(journal);
+    appender.append(svc::JournalKind::kAccepted, 41,
+                    accept_record("frontier", "legacy-frontier"));
+    appender.append(svc::JournalKind::kAccepted, 42,
+                    accept_record("spmm", "legacy-spmm"));
+  }
+
+  svc::Service service(config);
+  EXPECT_EQ(service.health().journal_replays, 1u);
+  // The SpMM record stays visible as a failed job that says why.
+  const std::vector<svc::JobInfo> recovered = service.jobs();
+  ASSERT_EQ(recovered.size(), 2u);
+  const auto failed = std::find_if(
+      recovered.begin(), recovered.end(), [](const svc::JobInfo& info) {
+        return info.state == svc::JobState::kFailed;
+      });
+  ASSERT_NE(failed, recovered.end());
+  EXPECT_NE(failed->error.find("SpMM kernel family was removed"),
+            std::string::npos)
+      << failed->error;
+
+  // The frontier record replays, and a retry of its request attaches
+  // to it.
+  const svc::JobId replayed = service.submit(spec_with_id("legacy-frontier"));
+  ASSERT_EQ(service.wait(replayed).state, svc::JobState::kCompleted);
+  CountOptions direct;
+  direct.sampling.iterations = 3;
+  direct.sampling.seed = 7;
+  direct.execution.mode = ParallelMode::kSerial;
+  const CountResult expected =
+      count_template(load_or_make("enron", "", 0.02, 1), tmpl, direct);
+  const CountResult got = service.count_result(replayed);
+  ASSERT_EQ(got.per_iteration.size(), expected.per_iteration.size());
+  for (std::size_t i = 0; i < expected.per_iteration.size(); ++i) {
+    EXPECT_EQ(got.per_iteration[i], expected.per_iteration[i]) << i;
+  }
 }
 
 TEST(SvcService, ShutdownCancelsQueuedJobs) {

@@ -160,36 +160,6 @@ TYPED_TEST(TableContract, RowBorrowMatchesGet) {
   }
 }
 
-// ---- blocked row export (SpMM multivector build) -------------------------
-// export_row_block(v, begin, count, out) must fill exactly `count`
-// doubles reading element-for-element like get(v, begin + .), with
-// exact zeros for absent rows and absent columns, for every layout
-// and any block partition of the colorset axis — the SpmmMultivector
-// (core/spmm_kernels.hpp) leans on this to build bit-identical slabs.
-
-TYPED_TEST(TableContract, ExportRowBlockMatchesGet) {
-  constexpr std::uint32_t kWidth = 11;
-  TypeParam table(6, kWidth);
-  // Mixed density: v1 interleaves zeros (succinct may pick either
-  // mode), v4 is fully dense (bitmap mode), v5 is one-hot (sorted
-  // slots), v0/v2/v3 never committed.
-  table.commit_row(1, std::vector<double>{3, 0, 0, 7, 0, 1, 0, 0, 9, 0, 2});
-  table.commit_row(4, std::vector<double>(kWidth, 5.0));
-  table.commit_row(5, std::vector<double>{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4});
-  for (VertexId v = 0; v < 6; ++v) {
-    for (std::uint32_t count : {1u, 3u, 4u, kWidth}) {
-      for (std::uint32_t begin = 0; begin + count <= kWidth; begin += count) {
-        std::vector<double> out(count, -1.0);  // poison: exports must overwrite
-        table.export_row_block(v, begin, count, out.data());
-        for (std::uint32_t c = 0; c < count; ++c) {
-          EXPECT_DOUBLE_EQ(out[c], table.get(v, begin + c))
-              << "v=" << v << " begin=" << begin << " count=" << count;
-        }
-      }
-    }
-  }
-}
-
 TEST(NaiveTable, RowPtrNeverNull) {
   static_assert(NaiveTable::kContiguousRows);
   NaiveTable table(3, 2);
