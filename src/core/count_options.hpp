@@ -37,7 +37,7 @@ namespace fascia {
 /// with private tables (best for small graphs, memory grows with
 /// thread count); hybrid probes one iteration and splits the threads
 /// into outer_copies x inner_threads by a cost model (table bytes x
-/// measured frontier occupancy — core/thread_layout.hpp).
+/// measured frontier occupancy — sched/thread_layout.hpp).
 enum class ParallelMode {
   kSerial,
   kInnerLoop,

@@ -40,4 +40,14 @@ CountResult graphlet_degrees(const Graph& graph, const TreeTemplate& tmpl,
 /// Resolved number of colors for an options/template pair.
 int effective_colors(const TreeTemplate& tmpl, const CountOptions& options);
 
+namespace detail {
+
+/// The request checks every tree counter shares: labeling agreement,
+/// color count, iteration budget, root range, then options.validate().
+/// Messages start with `caller` ("count_template", "begin_incremental").
+void validate_tree_count(const Graph& graph, const TreeTemplate& tmpl,
+                         const CountOptions& options, const char* caller);
+
+}  // namespace detail
+
 }  // namespace fascia

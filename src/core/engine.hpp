@@ -475,41 +475,45 @@ class DpEngine {
     return count;
   }
 
+  /// Adds a computed node's per-vertex colorful totals into `out`
+  /// (size n): its table's row sums, or 1 per label-matching vertex
+  /// for a leaf (a single-vertex template).
+  void add_vertex_totals(int node, std::vector<double>& out) {
+    const Subtemplate& sub = partition_.node(node);
+    if (sub.is_leaf()) {
+      for (VertexId v = 0; v < graph_.num_vertices(); ++v) {
+        if (leaf_matches(sub, v)) out[static_cast<std::size_t>(v)] += 1.0;
+      }
+      return;
+    }
+    // The last eviction pass may have paged the node out.
+    ensure_resident(node);
+    const Table& table = *tables_[static_cast<std::size_t>(node)];
+    for (VertexId v = 0; v < graph_.num_vertices(); ++v) {
+      out[static_cast<std::size_t>(v)] += table.vertex_total(v);
+    }
+  }
+
+  /// Colorful total of the root: its table's sum (Alg. 2 line 20), or
+  /// the matching vertex count for a single-vertex template.
+  [[nodiscard]] double root_total() {
+    const int root = partition_.root_node();
+    return partition_.node(root).is_leaf() ? leaf_count(root)
+                                           : node_total(root);
+  }
+
   /// One full bottom-up DP pass for a fixed coloring; returns the sum
-  /// over the root table (Alg. 2 line 20).  When per_vertex is
-  /// non-null it must have size n; root-table vertex totals are
-  /// *added* into it.
+  /// over the root table.  When per_vertex is non-null it must have
+  /// size n; root-table vertex totals are *added* into it.
   double run(const ColorArray& colors, bool parallel_inner,
              std::vector<double>* per_vertex = nullptr,
              bool keep_tables = false) {
     compute_tables(colors, parallel_inner, nullptr, keep_tables);
     if (guard_ != nullptr && guard_->stopped()) return 0.0;
-
-    const int root = partition_.root_node();
-    const Subtemplate& root_node = partition_.node(root);
-    if (root_node.is_leaf()) {
-      // Single-vertex template: every (label-matching) vertex counts 1.
-      double count = 0.0;
-      for (VertexId v = 0; v < graph_.num_vertices(); ++v) {
-        if (leaf_matches(root_node, v)) {
-          count += 1.0;
-          if (per_vertex != nullptr) {
-            (*per_vertex)[static_cast<std::size_t>(v)] += 1.0;
-          }
-        }
-      }
-      return count;
-    }
-
-    // The last eviction pass may have paged the root itself out.
-    ensure_resident(root);
-    const Table& table = *tables_[static_cast<std::size_t>(root)];
     if (per_vertex != nullptr) {
-      for (VertexId v = 0; v < graph_.num_vertices(); ++v) {
-        (*per_vertex)[static_cast<std::size_t>(v)] += table.vertex_total(v);
-      }
+      add_vertex_totals(partition_.root_node(), *per_vertex);
     }
-    const double total = table.total();
+    const double total = root_total();
     if (!keep_tables) release_all_tables();
     return total;
   }
@@ -718,27 +722,10 @@ class DpEngine {
       std::vector<VertexId>().swap(old_frontiers[idx]);
     }
 
-    const int root = partition_.root_node();
-    const Subtemplate& root_node = partition_.node(root);
-    if (root_node.is_leaf()) {
-      double count = 0.0;
-      for (VertexId v = 0; v < graph_.num_vertices(); ++v) {
-        if (leaf_matches(root_node, v)) {
-          count += 1.0;
-          if (per_vertex != nullptr) {
-            (*per_vertex)[static_cast<std::size_t>(v)] += 1.0;
-          }
-        }
-      }
-      return count;
-    }
-    const Table& table = *tables_[static_cast<std::size_t>(root)];
     if (per_vertex != nullptr) {
-      for (VertexId v = 0; v < graph_.num_vertices(); ++v) {
-        (*per_vertex)[static_cast<std::size_t>(v)] += table.vertex_total(v);
-      }
+      add_vertex_totals(partition_.root_node(), *per_vertex);
     }
-    return table.total();
+    return root_total();
   }
 
   [[nodiscard]] const PartitionTree& partition() const noexcept {
@@ -1638,7 +1625,7 @@ class DpEngine {
     const VertexId n = graph_.num_vertices();
 #ifdef _OPENMP
     if (parallel) {
-#pragma omp parallel
+#pragma omp parallel num_threads(effective_inner_threads())
       {
         ReferenceWorkspace workspace;
         workspace.row.resize(row_width);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -330,27 +329,7 @@ RunHandle begin_incremental(const Graph& graph, const TreeTemplate& tmpl,
                             const CountOptions& options) {
   CountOptions opts = options;
   opts.execution.incremental = true;
-  if (tmpl.has_labels() != graph.has_labels()) {
-    throw std::invalid_argument(
-        "begin_incremental: template and graph must both be labeled or "
-        "both unlabeled");
-  }
-  const int k = effective_colors(tmpl, opts);
-  if (k < tmpl.size()) {
-    throw std::invalid_argument(
-        "begin_incremental: num_colors must be >= template size");
-  }
-  if (k > kMaxTemplateSize) {
-    throw std::invalid_argument("begin_incremental: too many colors");
-  }
-  if (opts.sampling.iterations < 1) {
-    throw std::invalid_argument(
-        "begin_incremental: iterations must be >= 1");
-  }
-  if (opts.root < -1 || opts.root >= tmpl.size()) {
-    throw std::invalid_argument("begin_incremental: root out of range");
-  }
-  opts.validate();
+  detail::validate_tree_count(graph, tmpl, opts, "begin_incremental");
 
   std::unique_ptr<RunHandle::Impl> impl;
   switch (opts.execution.table) {

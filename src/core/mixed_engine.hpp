@@ -37,9 +37,13 @@ namespace fascia {
 template <class Table>
 class MixedDpEngine {
  public:
+  /// `inner_threads` sizes the inner-parallel sweep; 0 = the OpenMP
+  /// default.
   MixedDpEngine(const Graph& graph, const MixedTemplate& tmpl,
-                const MixedPartition& partition, int num_colors)
-      : graph_(graph), tmpl_(tmpl), partition_(partition), k_(num_colors) {
+                const MixedPartition& partition, int num_colors,
+                int inner_threads = 0)
+      : graph_(graph), tmpl_(tmpl), partition_(partition), k_(num_colors),
+        inner_threads_(inner_threads) {
     tables_.resize(static_cast<std::size_t>(partition_.num_nodes()));
     for (int i = 0; i < partition_.num_nodes(); ++i) {
       const MixedSubtemplate& node = partition_.node(i);
@@ -138,7 +142,9 @@ class MixedDpEngine {
     const VertexId n = graph_.num_vertices();
 #ifdef _OPENMP
     if (parallel) {
-#pragma omp parallel for schedule(dynamic, 64)
+      const int threads =
+          inner_threads_ > 0 ? inner_threads_ : omp_get_max_threads();
+#pragma omp parallel for num_threads(threads) schedule(dynamic, 64)
       for (VertexId v = 0; v < n; ++v) body(v);
       return;
     }
@@ -259,6 +265,7 @@ class MixedDpEngine {
   const MixedTemplate& tmpl_;
   const MixedPartition& partition_;
   int k_;
+  int inner_threads_;
   std::vector<std::unique_ptr<Table>> tables_;
   std::map<std::pair<int, int>, SplitTable> splits_;
 };

@@ -25,14 +25,19 @@
 //     thread, as in ParallelMode::kOuterLoop), each spanning all still
 //     active templates.
 //
+// The plan runs on the library's one iteration driver (driver.hpp).
+// A single-template count_template is a one-job, fixed-budget plan on
+// that same driver, built with cross-template reuse off and the
+// caller's root.
+//
 // Determinism: job j's iteration i always uses the coloring derived
 // from (options.seed, i), so fixed-budget estimates are bit-identical
-// to count_template(graph, tmpl, {seed, iterations, num_colors}) —
-// independent of thread count, of the other jobs in the batch, and of
-// whether cross-template reuse is enabled.  Adaptive stopping points
-// additionally depend on round_iterations (explicitly set it for
-// cross-machine reproducibility; the default follows the thread
-// count).
+// to count_template(graph, tmpl, {seed, iterations, num_colors}) by
+// construction — independent of thread count, of the other jobs in the
+// batch, and of whether cross-template reuse is enabled.  Adaptive
+// stopping points additionally depend on round_iterations (explicitly
+// set it for cross-machine reproducibility; the default follows the
+// thread count).
 
 #include <cstddef>
 #include <cstdint>
@@ -82,9 +87,9 @@ struct BatchOptions {
   /// kOuterLoop parallelizes over iterations (each spanning all active
   /// jobs, private tables per thread); kInnerLoop parallelizes the
   /// per-vertex loop inside each stage; kSerial is single-threaded.
-  /// kHybrid splits the pool into outer_copies x inner_threads using
-  /// the same cost model as count_template (choose_layout), with a
-  /// modeled frontier occupancy instead of a probe iteration.
+  /// kHybrid splits the pool into outer_copies x inner_threads with the
+  /// cost model (choose_layout), fed by the measured frontier occupancy
+  /// of a first inner-parallel probe iteration, as in count_template.
   ParallelMode mode = ParallelMode::kOuterLoop;
 
   /// OpenMP threads; 0 = runtime default.

@@ -64,7 +64,7 @@ void validate(const Graph& graph, const std::vector<BatchJob>& jobs,
 }  // namespace
 
 BatchPlan plan_batch(const Graph& graph, const std::vector<BatchJob>& jobs,
-                     const BatchOptions& options) {
+                     const BatchOptions& options, int root) {
   WallTimer timer;
   BatchPlan plan;
   plan.num_colors = resolve_colors(jobs, options);
@@ -82,12 +82,12 @@ BatchPlan plan_batch(const Graph& graph, const std::vector<BatchJob>& jobs,
     const std::shared_ptr<const PartitionTree> cached =
         options.partition_provider
             ? options.partition_provider(job.tmpl, options.partition,
-                                         options.share_tables, /*root=*/-1)
+                                         options.share_tables, root)
             : nullptr;
     const PartitionTree part =
         cached ? *cached
                : partition_template(job.tmpl, options.partition,
-                                    options.share_tables, /*root=*/-1);
+                                    options.share_tables, root);
     plan.job_dp_cost.push_back(part.dp_cost(plan.num_colors));
 
     std::vector<int> local_to_merged(

@@ -49,8 +49,10 @@ struct BatchPlan {
 };
 
 /// Builds the merged plan.  Validates per-job template sizes against
-/// the batch's color count and the jobs' iteration budgets.
+/// the batch's color count and the jobs' iteration budgets.  `root`
+/// is the template vertex every job's partition is rooted at (-1 =
+/// the partitioner's choice); a single-template count passes its own.
 BatchPlan plan_batch(const Graph& graph, const std::vector<BatchJob>& jobs,
-                     const BatchOptions& options);
+                     const BatchOptions& options, int root = -1);
 
 }  // namespace fascia::sched

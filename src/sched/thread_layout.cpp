@@ -1,4 +1,4 @@
-#include "core/thread_layout.hpp"
+#include "sched/thread_layout.hpp"
 
 #include <algorithm>
 

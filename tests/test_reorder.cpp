@@ -224,14 +224,22 @@ TEST(ReorderCounting, GraphletDegreesKeyedByOriginalIds) {
   ASSERT_EQ(reference.vertex_counts.size(),
             static_cast<std::size_t>(g.num_vertices()));
 
+  // Outer and hybrid copies accumulate per-vertex sums privately and
+  // merge them at the end of a round.
+  options.execution.threads = 2;
   for (ReorderMode reorder :
        {ReorderMode::kDegree, ReorderMode::kBfs, ReorderMode::kHybrid}) {
-    options.execution.reorder = reorder;
-    const CountResult result = graphlet_degrees(g, tree, 0, options);
-    ASSERT_EQ(result.vertex_counts.size(), reference.vertex_counts.size());
-    for (std::size_t v = 0; v < reference.vertex_counts.size(); ++v) {
-      EXPECT_DOUBLE_EQ(result.vertex_counts[v], reference.vertex_counts[v])
-          << reorder_mode_name(reorder) << " v=" << v;
+    for (ParallelMode mode : {ParallelMode::kSerial, ParallelMode::kOuterLoop,
+                              ParallelMode::kHybrid}) {
+      options.execution.reorder = reorder;
+      options.execution.mode = mode;
+      const CountResult result = graphlet_degrees(g, tree, 0, options);
+      ASSERT_EQ(result.vertex_counts.size(), reference.vertex_counts.size());
+      for (std::size_t v = 0; v < reference.vertex_counts.size(); ++v) {
+        EXPECT_DOUBLE_EQ(result.vertex_counts[v], reference.vertex_counts[v])
+            << reorder_mode_name(reorder) << " " << parallel_mode_name(mode)
+            << " v=" << v;
+      }
     }
   }
 }
@@ -261,7 +269,6 @@ TEST(ReorderCounting, CheckpointResumeAcrossReorderModesBitIdentical) {
   const TreeTemplate& tree = catalog_entry("U7-1").tree;
   const std::string path =
       ::testing::TempDir() + "reorder_resume.fascia-ckpt";
-  std::remove(path.c_str());
 
   CountOptions options = reorder_options(
       ReorderMode::kNone, ParallelMode::kSerial, TableKind::kCompact);
@@ -269,40 +276,48 @@ TEST(ReorderCounting, CheckpointResumeAcrossReorderModesBitIdentical) {
   options.per_vertex = true;
   const CountResult uninterrupted = count_template(g, tree, options);
 
-  // First half under kDegree, checkpointing every 2 iterations ...
-  CountOptions first = options;
-  first.sampling.iterations = 4;
-  first.execution.reorder = ReorderMode::kDegree;
-  first.run.checkpoint_path = path;
-  first.run.checkpoint_every = 2;
-  const CountResult half = count_template(g, tree, first);
-  ASSERT_EQ(half.per_iteration.size(), 4u);
-  ASSERT_GT(half.run.checkpoints_written, 0);
+  // Serial, and outer mode: a per-vertex run under checkpoints keeps
+  // its per-vertex sums exact per iteration by demoting to inner.
+  for (ParallelMode mode : {ParallelMode::kSerial, ParallelMode::kOuterLoop}) {
+    std::remove(path.c_str());
+    // First half under kDegree, checkpointing every 2 iterations ...
+    CountOptions first = options;
+    first.sampling.iterations = 4;
+    first.execution.reorder = ReorderMode::kDegree;
+    first.execution.mode = mode;
+    first.execution.threads = 2;
+    first.run.checkpoint_path = path;
+    first.run.checkpoint_every = 2;
+    const CountResult half = count_template(g, tree, first);
+    ASSERT_EQ(half.per_iteration.size(), 4u);
+    ASSERT_GT(half.run.checkpoints_written, 0);
+    EXPECT_EQ(half.run.degradations.size(),
+              mode == ParallelMode::kSerial ? 0u : 1u);
 
-  // ... then resume to the full budget under a DIFFERENT reorder mode:
-  // reorder is excluded from the fingerprint and per-vertex state is
-  // stored in original-id space, so the estimates must match the
-  // uninterrupted run bit-for-bit.
-  CountOptions second = options;
-  second.execution.reorder = ReorderMode::kBfs;
-  second.run.checkpoint_path = path;
-  second.run.checkpoint_every = 2;
-  second.run.resume = true;
-  const CountResult resumed = count_template(g, tree, second);
-  EXPECT_TRUE(resumed.run.resumed);
-  ASSERT_EQ(resumed.per_iteration.size(),
-            uninterrupted.per_iteration.size());
-  for (std::size_t i = 0; i < uninterrupted.per_iteration.size(); ++i) {
-    EXPECT_DOUBLE_EQ(resumed.per_iteration[i],
-                     uninterrupted.per_iteration[i])
-        << "iter=" << i;
-  }
-  ASSERT_EQ(resumed.vertex_counts.size(),
-            uninterrupted.vertex_counts.size());
-  for (std::size_t v = 0; v < uninterrupted.vertex_counts.size(); ++v) {
-    EXPECT_DOUBLE_EQ(resumed.vertex_counts[v],
-                     uninterrupted.vertex_counts[v])
-        << "v=" << v;
+    // ... then resume to the full budget under a DIFFERENT reorder
+    // mode: reorder is excluded from the fingerprint and per-vertex
+    // state is stored in original-id space, so the estimates must
+    // match the uninterrupted run bit-for-bit.
+    CountOptions second = first;
+    second.sampling.iterations = options.sampling.iterations;
+    second.execution.reorder = ReorderMode::kBfs;
+    second.run.resume = true;
+    const CountResult resumed = count_template(g, tree, second);
+    EXPECT_TRUE(resumed.run.resumed);
+    ASSERT_EQ(resumed.per_iteration.size(),
+              uninterrupted.per_iteration.size());
+    for (std::size_t i = 0; i < uninterrupted.per_iteration.size(); ++i) {
+      EXPECT_DOUBLE_EQ(resumed.per_iteration[i],
+                       uninterrupted.per_iteration[i])
+          << parallel_mode_name(mode) << " iter=" << i;
+    }
+    ASSERT_EQ(resumed.vertex_counts.size(),
+              uninterrupted.vertex_counts.size());
+    for (std::size_t v = 0; v < uninterrupted.vertex_counts.size(); ++v) {
+      EXPECT_DOUBLE_EQ(resumed.vertex_counts[v],
+                       uninterrupted.vertex_counts[v])
+          << parallel_mode_name(mode) << " v=" << v;
+    }
   }
   std::remove(path.c_str());
 }

@@ -726,6 +726,52 @@ TEST(ResilientCount, MismatchedCheckpointRejectedNotBlended) {
   std::remove(path.c_str());
 }
 
+TEST(ResilientCount, ResumesCheckpointWrittenByPreviousRelease) {
+  // A kKindCount checkpoint exactly as the previous release wrote it:
+  // count_template with per_vertex, reorder=degree and 2 iterations on
+  // the graph below.  Layout: [per-iteration prefix, per-vertex sums
+  // keyed by original ids].  Resuming it to 4 iterations must match an
+  // uninterrupted 4-iteration run bit for bit.
+  static const char* const kHex =
+      "4653434b50543031000000000b00000000000000050000006cd1157f302a59f6"
+      "020000000200000002000000000000006036be40565555552572c14018000000"
+      "0000000000003e400000000000c0504000000000000040400000000000001c40"
+      "00000000000050400000000000c0524000000000004052400000000000002040"
+      "00000000000049400000000000804d4000000000000041400000000000003440"
+      "0000000000c059400000000000c055400000000000004e400000000000003e40"
+      "0000000000805b400000000000804c4000000000000030400000000000004540"
+      "000000000080574000000000004060400000000000002c400000000000003240"
+      "c4440588196dd6c1";
+  const Graph g = erdos_renyi_gnm(24, 60, 3);
+  const TreeTemplate& tree = catalog_entry("U5-2").tree;
+  const std::string path = temp_path("fascia_previous_release.ckpt");
+  {
+    const std::string hex = kHex;
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+      out.put(static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+    }
+  }
+
+  CountOptions options;
+  options.sampling.iterations = 4;
+  options.sampling.seed = 11;
+  options.execution.mode = ParallelMode::kSerial;
+  options.execution.reorder = ReorderMode::kDegree;
+  options.per_vertex = true;
+  const CountResult uninterrupted = count_template(g, tree, options);
+
+  options.run.checkpoint_path = path;
+  options.run.resume = true;
+  const CountResult resumed = count_template(g, tree, options);
+  EXPECT_TRUE(resumed.run.resumed) << resumed.run.resume_rejected;
+  EXPECT_EQ(resumed.run.resumed_iterations, 2);
+  EXPECT_EQ(resumed.per_iteration, uninterrupted.per_iteration);
+  EXPECT_EQ(resumed.estimate, uninterrupted.estimate);
+  EXPECT_EQ(resumed.vertex_counts, uninterrupted.vertex_counts);
+  std::remove(path.c_str());
+}
+
 // ---- run_batch under controls --------------------------------------------
 
 TEST(ResilientBatch, DeadlineYieldsHonestPartial) {

@@ -3,14 +3,24 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "core/counter.hpp"
+#include "core/mixed_counter.hpp"
 #include "core/motifs.hpp"
 #include "exact/backtrack.hpp"
 #include "graph/components.hpp"
 #include "graph/generators.hpp"
 #include "sched/plan.hpp"
 #include "treelet/free_trees.hpp"
+#include "treelet/mixed_template.hpp"
 #include "util/stats.hpp"
 #include "util/error.hpp"
 
@@ -297,6 +307,47 @@ TEST(Sched, AdaptiveBatchRejectsCheckpointing) {
   options.adaptive_batch = true;
   options.run.checkpoint_path = "unused.ckpt";
   EXPECT_THROW(sched::run_batch(g, jobs, options), fascia::Error);
+}
+
+TEST(Sched, EntryPointsLeaveTheCallersThreadCountAlone) {
+#ifndef _OPENMP
+  GTEST_SKIP() << "built without OpenMP";
+#else
+  // A service worker runs job after job on one thread.  If an entry
+  // point changed that thread's default team size (nthreads-var), the
+  // next job asking for the default would sweep on whatever thread
+  // count the previous job requested.
+  const Graph g = test_graph();
+  int base = 0;
+  std::vector<std::pair<std::string, int>> after;
+  std::thread worker([&] {
+    base = omp_get_max_threads();
+    const int requested = base + 1;
+
+    sched::BatchOptions batch;
+    batch.mode = ParallelMode::kInnerLoop;
+    batch.num_threads = requested;
+    (void)sched::run_batch(g, fixed_jobs(4, 2), batch);
+    after.emplace_back("run_batch", omp_get_max_threads());
+
+    CountOptions options;
+    options.sampling.iterations = 2;
+    options.execution.mode = ParallelMode::kInnerLoop;
+    options.execution.threads = requested;
+    (void)count_template(g, TreeTemplate::path(4), options);
+    after.emplace_back("count_template", omp_get_max_threads());
+
+    (void)count_mixed_template(
+        g, MixedTemplate::from_edges(4, {{0, 1}, {1, 2}, {0, 2}, {2, 3}}),
+        options);
+    after.emplace_back("count_mixed_template", omp_get_max_threads());
+  });
+  worker.join();
+  ASSERT_EQ(after.size(), 3u);
+  for (const auto& [entry_point, threads] : after) {
+    EXPECT_EQ(threads, base) << entry_point;
+  }
+#endif
 }
 
 TEST(Sched, ValidationErrors) {
