@@ -1,15 +1,27 @@
 #include "analytics/gdd.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace fascia::analytics {
 
 GddHistogram gdd_histogram(const std::vector<double>& degrees) {
-  GddHistogram hist;
+  // Sort the positive rounded keys once, then append each run of equal
+  // keys at the map's end: one hinted O(1) insert per distinct degree
+  // instead of a tree descent per vertex.
+  std::vector<std::int64_t> keys;
+  keys.reserve(degrees.size());
   for (double degree : degrees) {
     const auto j = static_cast<std::int64_t>(std::llround(degree));
-    if (j <= 0) continue;
-    hist[j] += 1.0;
+    if (j > 0) keys.push_back(j);
+  }
+  std::sort(keys.begin(), keys.end());
+  GddHistogram hist;
+  for (std::size_t i = 0; i < keys.size();) {
+    std::size_t end = i + 1;
+    while (end < keys.size() && keys[end] == keys[i]) ++end;
+    hist.emplace_hint(hist.end(), keys[i], static_cast<double>(end - i));
+    i = end;
   }
   return hist;
 }

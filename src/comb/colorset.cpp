@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 namespace fascia {
 
@@ -54,6 +55,34 @@ bool colorset_contains(ColorsetIndex index, int h, int c) {
   std::vector<int> colors;
   colorset_colors(index, h, colors);
   return std::binary_search(colors.begin(), colors.end(), c);
+}
+
+RootedColorsets::RootedColorsets(int num_colors, int set_size)
+    : k_(num_colors), h_(set_size), num_sets_(num_colorsets(k_, h_)),
+      width_(num_rooted_colorsets(k_, h_)) {
+  assert(h_ >= 1 && h_ <= k_);
+  slot_.assign(static_cast<std::size_t>(k_) * num_sets_, kNoRootedSlot);
+  global_.resize(static_cast<std::size_t>(k_) * width_);
+  std::vector<int> colors(static_cast<std::size_t>(h_));
+  std::iota(colors.begin(), colors.end(), 0);
+  std::vector<int> rest(static_cast<std::size_t>(h_ - 1));
+  ColorsetIndex global = 0;
+  do {
+    // Each member c roots S at the combinadic of S∖{c} with the colors
+    // above c shifted down.
+    for (int m = 0; m < h_; ++m) {
+      const int c = colors[static_cast<std::size_t>(m)];
+      for (int i = 0, j = 0; i < h_; ++i) {
+        if (i == m) continue;
+        const int other = colors[static_cast<std::size_t>(i)];
+        rest[static_cast<std::size_t>(j++)] = other > c ? other - 1 : other;
+      }
+      const ColorsetIndex slot = colorset_index(rest);
+      slot_[static_cast<std::size_t>(c) * num_sets_ + global] = slot;
+      global_[static_cast<std::size_t>(c) * width_ + slot] = global;
+    }
+    ++global;
+  } while (next_colorset(colors, k_));
 }
 
 void colorset_bitmap_build_ranks(const std::uint64_t* words,

@@ -47,15 +47,75 @@ bool next_colorset(std::span<int> colors, int k) noexcept;
 /// True when color `c` is a member of the set encoded by (index, h).
 bool colorset_contains(ColorsetIndex index, int h, int c);
 
+// ---- color-rooted slots ------------------------------------------------
+//
+// A DP row at vertex v counts embeddings whose root maps to v, so only
+// colorsets containing v's own color c can be nonzero.  Rows therefore
+// store C(k-1, h-1) slots instead of C(k, h): the slot of S ∋ c is the
+// combinadic index of S∖{c} over the other k-1 colors, with colors
+// above c shifted down by one.  The relabelling is monotone, so slot
+// order is the colex order of the sets the slots stand for.
+
+/// Slots per color-rooted row: C(k-1, h-1).
+inline std::uint32_t num_rooted_colorsets(int k, int h) noexcept {
+  return static_cast<std::uint32_t>(choose(k - 1, h - 1));
+}
+
+/// "Colorset does not contain the root color" — no rooted slot.
+inline constexpr ColorsetIndex kNoRootedSlot = ~ColorsetIndex{0};
+
+/// The translation between global colorset indices and color-rooted
+/// slots for size-h sets over k colors, tabulated both ways.  Every
+/// caller that addresses a DP row by global colorset (the reference
+/// kernels, the embedding extractor) and every kernel index list is
+/// built through it.
+class RootedColorsets {
+ public:
+  RootedColorsets(int num_colors, int set_size);
+
+  [[nodiscard]] int num_colors() const noexcept { return k_; }
+  [[nodiscard]] int set_size() const noexcept { return h_; }
+  /// Row width: C(k-1, h-1).
+  [[nodiscard]] std::uint32_t width() const noexcept { return width_; }
+
+  /// Slot of global set `global` in a row rooted at `color`, or
+  /// kNoRootedSlot when the set does not contain `color`.
+  [[nodiscard]] ColorsetIndex slot(int color,
+                                   ColorsetIndex global) const noexcept {
+    return slot_[static_cast<std::size_t>(color) * num_sets_ + global];
+  }
+
+  /// Global set index of `slot` in a row rooted at `color`.
+  [[nodiscard]] ColorsetIndex global(int color,
+                                     ColorsetIndex slot) const noexcept {
+    return global_[static_cast<std::size_t>(color) * width_ + slot];
+  }
+
+  /// All of `color`'s rooted slots as global indices (slot order).
+  [[nodiscard]] std::span<const ColorsetIndex> globals(int color)
+      const noexcept {
+    return {global_.data() + static_cast<std::size_t>(color) * width_,
+            width_};
+  }
+
+ private:
+  int k_, h_;
+  std::uint32_t num_sets_, width_;
+  std::vector<ColorsetIndex> slot_;    ///< [color][global] -> slot
+  std::vector<ColorsetIndex> global_;  ///< [color][slot] -> global
+};
+
 // ---- rank/select over colorset-indexed bitmaps -----------------------
 //
 // The succinct DP table (dp/table_succinct.hpp) stores each vertex row
-// as its nonzero values only, addressed through a bitmap of C(k, h)
-// bits — one per colorset index — with a per-word cumulative-popcount
+// as its nonzero values only, addressed through a bitmap of C(k-1, h-1)
+// bits — one per color-rooted slot — with a per-word cumulative-popcount
 // rank directory.  rank(I) maps a colorset index to its position among
 // the nonzero slots in O(1); select(r) inverts it for iteration.  The
 // helpers live here because the bit position IS the combinadic index:
-// they are colorset-set operations, not generic bit twiddling.
+// they are colorset-set operations, not generic bit twiddling.  The bit
+// position is the row's rooted slot (above), itself a combinadic index
+// over k-1 colors.
 
 /// 64-bit words needed for a bitmap of `num_bits` colorset slots.
 inline std::size_t colorset_bitmap_words(std::uint64_t num_bits) noexcept {
@@ -75,7 +135,7 @@ inline void colorset_bitmap_set(std::uint64_t* words,
 }
 
 /// Fills ranks[w] = popcount of words[0..w) — the rank directory.
-/// 32-bit entries: the widest practical table (C(20,10) colorsets) has
+/// 32-bit entries: the widest practical row (C(19,9) rooted slots) has
 /// far fewer than 2^32 set bits per row.
 void colorset_bitmap_build_ranks(const std::uint64_t* words,
                                  std::size_t num_words,

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 namespace fascia {
 
@@ -61,29 +62,99 @@ SplitTable::SplitTable(int num_colors, int parent_size, int active_size)
     ++parent_index;
   } while (next_colorset(parent_colors, k_));
   assert(parent_index == num_parents_);
+}
 
-  // Active-grouped view: for each active colorset A, the (parent,
-  // passive) pairs over all disjoint passive sets, sorted by passive.
-  // Each active index appears in exactly C(k-a, h-a) splits, so the
-  // groups are fixed-width spans; sorting the flat pairs by
-  // (active, passive) lays them out directly.
-  const std::size_t total = active_.size();
-  std::vector<std::uint32_t> order(total);
-  std::iota(order.begin(), order.end(), 0);
-  num_actives_ = num_colorsets(k_, a_);
-  per_active_ = num_colorsets(k_ - a_, h_ - a_);
-  std::sort(order.begin(), order.end(),
-            [&](std::uint32_t x, std::uint32_t y) {
-              if (active_[x] != active_[y]) return active_[x] < active_[y];
-              return passive_[x] < passive_[y];
-            });
-  group_parent_.resize(total);
-  group_passive_.resize(total);
-  for (std::size_t i = 0; i < total; ++i) {
-    group_parent_[i] = order[i] / per_parent_;
-    group_passive_[i] = passive_[order[i]];
+RootedSplit::RootedSplit(int num_colors, int parent_size, int active_size)
+    : k_(num_colors), h_(parent_size), a_(active_size) {
+  const SplitTable global(k_, h_, a_);  // validates the shape
+  const int p = h_ - a_;
+  const RootedColorsets parents(k_, h_);
+  const RootedColorsets actives(k_, a_);
+  const RootedColorsets passives(k_, p);
+  num_parents_ = parents.width();
+  num_actives_ = actives.width();
+  per_parent_ = num_colorsets(h_ - 1, a_ - 1);
+  fold_size_ = static_cast<std::size_t>(num_parents_) * per_parent_;
+
+  // Direct groups.  A group (root, other, A) is nonempty iff
+  // other ∉ A, and then holds one entry per P ∋ other disjoint from A:
+  // C(k-a-1, p-1) of them.
+  const auto num_groups =
+      static_cast<std::size_t>(k_) * k_ * (num_actives_ + 1);
+  group_offset_.assign(num_groups, 0);
+  const auto group_width =
+      static_cast<std::uint32_t>(choose(k_ - a_ - 1, p - 1));
+  std::uint32_t filled = 0;
+  for (int root = 0; root < k_; ++root) {
+    for (int other = 0; other < k_; ++other) {
+      std::uint32_t* off =
+          group_offset_.data() +
+          (static_cast<std::size_t>(root) * k_ + other) * (num_actives_ + 1);
+      for (ColorsetIndex act = 0; act < num_actives_; ++act) {
+        off[act] = filled;
+        if (other != root &&
+            actives.slot(other, actives.global(root, act)) == kNoRootedSlot) {
+          filled += group_width;
+        }
+      }
+      off[num_actives_] = filled;
+    }
   }
-  assert(total == static_cast<std::size_t>(num_actives_) * per_active_);
+  group_parent_.resize(filled);
+  group_passive_.resize(filled);
+  // Parents ascend in colex order; for a fixed A, S = A ∪ P ascends
+  // with P (A is disjoint from every P), so each group fills in passive
+  // order.
+  std::vector<std::uint32_t> cursor = group_offset_;
+  std::vector<std::pair<int, ColorsetIndex>> roots, others;
+  for (ColorsetIndex parent = 0; parent < global.num_parents(); ++parent) {
+    const auto act = global.active_indices(parent);
+    const auto pas = global.passive_indices(parent);
+    for (std::size_t s = 0; s < act.size(); ++s) {
+      roots.clear();
+      others.clear();
+      for (int c = 0; c < k_; ++c) {
+        if (const ColorsetIndex slot = actives.slot(c, act[s]);
+            slot != kNoRootedSlot) {
+          roots.emplace_back(c, slot);
+        } else if (const ColorsetIndex pslot = passives.slot(c, pas[s]);
+                   pslot != kNoRootedSlot) {
+          others.emplace_back(c, pslot);
+        }
+      }
+      for (const auto& [root, act_slot] : roots) {
+        const ColorsetIndex parent_slot = parents.slot(root, parent);
+        for (const auto& [other, pas_slot] : others) {
+          const std::uint32_t at =
+              cursor[(static_cast<std::size_t>(root) * k_ + other) *
+                         (num_actives_ + 1) +
+                     act_slot]++;
+          group_parent_[at] = parent_slot;
+          group_passive_[at] = pas_slot;
+        }
+      }
+    }
+  }
+
+  // Fold view: per root, per rooted parent, the global splits whose
+  // active side holds the root, in per-parent order.
+  fold_active_.resize(static_cast<std::size_t>(k_) * fold_size_);
+  fold_passive_.resize(fold_active_.size());
+  std::size_t at = 0;
+  for (int root = 0; root < k_; ++root) {
+    for (const ColorsetIndex parent : parents.globals(root)) {
+      const auto act = global.active_indices(parent);
+      const auto pas = global.passive_indices(parent);
+      for (std::size_t s = 0; s < act.size(); ++s) {
+        const ColorsetIndex act_slot = actives.slot(root, act[s]);
+        if (act_slot == kNoRootedSlot) continue;
+        fold_active_[at] = act_slot;
+        fold_passive_[at] = pas[s];
+        ++at;
+      }
+    }
+  }
+  assert(at == fold_active_.size());
 }
 
 SingleActiveSplit::SingleActiveSplit(int num_colors, int parent_size)
@@ -112,12 +183,37 @@ SingleActiveSplit::SingleActiveSplit(int num_colors, int parent_size)
     assert(filled == per_color_);
   }
 
-  // Parallel SoA arrays mirroring `table_` (same per-color order).
-  soa_passive_.resize(table_.size());
-  soa_parent_.resize(table_.size());
-  for (std::size_t i = 0; i < table_.size(); ++i) {
-    soa_passive_[i] = table_[i].passive;
-    soa_parent_[i] = table_[i].parent;
+  // Rooted pair lists: every S ⊇ {root, other}, in colex order.
+  per_pair_ = num_colorsets(k_ - 2, h_ - 2);
+  const RootedColorsets parents(k_, h_);
+  const RootedColorsets rests(k_, h_ - 1);
+  const std::size_t pairs_total =
+      static_cast<std::size_t>(k_) * k_ * per_pair_;
+  pair_parent_.resize(pairs_total);
+  pair_passive_.resize(pairs_total);
+  pair_active_.resize(pairs_total);
+  for (int root = 0; root < k_; ++root) {
+    for (int other = 0; other < k_; ++other) {
+      if (other == root) continue;
+      const std::size_t base =
+          (static_cast<std::size_t>(root) * k_ + other) * per_pair_;
+      std::size_t filled = 0;
+      // entries(root) walks the parents containing root in colex order
+      // with passive = S∖{root}.
+      for (const Entry& entry : entries(root)) {
+        const ColorsetIndex pas_slot = rests.slot(other, entry.passive);
+        if (pas_slot == kNoRootedSlot) continue;
+        const ColorsetIndex without_other =
+            table_[static_cast<std::size_t>(other) * per_color_ +
+                   parents.slot(other, entry.parent)]
+                .passive;
+        pair_parent_[base + filled] = parents.slot(root, entry.parent);
+        pair_passive_[base + filled] = pas_slot;
+        pair_active_[base + filled] = rests.slot(root, without_other);
+        ++filled;
+      }
+      assert(filled == per_pair_);
+    }
   }
 }
 

@@ -17,19 +17,16 @@
 // (I_passive, I_parent) pairs over all parents containing c — exactly
 // the (k-1)/k work reduction the paper describes.
 //
-// Both tables additionally expose struct-of-arrays views for the DP's
-// vectorized kernels: parallel flat index arrays instead of an
-// array-of-structs.  The general table provides two orders — the
-// parent-major pairs as two contiguous arrays (all_*; a kernel holding
-// both child rows computes each out[P] as a branchless dot-product
-// reduction over P's slice), and the same pairs grouped by *active*
-// index (group_*), which lets a kernel hoist the nonzero active-side
-// values of a vertex by scanning only the C(k,a) active indices
-// instead of all C(k,h)·C(h,a) slots; within one group passives
-// ascend (monotone gather) and parents are distinct (parent = active
-// ∪ passive), so the per-group scatter is conflict-free.  The
-// per-parent AoS view stays for the reference kernels and the
-// mixed-template engine.
+// DP rows are color-rooted (comb/colorset.hpp): the row of vertex v
+// stores only the C(k-1, h-1) colorsets containing v's color, so the
+// kernels' index lists are keyed by the colors of the rows they join
+// and address rooted slots directly — no kernel reads or writes a
+// structural zero.  SingleActiveSplit carries the lists for stages with
+// a single-vertex child, keyed by the (v, neighbor) color pair;
+// RootedSplit carries the general (a > 1, p > 1) lists.  The global
+// per-parent views (SplitTable, SingleActiveSplit::entries) stay for
+// the reference kernels and the mixed-template engine, which address
+// rows by global colorset index.
 
 #include <cstdint>
 #include <span>
@@ -67,66 +64,104 @@ class SplitTable {
     return {passive_.data() + static_cast<std::size_t>(parent) * per_parent_, per_parent_};
   }
 
-  // ---- parent-major SoA view (vectorized kernels) -----------------------
-  // All num_parents * splits_per_parent (active, passive) pairs as two
-  // parallel arrays; parent P owns the slice [P*splits_per_parent,
-  // (P+1)*splits_per_parent).  A kernel that has both child rows in
-  // hand computes out[P] as a branchless dot-product reduction over
-  // P's slice — sequential index reads, no scatter (zero active values
-  // contribute exact zero terms, so no filtering is needed).
-
-  [[nodiscard]] std::size_t flat_size() const noexcept {
-    return active_.size();
-  }
-  [[nodiscard]] std::span<const ColorsetIndex> all_actives() const noexcept {
-    return active_;
-  }
-  [[nodiscard]] std::span<const ColorsetIndex> all_passives() const noexcept {
-    return passive_;
-  }
-
-  // ---- active-grouped SoA view (vectorized kernels) ---------------------
-  // The same (parent, passive) pairs grouped by active index, each
-  // group sorted by passive.  Every active index owns exactly
-  // C(k-a, h-a) pairs (the passive sets disjoint from it), so groups
-  // are spans of one fixed width in two parallel arrays.
-
-  /// Number of active-child colorsets: C(k, a).
-  [[nodiscard]] std::uint32_t num_actives() const noexcept {
-    return num_actives_;
-  }
-  /// Pairs per active group: C(k-a, h-a).
-  [[nodiscard]] std::uint32_t per_active() const noexcept {
-    return per_active_;
-  }
-  [[nodiscard]] std::span<const ColorsetIndex> group_parents(
-      ColorsetIndex active) const noexcept {
-    return {group_parent_.data() +
-                static_cast<std::size_t>(active) * per_active_,
-            per_active_};
-  }
-  [[nodiscard]] std::span<const ColorsetIndex> group_passives(
-      ColorsetIndex active) const noexcept {
-    return {group_passive_.data() +
-                static_cast<std::size_t>(active) * per_active_,
-            per_active_};
-  }
-
   /// Logical bytes held by the flat arrays (for memory reports).
   [[nodiscard]] std::size_t bytes() const noexcept {
-    return (active_.size() + passive_.size() + group_parent_.size() +
-            group_passive_.size()) *
-           sizeof(ColorsetIndex);
+    return (active_.size() + passive_.size()) * sizeof(ColorsetIndex);
   }
 
  private:
   int k_, h_, a_;
   std::uint32_t num_parents_, per_parent_;
-  std::uint32_t num_actives_ = 0, per_active_ = 0;
   std::vector<ColorsetIndex> active_;
   std::vector<ColorsetIndex> passive_;
+};
+
+/// Color-rooted lists for a general (h -> a + p) stage, a >= 1: every
+/// index is a rooted slot (or, in the fold view, a global passive
+/// index), so a kernel touches only colorsets containing the colors of
+/// the rows it joins.
+class RootedSplit {
+ public:
+  RootedSplit(int num_colors, int parent_size, int active_size);
+
+  [[nodiscard]] int num_colors() const noexcept { return k_; }
+  [[nodiscard]] int parent_size() const noexcept { return h_; }
+  [[nodiscard]] int active_size() const noexcept { return a_; }
+
+  /// Rooted parent slots (the output row width): C(k-1, h-1).
+  [[nodiscard]] std::uint32_t num_parents() const noexcept {
+    return num_parents_;
+  }
+  /// Rooted active slots (the active row width): C(k-1, a-1).
+  [[nodiscard]] std::uint32_t num_actives() const noexcept {
+    return num_actives_;
+  }
+
+  // ---- direct view: one group per (root, other, active slot) -----------
+  // For a vertex of color `root` whose active row holds rooted slot
+  // `active` (set A ∋ root), and a neighbor of color `other`, the group
+  // lists every split of a parent S = A ∪ P with P ∋ other: the parent's
+  // slot rooted at `root` and P's slot rooted at `other`.  Passives
+  // ascend (monotone gather) and parents are distinct (conflict-free
+  // scatter).  The group is empty when A ∋ other or other == root.
+
+  [[nodiscard]] std::span<const ColorsetIndex> group_parents(
+      int root, int other, ColorsetIndex active) const noexcept {
+    const std::uint32_t* off = group_offsets(root, other) + active;
+    return {group_parent_.data() + off[0], off[1] - off[0]};
+  }
+  [[nodiscard]] std::span<const ColorsetIndex> group_passives(
+      int root, int other, ColorsetIndex active) const noexcept {
+    const std::uint32_t* off = group_offsets(root, other) + active;
+    return {group_passive_.data() + off[0], off[1] - off[0]};
+  }
+
+  // ---- fold view: parent-major per root color --------------------------
+  // Rooted parent slot P of `root` owns the slice [P*splits_per_parent,
+  // (P+1)*splits_per_parent) of two parallel arrays: the active child's
+  // rooted slot and the passive child's GLOBAL index, for the splits
+  // whose active side contains `root`, in SplitTable's per-parent
+  // order.  A kernel that has summed its neighbors' passive rows into
+  // one globally indexed row computes out[P] as a dot product over the
+  // slice.
+
+  /// Splits per rooted parent: C(h-1, a-1).
+  [[nodiscard]] std::uint32_t splits_per_parent() const noexcept {
+    return per_parent_;
+  }
+  [[nodiscard]] std::span<const ColorsetIndex> fold_actives(int root)
+      const noexcept {
+    return {fold_active_.data() + static_cast<std::size_t>(root) * fold_size_,
+            fold_size_};
+  }
+  [[nodiscard]] std::span<const ColorsetIndex> fold_passives(int root)
+      const noexcept {
+    return {fold_passive_.data() + static_cast<std::size_t>(root) * fold_size_,
+            fold_size_};
+  }
+
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return (group_offset_.size() + group_parent_.size() +
+            group_passive_.size() + fold_active_.size() +
+            fold_passive_.size()) *
+           sizeof(ColorsetIndex);
+  }
+
+ private:
+  [[nodiscard]] const std::uint32_t* group_offsets(int root, int other)
+      const noexcept {
+    return group_offset_.data() +
+           (static_cast<std::size_t>(root) * k_ + other) * (num_actives_ + 1);
+  }
+
+  int k_, h_, a_;
+  std::uint32_t num_parents_, num_actives_, per_parent_;
+  std::size_t fold_size_;
+  std::vector<std::uint32_t> group_offset_;  ///< [root][other][active + 1]
   std::vector<ColorsetIndex> group_parent_;
   std::vector<ColorsetIndex> group_passive_;
+  std::vector<ColorsetIndex> fold_active_;
+  std::vector<ColorsetIndex> fold_passive_;
 };
 
 /// Specialized split table for active children of size 1.
@@ -141,41 +176,66 @@ class SingleActiveSplit {
 
   [[nodiscard]] int parent_size() const noexcept { return h_; }
 
-  /// All (passive, parent) pairs whose parent colorset contains `color`.
-  /// Length is C(k-1, h-1) for every color; passive indices ascend
-  /// (colex enumeration matches combinadic index order), so a kernel
-  /// walking the list reads the passive child's row monotonically.
+  /// All (passive, parent) pairs whose parent colorset contains `color`,
+  /// as GLOBAL indices (the reference kernels' view).  Length is
+  /// C(k-1, h-1) for every color; passive indices ascend.
   [[nodiscard]] std::span<const Entry> entries(int color) const noexcept {
     return {table_.data() + static_cast<std::size_t>(color) * per_color_, per_color_};
   }
 
-  // ---- SoA view (vectorized kernels) ------------------------------------
-  // The same entries as two parallel index arrays: within one color all
-  // parents are distinct, so a kernel may scatter into row[parent[s]]
-  // with no intra-list conflicts (safe under `omp simd`).
+  // ---- rooted pair lists (vectorized kernels) ---------------------------
+  // For an ordered color pair (root, other), root != other, the lists
+  // run over the parent sets S ⊇ {root, other} in colex order —
+  // C(k-2, h-2) of them — as three parallel arrays of rooted slots:
+  //   parents  — S rooted at `root` (the output row's slot);
+  //   passives — S∖{root} rooted at `other`: the single-active kernel's
+  //              slot in the passive row of a neighbor colored `other`;
+  //   actives  — S∖{other} rooted at `root`: the single-passive
+  //              kernel's slot in the active row of a vertex colored
+  //              `root` whose neighbor is colored `other`.
+  // Parents are distinct (conflict-free scatter under `omp simd`) and
+  // passives and actives ascend (monotone gathers).  Empty when
+  // root == other: such a neighbor cannot extend a colorful embedding.
 
-  [[nodiscard]] std::span<const ColorsetIndex> passives(int color)
+  /// Entries per color pair: C(k-2, h-2).
+  [[nodiscard]] std::uint32_t per_pair() const noexcept { return per_pair_; }
+
+  [[nodiscard]] std::span<const ColorsetIndex> parents(int root, int other)
       const noexcept {
-    return {soa_passive_.data() + static_cast<std::size_t>(color) * per_color_,
-            per_color_};
+    return pair_span(pair_parent_, root, other);
   }
-  [[nodiscard]] std::span<const ColorsetIndex> parents(int color)
+  [[nodiscard]] std::span<const ColorsetIndex> passives(int root, int other)
       const noexcept {
-    return {soa_parent_.data() + static_cast<std::size_t>(color) * per_color_,
-            per_color_};
+    return pair_span(pair_passive_, root, other);
+  }
+  [[nodiscard]] std::span<const ColorsetIndex> actives(int root, int other)
+      const noexcept {
+    return pair_span(pair_active_, root, other);
   }
 
   [[nodiscard]] std::size_t bytes() const noexcept {
     return table_.size() * sizeof(Entry) +
-           (soa_passive_.size() + soa_parent_.size()) * sizeof(ColorsetIndex);
+           (pair_parent_.size() + pair_passive_.size() +
+            pair_active_.size()) *
+               sizeof(ColorsetIndex);
   }
 
  private:
+  [[nodiscard]] std::span<const ColorsetIndex> pair_span(
+      const std::vector<ColorsetIndex>& list, int root,
+      int other) const noexcept {
+    if (root == other) return {};
+    return {list.data() +
+                (static_cast<std::size_t>(root) * k_ + other) * per_pair_,
+            per_pair_};
+  }
+
   int k_, h_;
-  std::uint32_t per_color_;
+  std::uint32_t per_color_, per_pair_;
   std::vector<Entry> table_;
-  std::vector<ColorsetIndex> soa_passive_;
-  std::vector<ColorsetIndex> soa_parent_;
+  std::vector<ColorsetIndex> pair_parent_;   ///< [root][other][entry]
+  std::vector<ColorsetIndex> pair_passive_;
+  std::vector<ColorsetIndex> pair_active_;
 };
 
 }  // namespace fascia

@@ -8,15 +8,23 @@
 // schedule (≤ ~4 live at once, §III-C), except in keep_tables mode
 // used by the embedding extractor.
 //
+// Rows are color-rooted (comb/colorset.hpp, DESIGN.md §8): row v of a
+// size-h table counts embeddings whose root maps to v, so only the
+// C(k-1, h-1) colorsets containing color(v) can be nonzero, and those
+// are all the row stores.  Every kernel's index lists are keyed by the
+// colors of the rows it joins (comb/split_table.hpp) and address
+// rooted slots directly.
+//
 // Kernel selection per non-leaf subtemplate S (size h, active child
 // size a, passive size p = h - a):
 //   * h == 2          — both children are single vertices: counts come
 //                       straight from the two endpoint colors.
-//   * a == 1          — the paper's one-at-a-time fast path: only the
-//                       C(k-1, h-1) colorsets containing color(v) are
-//                       touched (§III-D).
+//   * a == 1          — the paper's one-at-a-time fast path: each
+//                       neighbor u adds its passive row through the
+//                       (color(v), color(u)) list of C(k-2, h-2)
+//                       rooted slot pairs (§III-D).
 //   * p == 1          — mirrored fast path keyed by the neighbor color.
-//   * otherwise       — general split-table kernel (Alg. 2 lines 7-15).
+//   * otherwise       — general split kernel (Alg. 2 lines 7-15).
 //
 // The default kernels are the *vectorizable* rebuild (DESIGN.md §8):
 //
@@ -25,18 +33,18 @@
 //     parent stage iterates only its active child's surviving vertices
 //     (leaf-rooted stages intersect with the per-label vertex lists)
 //     instead of scanning all n and probing has_vertex per vertex.
-//   * SoA split layout + row borrowing — hoisted active entries live
-//     in parallel parent/passive/value arrays sorted by passive index,
-//     and the inner multiply-accumulate runs over contiguous rows
-//     borrowed from the tables (Table::row_ptr) under `omp simd`, with
-//     no per-element pointer chase.
+//   * SoA split layout + row borrowing — index lists are parallel
+//     arrays, and the inner multiply-accumulate runs over contiguous
+//     rows borrowed from the tables (Table::row_ptr) under `omp simd`,
+//     with no per-element pointer chase.
 //
 // The pre-frontier scalar kernels are retained behind
-// DpEngineOptions::reference_kernels; both paths produce identical
-// estimates (all DP values are exact integer counts in doubles, so
-// the reassociated sums match bit for bit while counts stay below
-// 2^53), which tests/test_counter.cpp pins down and bench/micro_dp
-// measures.
+// DpEngineOptions::reference_kernels: they walk the global split
+// tables and reach the rooted rows through RootedColorsets.  Both
+// paths produce identical estimates (all DP values are exact integer
+// counts in doubles, so the reassociated sums match bit for bit while
+// counts stay below 2^53), which tests/test_counter.cpp pins down and
+// bench/micro_dp measures.
 
 #include <algorithm>
 #include <array>
@@ -312,17 +320,16 @@ inline int next_spill_tag() noexcept {
 
 /// Tables without contiguous rows that can still reconstruct a dense
 /// row from their packed nonzeros (succinct).  The kernels' sequential
-/// read patterns decode or accumulate whole rows in O(nnz) instead of
-/// paying a rank or binary search per get() probe.
+/// read patterns decode whole rows in O(nnz) instead of paying a rank
+/// or binary search per get() probe.
 template <class T>
 concept DecodableRowTable = requires(const T& t, double* out) {
   t.decode_row(VertexId{0}, out);
-  t.add_row_into(VertexId{0}, out);
 };
 
 /// Tables that can also enumerate a row's stored nonzeros in ascending
-/// slot order.  Kernels with slot-sorted split lists merge-join
-/// against the enumeration — O(nnz + m) per row, no dense decode.
+/// slot order.  The general kernel's fold scatters them into its
+/// globally indexed partial-sum row — O(nnz) per row, no dense decode.
 template <class T>
 concept SparseRowTable = requires(const T& t) {
   t.for_each_nonzero(VertexId{0}, [](ColorsetIndex, double) {});
@@ -355,6 +362,7 @@ class DpEngine {
         consumers_[static_cast<std::size_t>(node.passive)].push_back(i);
       }
     }
+    rooted_.resize(static_cast<std::size_t>(k_) + 1);
     single_splits_.resize(static_cast<std::size_t>(k_) + 1);
     node_single_.assign(static_cast<std::size_t>(num_nodes), nullptr);
     node_general_.assign(static_cast<std::size_t>(num_nodes), nullptr);
@@ -364,8 +372,13 @@ class DpEngine {
       if (node.is_leaf()) continue;
       const int h = node.size();
       const int a = partition_.node(node.active).size();
-      if (a == 1 || h - a == 1) {
-        if (h >= 2 && !single_splits_[static_cast<std::size_t>(h)]) {
+      for (const int size : {h, a, h - a}) {
+        if (size >= 2 && !rooted_[static_cast<std::size_t>(size)]) {
+          rooted_[static_cast<std::size_t>(size)].emplace(k_, size);
+        }
+      }
+      if (h > 2 && (a == 1 || h - a == 1)) {
+        if (!single_splits_[static_cast<std::size_t>(h)]) {
           single_splits_[static_cast<std::size_t>(h)].emplace(k_, h);
         }
         node_single_[static_cast<std::size_t>(i)] =
@@ -376,29 +389,18 @@ class DpEngine {
             general_splits_.try_emplace(std::make_pair(h, a), k_, h, a);
         (void)inserted;
         node_general_[static_cast<std::size_t>(i)] = &it->second;
-        // Nonzero active-row entries per vertex: only colorsets
-        // containing color(v) can be nonzero, so at most C(k-1, a-1)
-        // of the C(k, a) groups survive the hoist — and the MAC pairs
-        // they own number C(k-1,a-1)·C(k-a,h-a) = C(k-1,h-1)·C(h-1,a-1),
-        // the per-vertex work bound of §III-D.  Reserved once per
-        // thread; no per-vertex reallocation.
+        if (opts_.reference_kernels) {
+          global_splits_.try_emplace(std::make_pair(h, a), k_, h, a);
+        }
+        // Nonzero active-row entries per vertex: the rooted active row
+        // holds C(k-1, a-1) slots, so at most that many survive the
+        // hoist.  Reserved once per thread; no per-vertex reallocation.
         node_active_bound_[static_cast<std::size_t>(i)] =
             static_cast<std::size_t>(choose(k_ - 1, a - 1));
       }
     }
     if (graph_.has_labels() && opts_.label_frontiers == nullptr) {
       opts_.label_frontiers = LabelFrontiers::build(graph_);
-    }
-    // Pair-index matrix for the h == 2 kernel: index of {c1, c2}.
-    pair_index_.assign(static_cast<std::size_t>(k_) * k_, 0);
-    for (int c1 = 0; c1 < k_; ++c1) {
-      for (int c2 = 0; c2 < k_; ++c2) {
-        if (c1 == c2) continue;
-        const int lo = std::min(c1, c2), hi = std::max(c1, c2);
-        const std::array<int, 2> colors = {lo, hi};
-        pair_index_[static_cast<std::size_t>(c1) * k_ + c2] =
-            colorset_index(colors);
-      }
     }
   }
 
@@ -522,6 +524,15 @@ class DpEngine {
   /// run(..., keep_tables = true).
   [[nodiscard]] const Table* table(int node) const noexcept {
     return tables_[static_cast<std::size_t>(node)].get();
+  }
+
+  /// The global-index <-> rooted-slot translation for size-`size`
+  /// tables (size >= 2 and the size of some non-leaf node or child).
+  /// Callers that address a table's rows by global colorset — the
+  /// embedding extractor — go through it.
+  [[nodiscard]] const RootedColorsets& rooted_colorsets(int size)
+      const noexcept {
+    return *rooted_[static_cast<std::size_t>(size)];
   }
 
   /// Nonzero-vertex list of a computed node's table (empty for leaves,
@@ -901,7 +912,7 @@ class DpEngine {
   void compute_node(int index, const ColorArray& colors, bool parallel) {
     const Subtemplate& node = partition_.node(index);
     const int h = node.size();
-    const auto num_sets = num_colorsets(k_, h);
+    const auto num_sets = num_rooted_colorsets(k_, h);
     // First-touch: zero the table with the same thread partition the
     // parallel sweep below uses (count_table.hpp TableInit).
     const TableInit init{parallel ? effective_inner_threads() : 1};
@@ -1140,69 +1151,54 @@ class DpEngine {
     stat.macs += ws.macs;
   }
 
-  /// Zeroes ps[0..width) and adds into it the passive row of every
-  /// neighbor in nbr[0..deg) that has one, in CSR order; returns how
-  /// many did.  Borrowed rows are added four at a time as
-  /// (((ps + r0) + r1) + r2) + r3 over the present rows, the remainder
-  /// one row at a time: every entry sees the same additions in the
-  /// same order as a one-row-at-a-time fold (and as the reference
-  /// kernels), so sums stay bit-identical even past 2^53, while four
-  /// row streams are in flight at once.  Decodable rows add only their
-  /// stored nonzeros; hash rows are probed per colorset.
-  [[nodiscard]] std::size_t fold_neighbor_rows(const Table& tp,
-                                               const VertexId* nbr,
-                                               std::size_t deg,
-                                               std::uint32_t width,
-                                               double* ps) const noexcept {
+  /// Zeroes ps[0..width) — a globally indexed passive row — and adds
+  /// into it the passive row of every neighbor in nbr[0..deg) that has
+  /// one, in CSR order; returns how many did.  Each neighbor's row is
+  /// rooted at its own color, so its slots scatter through that color's
+  /// expansion (distinct targets: conflict-free under `omp simd`).
+  /// Every entry sees the same additions in the same order as a
+  /// one-row-at-a-time fold of full-width rows, minus the structural
+  /// zeros, so sums stay bit-identical even past 2^53.  Sparse rows add
+  /// only their stored nonzeros; hash rows are probed per slot.
+  [[nodiscard]] std::size_t fold_neighbor_rows(
+      const Table& tp, const RootedColorsets& sets, const ColorArray& colors,
+      const VertexId* nbr, std::size_t deg, std::uint32_t width,
+      double* ps) const noexcept {
     std::fill(ps, ps + width, 0.0);
+    const std::uint32_t row_width = sets.width();
     std::size_t nu = 0;
-    if constexpr (Table::kContiguousRows) {
-      const double* held[4];
-      std::size_t num_held = 0;
-      for (std::size_t j = 0; j < deg; ++j) {
+    for (std::size_t j = 0; j < deg; ++j) {
+      if constexpr (Table::kContiguousRows) {
         if (j + kPrefetchSlotAhead < deg) {
           tp.prefetch_slot(nbr[j + kPrefetchSlotAhead]);
         }
         if (j + kPrefetchRowAhead < deg) {
           tp.prefetch_row(nbr[j + kPrefetchRowAhead]);
         }
-        const double* prow = tp.row_ptr(nbr[j]);
+      }
+      const VertexId u = nbr[j];
+      const ColorsetIndex* to =
+          sets.globals(colors[static_cast<std::size_t>(u)]).data();
+      if constexpr (Table::kContiguousRows) {
+        const double* prow = tp.row_ptr(u);
         if (prow == nullptr) continue;
-        held[num_held++] = prow;
-        if (num_held < 4) continue;
-        num_held = 0;
-        nu += 4;
-        const double* r0 = held[0];
-        const double* r1 = held[1];
-        const double* r2 = held[2];
-        const double* r3 = held[3];
+        ++nu;
 #ifdef _OPENMP
 #pragma omp simd
 #endif
-        for (std::uint32_t c = 0; c < width; ++c) {
-          ps[c] = (((ps[c] + r0[c]) + r1[c]) + r2[c]) + r3[c];
+        for (std::uint32_t c = 0; c < row_width; ++c) {
+          ps[to[c]] += prow[c];
         }
-      }
-      for (std::size_t i = 0; i < num_held; ++i) {
-        const double* prow = held[i];
-#ifdef _OPENMP
-#pragma omp simd
-#endif
-        for (std::uint32_t c = 0; c < width; ++c) {
-          ps[c] += prow[c];
-        }
-      }
-      nu += num_held;
-    } else {
-      for (std::size_t j = 0; j < deg; ++j) {
-        const VertexId u = nbr[j];
+      } else {
         if (!tp.has_vertex(u)) continue;
         ++nu;
-        if constexpr (DecodableRowTable<Table>) {
-          tp.add_row_into(u, ps);
+        if constexpr (SparseRowTable<Table>) {
+          tp.for_each_nonzero(u, [&](ColorsetIndex slot, double value) {
+            ps[to[slot]] += value;
+          });
         } else {
-          for (std::uint32_t c = 0; c < width; ++c) {
-            ps[c] += tp.get(u, c);
+          for (std::uint32_t c = 0; c < row_width; ++c) {
+            ps[to[c]] += tp.get(u, c);
           }
         }
       }
@@ -1211,11 +1207,14 @@ class DpEngine {
   }
 
   // ---- vectorized kernels (the default path) ----------------------------
-  // Each iterates the stage's frontier, fills a thread-private row of
-  // C(k,h) counts for vertex v over borrowed contiguous child rows,
-  // and commits it when nonzero.  All accumulations reassociate sums
-  // of exact integer counts, so results match the reference kernels
-  // bit for bit (header comment).
+  // Each iterates the stage's frontier, fills a thread-private rooted
+  // row of C(k-1, h-1) counts for vertex v over borrowed contiguous
+  // child rows, and commits it when nonzero.  All accumulations
+  // reassociate sums of exact integer counts, so results match the
+  // reference kernels bit for bit (header comment).  MAC tallies keep
+  // their global-colorset definitions (C(k-1, h-1) per single-vertex
+  // split, full-width passive rows and split tables in the general
+  // fold), so they compare across layouts and releases.
 
   void kernel_pair(Table& out, const Subtemplate& node,
                    const ColorArray& colors, bool parallel,
@@ -1233,24 +1232,24 @@ class DpEngine {
           if (check_active && !leaf_matches(active, v)) return false;
           const int cv = colors[static_cast<std::size_t>(v)];
           // Fold the neighbor walk into per-color counts first: the
-          // row scatter then costs k adds instead of deg(v).
+          // row then costs k writes instead of deg(v) adds.
           auto& cnt = ws.psum;
           std::fill(cnt.begin(), cnt.end(), 0.0);
           for (VertexId u : graph_.neighbors(v)) {
             if (!leaf_matches(passive, u)) continue;
             cnt[colors[static_cast<std::size_t>(u)]] += 1.0;
           }
-          auto& row = ws.row;
-          std::fill(row.begin(), row.end(), 0.0);
+          // The row rooted at cv: {cv, c} sits in slot c - [c > cv].
+          double* r = ws.row.data();
           bool any = false;
           for (int c = 0; c < k_; ++c) {
-            if (c == cv || cnt[static_cast<std::size_t>(c)] == 0.0) continue;
-            row[pair_index_[static_cast<std::size_t>(cv) * k_ + c]] +=
-                cnt[static_cast<std::size_t>(c)];
-            any = true;
+            if (c == cv) continue;
+            const double count = cnt[static_cast<std::size_t>(c)];
+            r[c - (c > cv ? 1 : 0)] = count;
+            any = any || count != 0.0;
           }
           if (!any) return false;
-          out.commit_row(v, row);
+          out.commit_row(v, ws.row);
           ws.macs += graph_.neighbors(v).size() + static_cast<std::size_t>(k_);
           return true;
         });
@@ -1268,31 +1267,18 @@ class DpEngine {
         delta_restrict_ != nullptr ? delta_restrict_ : leaf_frontier(active);
     const bool check_active =
         delta_restrict_ != nullptr || candidates == nullptr;
-    const std::uint32_t passive_width = tp.num_colorsets();
-    // Every color's split list has C(k-1, h-1) entries.
-    const std::size_t m = split.passives(0).size();
-    // Fold the neighbor rows into one partial-sum row and apply color
-    // c(v)'s split list once per vertex (DESIGN.md §8), instead of m
-    // indexed scatter-adds per neighbor.  Borrowed rows fold while a
-    // row holds at most 4x the split list's entries: per stage, the
-    // fold measured faster up to W = 4m and slower from W = 5m on
-    // (DESIGN.md §8).  Decodable rows always fold (add_row_into
-    // touches only the nonzeros); hash rows keep the direct per-entry
-    // probes.
-    bool fold_neighbors;
-    if constexpr (Table::kContiguousRows) {
-      fold_neighbors = passive_width <= 4 * m;
-    } else {
-      fold_neighbors = DecodableRowTable<Table>;
-    }
+    const std::size_t m = split.per_pair();
+    const auto macs_per_row =
+        static_cast<std::size_t>(choose(k_ - 1, node.size() - 1));
+    // The color-keyed direct walk (DESIGN.md §8): each neighbor u adds
+    // its passive row through the (c(v), c(u)) list, so every output
+    // entry adds its neighbors' contributions in CSR order.
     for_frontier(
         parallel, {candidates, graph_.num_vertices()}, out.num_colorsets(),
-        fold_neighbors ? passive_width : 0, 0, frontier_out, stat,
-        [&](VertexId v, Workspace& ws) {
+        DecodableRowTable<Table> ? tp.num_colorsets() : 0, 0, frontier_out,
+        stat, [&](VertexId v, Workspace& ws) {
           if (check_active && !leaf_matches(active, v)) return false;
           const int cv = colors[static_cast<std::size_t>(v)];
-          const ColorsetIndex* pas = split.passives(cv).data();
-          const ColorsetIndex* par = split.parents(cv).data();
           auto& row = ws.row;
           std::fill(row.begin(), row.end(), 0.0);
           double* r = row.data();
@@ -1300,56 +1286,56 @@ class DpEngine {
           const VertexId* nbr = neighbors.data();
           const std::size_t deg = neighbors.size();
           std::size_t nu = 0;
-          if (fold_neighbors) {
-            double* ps = ws.psum.data();
-            nu = fold_neighbor_rows(tp, nbr, deg, passive_width, ps);
-            if (nu == 0) return false;
-            // Parents within one color are all distinct, so this is a
-            // conflict-free scatter of each parent's finished sum.
+          for (std::size_t j = 0; j < deg; ++j) {
+            if constexpr (Table::kContiguousRows) {
+              if (j + kPrefetchSlotAhead < deg) {
+                tp.prefetch_slot(nbr[j + kPrefetchSlotAhead]);
+              }
+              if (j + kPrefetchRowAhead < deg) {
+                tp.prefetch_row(nbr[j + kPrefetchRowAhead]);
+              }
+            }
+            const VertexId u = nbr[j];
+            const double* prow = nullptr;
+            if constexpr (Table::kContiguousRows) {
+              prow = tp.row_ptr(u);
+              if (prow == nullptr) continue;
+            } else {
+              if (!tp.has_vertex(u)) continue;
+            }
+            ++nu;
+            // A neighbor sharing v's color extends no colorful
+            // embedding: its list is empty.
+            const int cu = colors[static_cast<std::size_t>(u)];
+            if (cu == cv) continue;
+            const ColorsetIndex* par = split.parents(cv, cu).data();
+            const ColorsetIndex* pas = split.passives(cv, cu).data();
+            if constexpr (DecodableRowTable<Table>) {
+              // One O(nnz) reconstruction into the psum scratch buys
+              // the contiguous gather below.
+              tp.decode_row(u, ws.psum.data());
+              prow = ws.psum.data();
+            }
+            if constexpr (Table::kContiguousRows ||
+                          DecodableRowTable<Table>) {
+              // Parents are distinct, so the scatter has no intra-loop
+              // conflicts; the passive reads are a monotone gather over
+              // one contiguous row.
 #ifdef _OPENMP
 #pragma omp simd
 #endif
-            for (std::size_t s = 0; s < m; ++s) {
-              r[par[s]] += ps[pas[s]];
-            }
-          } else {
-            for (std::size_t j = 0; j < deg; ++j) {
-              if constexpr (Table::kContiguousRows) {
-                if (j + kPrefetchSlotAhead < deg) {
-                  tp.prefetch_slot(nbr[j + kPrefetchSlotAhead]);
-                }
-                if (j + kPrefetchRowAhead < deg) {
-                  tp.prefetch_row(nbr[j + kPrefetchRowAhead]);
-                }
+              for (std::size_t s = 0; s < m; ++s) {
+                r[par[s]] += prow[pas[s]];
               }
-              const VertexId u = nbr[j];
-              if constexpr (Table::kContiguousRows) {
-                const double* prow = tp.row_ptr(u);
-                if (prow == nullptr) continue;
-                ++nu;
-                // Parents within one color are all distinct, so the
-                // scatter has no intra-loop conflicts; the passive
-                // reads are a monotone gather over one contiguous row.
-#ifdef _OPENMP
-#pragma omp simd
-#endif
-                for (std::size_t s = 0; s < m; ++s) {
-                  r[par[s]] += prow[pas[s]];
-                }
-              } else {
-                if (!tp.has_vertex(u)) continue;
-                ++nu;
-                for (std::size_t s = 0; s < m; ++s) {
-                  r[par[s]] += tp.get(u, pas[s]);
-                }
+            } else {
+              for (std::size_t s = 0; s < m; ++s) {
+                r[par[s]] += tp.get(u, pas[s]);
               }
             }
-            if (nu == 0) return false;
           }
+          if (nu == 0) return false;
           out.commit_row(v, row);
-          // Tallied as the direct path's work either way, so the MAC
-          // count does not depend on which path a stage took.
-          ws.macs += nu * m;
+          ws.macs += nu * macs_per_row;
           return true;
         });
   }
@@ -1366,6 +1352,9 @@ class DpEngine {
         delta_restrict_ != nullptr
             ? *delta_restrict_
             : frontiers_[static_cast<std::size_t>(node.active)];
+    const std::size_t m = split.per_pair();
+    const auto macs_per_color =
+        static_cast<std::size_t>(choose(k_ - 1, node.size() - 1));
     for_frontier(
         parallel, {&active_frontier, graph_.num_vertices()},
         out.num_colorsets(), static_cast<std::uint32_t>(k_), 0, frontier_out,
@@ -1379,9 +1368,8 @@ class DpEngine {
             if (!ta.has_vertex(v)) return false;
           }
           // Matching neighbors only contribute through their color, so
-          // count them per color and apply each color's split list
-          // once, scaled — deg(v)·C(k-1,h-1) adds become
-          // deg(v) + k·C(k-1,h-1).
+          // count them per color and apply each color's list once,
+          // scaled — deg(v)·C(k-2,h-2) adds become deg(v) + k·C(k-2,h-2).
           auto& cnt = ws.psum;
           std::fill(cnt.begin(), cnt.end(), 0.0);
           std::size_t nu = 0;
@@ -1399,36 +1387,33 @@ class DpEngine {
             arow = ta.row_ptr(v);
             if (arow == nullptr) return false;  // frontier guarantees rows
           } else if constexpr (DecodableRowTable<Table>) {
-            // v's row feeds every color's split list: reconstruct it
-            // once, then run the contiguous gather below.
+            // v's row feeds every color's list: reconstruct it once,
+            // then run the contiguous gather below.
             ws.gather.resize(ta.num_colorsets());
             ta.decode_row(v, ws.gather.data());
             arow = ws.gather.data();
           }
+          const int cv = colors[static_cast<std::size_t>(v)];
           for (int c = 0; c < k_; ++c) {
             const double scale = cnt[static_cast<std::size_t>(c)];
             if (scale == 0.0) continue;
-            const auto passives = split.passives(c);
-            const auto parents = split.parents(c);
-            const std::size_t m = passives.size();
-            const ColorsetIndex* pas = passives.data();
-            const ColorsetIndex* par = parents.data();
+            ws.macs += macs_per_color;
+            if (c == cv) continue;  // no colorful extension
+            const ColorsetIndex* act = split.actives(cv, c).data();
+            const ColorsetIndex* par = split.parents(cv, c).data();
             if constexpr (Table::kContiguousRows ||
                           DecodableRowTable<Table>) {
-              // entry.passive indexes the parent set minus the
-              // neighbor's color — exactly the active child's colorset.
 #ifdef _OPENMP
 #pragma omp simd
 #endif
               for (std::size_t s = 0; s < m; ++s) {
-                r[par[s]] += scale * arow[pas[s]];
+                r[par[s]] += scale * arow[act[s]];
               }
             } else {
               for (std::size_t s = 0; s < m; ++s) {
-                r[par[s]] += scale * ta.get(v, pas[s]);
+                r[par[s]] += scale * ta.get(v, act[s]);
               }
             }
-            ws.macs += m;
           }
           out.commit_row(v, row);
           ws.macs += graph_.neighbors(v).size();
@@ -1440,23 +1425,29 @@ class DpEngine {
                       const ColorArray& colors, bool parallel,
                       std::vector<VertexId>* frontier_out,
                       DpStageStats& stat) {
-    (void)colors;  // colors only matter at the leaves
     const Table& ta = *tables_[static_cast<std::size_t>(node.active)];
     const Table& tp = *tables_[static_cast<std::size_t>(node.passive)];
-    const SplitTable& split =
+    const RootedSplit& split =
         *node_general_[static_cast<std::size_t>(index)];
     const std::vector<VertexId>& active_frontier =
         delta_restrict_ != nullptr
             ? *delta_restrict_
             : frontiers_[static_cast<std::size_t>(node.active)];
+    const int h = node.size();
+    const int a = split.active_size();
+    const RootedColorsets& passive_sets =
+        *rooted_[static_cast<std::size_t>(h - a)];
     const std::uint32_t num_actives = split.num_actives();
-    const std::uint32_t per_active = split.per_active();
-    const std::uint32_t passive_width = tp.num_colorsets();
     const std::uint32_t num_parents = out.num_colorsets();
     const std::uint32_t per_parent = split.splits_per_parent();
-    const ColorsetIndex* all_act = split.all_actives().data();
-    const ColorsetIndex* all_pas = split.all_passives().data();
-    const std::size_t flat_size = split.flat_size();
+    // Global-colorset shape: the folded passive row is globally
+    // indexed, and the fold crossover and MAC tallies keep their
+    // full-width definitions.
+    const auto passive_width =
+        static_cast<std::uint32_t>(choose(k_, h - a));
+    const auto per_active = static_cast<std::size_t>(choose(k_ - a, h - a));
+    const auto flat_size =
+        static_cast<std::size_t>(choose(k_, h) * choose(h, a));
     const std::size_t active_bound =
         node_active_bound_[static_cast<std::size_t>(index)];
     for_frontier(
@@ -1464,12 +1455,11 @@ class DpEngine {
         num_parents, passive_width, active_bound, frontier_out, stat,
         [&](VertexId v, Workspace& ws) {
           // The active side depends only on v: hoist the nonzero
-          // colorsets of v's borrowed active row by scanning its
-          // C(k,a) entries (vs the C(k,h)·C(h,a) split slots the
-          // reference kernel probes).  Each survivor A owns a
-          // fixed-width (parent, passive) span in the active-grouped
-          // split arrays: passives ascend (monotone gather) and
-          // parents are distinct (conflict-free scatter).
+          // slots of v's borrowed active row by scanning its
+          // C(k-1,a-1) rooted slots.  Each survivor A owns one group
+          // per neighbor color in the rooted split lists: passives
+          // ascend (monotone gather) and parents are distinct
+          // (conflict-free scatter).
           const double* arow;
           if constexpr (Table::kContiguousRows) {
             arow = ta.row_ptr(v);
@@ -1495,6 +1485,7 @@ class DpEngine {
           }
           if (nz.empty()) return false;
           const std::size_t num_entries = nz.size() * per_active;
+          const int cv = colors[static_cast<std::size_t>(v)];
 
           auto& row = ws.row;
           std::fill(row.begin(), row.end(), 0.0);
@@ -1503,24 +1494,21 @@ class DpEngine {
           std::size_t nu = 0;
           // The hoisted active values are neighbor-independent, so
           // when the per-neighbor entry work outweighs one passive
-          // row, fold the neighbor rows into one partial-sum row
-          // first (contiguous simd adds for borrowed rows, one gather
-          // per colorset for hash tables), then apply the split once
-          // per vertex as a parent-major dot-product sweep:
-          // sequential index reads, no scatter, no branches.  Zero
-          // active values contribute exact zero terms (the DP values
-          // are integers in doubles), so the sweep needs no filtering
-          // and the committed sums are unchanged.  For borrowed rows
-          // the crossover weighs the direct path's scattered
-          // multiply-accumulates (~3x a contiguous add) against the
-          // fold adds plus the full sweep; hash rows pay a hashed
-          // probe per folded slot, so they fold only when that is
-          // strictly fewer probes than the direct path issues.
+          // row, fold the neighbor rows into one globally indexed
+          // partial-sum row first, then apply the split once per
+          // vertex as a parent-major dot-product sweep over v's rooted
+          // parents: sequential index reads, no scatter, no branches.
+          // Zero active values contribute exact zero terms (the DP
+          // values are integers in doubles), so the sweep needs no
+          // filtering and the committed sums are unchanged.  For
+          // borrowed rows the crossover weighs the direct path's
+          // scattered multiply-accumulates (~3x a contiguous add)
+          // against the fold adds plus the full sweep; hash rows pay a
+          // hashed probe per folded slot, so they fold only when that
+          // is strictly fewer probes than the direct path issues.
           const std::size_t deg = neighbors.size();
           bool fold_neighbors;
           if constexpr (Table::kContiguousRows || DecodableRowTable<Table>) {
-            // Decodable rows fold at contiguous cost: add_row_into
-            // touches only the stored nonzeros.
             fold_neighbors = deg >= 2 && 3 * deg * num_entries >=
                                              deg * passive_width +
                                                  2 * flat_size;
@@ -1530,10 +1518,11 @@ class DpEngine {
           const VertexId* nbr = neighbors.data();
           if (fold_neighbors) {
             double* ps = ws.psum.data();
-            nu = fold_neighbor_rows(tp, nbr, deg, passive_width, ps);
+            nu = fold_neighbor_rows(tp, passive_sets, colors, nbr, deg,
+                                    passive_width, ps);
             if (nu == 0) return false;
-            const ColorsetIndex* act = all_act;
-            const ColorsetIndex* pas = all_pas;
+            const ColorsetIndex* act = split.fold_actives(cv).data();
+            const ColorsetIndex* pas = split.fold_passives(cv).data();
             for (std::uint32_t parent = 0; parent < num_parents;
                  ++parent, act += per_parent, pas += per_parent) {
               double acc = 0.0;
@@ -1547,8 +1536,6 @@ class DpEngine {
             }
             ws.macs += nu * passive_width + flat_size;
           } else {
-            const ColorsetIndex* grp_par = split.group_parents(0).data();
-            const ColorsetIndex* grp_pas = split.group_passives(0).data();
             for (std::size_t j = 0; j < deg; ++j) {
               if constexpr (Table::kContiguousRows) {
                 if (j + kPrefetchSlotAhead < deg) {
@@ -1563,34 +1550,37 @@ class DpEngine {
               if constexpr (Table::kContiguousRows) {
                 prow = tp.row_ptr(u);
                 if (prow == nullptr) continue;
-              } else if constexpr (DecodableRowTable<Table>) {
+              } else {
                 if (!tp.has_vertex(u)) continue;
+              }
+              ++nu;
+              const int cu = colors[static_cast<std::size_t>(u)];
+              if (cu == cv) continue;  // every group is empty
+              if constexpr (DecodableRowTable<Table>) {
                 // One O(nnz) reconstruction into the (otherwise idle)
                 // psum scratch buys the contiguous gather below —
                 // cheaper than a packed probe per split entry.
                 tp.decode_row(u, ws.psum.data());
                 prow = ws.psum.data();
-              } else {
-                if (!tp.has_vertex(u)) continue;
               }
-              ++nu;
               for (const ColorsetIndex a_idx : nz) {
                 const double ca = arow[a_idx];
-                const std::size_t base =
-                    static_cast<std::size_t>(a_idx) * per_active;
-                const ColorsetIndex* gp = grp_par + base;
-                const ColorsetIndex* gpas = grp_pas + base;
+                const auto gp = split.group_parents(cv, cu, a_idx);
+                const ColorsetIndex* gpar = gp.data();
+                const ColorsetIndex* gpas =
+                    split.group_passives(cv, cu, a_idx).data();
+                const std::size_t width = gp.size();
                 if constexpr (Table::kContiguousRows ||
                               DecodableRowTable<Table>) {
 #ifdef _OPENMP
 #pragma omp simd
 #endif
-                  for (std::uint32_t s = 0; s < per_active; ++s) {
-                    r[gp[s]] += ca * prow[gpas[s]];
+                  for (std::size_t s = 0; s < width; ++s) {
+                    r[gpar[s]] += ca * prow[gpas[s]];
                   }
                 } else {
-                  for (std::uint32_t s = 0; s < per_active; ++s) {
-                    r[gp[s]] += ca * tp.get(u, gpas[s]);
+                  for (std::size_t s = 0; s < width; ++s) {
+                    r[gpar[s]] += ca * tp.get(u, gpas[s]);
                   }
                 }
               }
@@ -1604,16 +1594,28 @@ class DpEngine {
   }
 
   // ---- reference kernels (pre-frontier scalar path) ---------------------
-  // The seed implementation, kept verbatim behind
+  // The seed implementation, kept behind
   // DpEngineOptions::reference_kernels: full-n scans, per-element
-  // table.get() probes, AoS hoisted entries.  The bit-identity tests
-  // and bench/micro_dp's before/after numbers run against these.
+  // table.get() probes, AoS hoisted entries over the GLOBAL split
+  // tables.  Every row access translates its global colorset through
+  // value_at / RootedColorsets.  The bit-identity tests and
+  // bench/micro_dp's before/after numbers run against these.
+
+  /// Count of global colorset `global` in v's row of `table`, which is
+  /// rooted at `color`; 0 when the set does not contain the color.
+  [[nodiscard]] static double value_at(const Table& table,
+                                       const RootedColorsets& sets,
+                                       VertexId v, int color,
+                                       ColorsetIndex global) noexcept {
+    const ColorsetIndex slot = sets.slot(color, global);
+    return slot == kNoRootedSlot ? 0.0 : table.get(v, slot);
+  }
 
   struct ReferenceWorkspace {
     std::vector<double> row;
     struct ActiveEntry {
-      ColorsetIndex parent;
-      ColorsetIndex passive;
+      ColorsetIndex parent;  ///< rooted slot in v's output row
+      ColorsetIndex passive;  ///< global passive colorset
       double value;
     };
     std::vector<ActiveEntry> active_entries;
@@ -1644,6 +1646,7 @@ class DpEngine {
                              const ColorArray& colors, bool parallel) {
     const Subtemplate& active = partition_.node(node.active);
     const Subtemplate& passive = partition_.node(node.passive);
+    const RootedColorsets& out_sets = *rooted_[2];
     for_all_vertices_reference(
         parallel, out.num_colorsets(),
         [&](VertexId v, ReferenceWorkspace& ws) {
@@ -1655,7 +1658,9 @@ class DpEngine {
           for (VertexId u : graph_.neighbors(v)) {
             const int cu = colors[static_cast<std::size_t>(u)];
             if (cu == cv || !leaf_matches(passive, u)) continue;
-            row[pair_index_[static_cast<std::size_t>(cv) * k_ + cu]] += 1.0;
+            const std::array<int, 2> pair = {std::min(cv, cu),
+                                             std::max(cv, cu)};
+            row[out_sets.slot(cv, colorset_index(pair))] += 1.0;
             any = true;
           }
           if (any) out.commit_row(v, row);
@@ -1667,8 +1672,12 @@ class DpEngine {
                                       bool parallel) {
     const Subtemplate& active = partition_.node(node.active);
     const Table& tp = *tables_[static_cast<std::size_t>(node.passive)];
+    const int h = node.size();
     const SingleActiveSplit& split =
-        *single_splits_[static_cast<std::size_t>(node.size())];
+        *single_splits_[static_cast<std::size_t>(h)];
+    const RootedColorsets& out_sets = *rooted_[static_cast<std::size_t>(h)];
+    const RootedColorsets& pas_sets =
+        *rooted_[static_cast<std::size_t>(h - 1)];
     for_all_vertices_reference(
         parallel, out.num_colorsets(),
         [&](VertexId v, ReferenceWorkspace& ws) {
@@ -1681,8 +1690,10 @@ class DpEngine {
           for (VertexId u : graph_.neighbors(v)) {
             if (!tp.has_vertex(u)) continue;
             any = true;
+            const int cu = colors[static_cast<std::size_t>(u)];
             for (const auto& entry : entries) {
-              row[entry.parent] += tp.get(u, entry.passive);
+              row[out_sets.slot(cv, entry.parent)] +=
+                  value_at(tp, pas_sets, u, cu, entry.passive);
             }
           }
           if (any) out.commit_row(v, row);
@@ -1694,22 +1705,30 @@ class DpEngine {
                                        bool parallel) {
     const Subtemplate& passive = partition_.node(node.passive);
     const Table& ta = *tables_[static_cast<std::size_t>(node.active)];
+    const int h = node.size();
     const SingleActiveSplit& split =
-        *single_splits_[static_cast<std::size_t>(node.size())];
+        *single_splits_[static_cast<std::size_t>(h)];
+    const RootedColorsets& out_sets = *rooted_[static_cast<std::size_t>(h)];
+    const RootedColorsets& act_sets =
+        *rooted_[static_cast<std::size_t>(h - 1)];
     for_all_vertices_reference(
         parallel, out.num_colorsets(),
         [&](VertexId v, ReferenceWorkspace& ws) {
           if (!ta.has_vertex(v)) return;
           auto& row = ws.row;
           std::fill(row.begin(), row.end(), 0.0);
+          const int cv = colors[static_cast<std::size_t>(v)];
           bool any = false;
           for (VertexId u : graph_.neighbors(v)) {
             if (!leaf_matches(passive, u)) continue;
             const int cu = colors[static_cast<std::size_t>(u)];
             for (const auto& entry : split.entries(cu)) {
-              const double count = ta.get(v, entry.passive);
+              // A nonzero count means cv ∈ passive ⊂ parent: the
+              // parent has a slot in v's row.
+              const double count =
+                  value_at(ta, act_sets, v, cv, entry.passive);
               if (count != 0.0) {
-                row[entry.parent] += count;
+                row[out_sets.slot(cv, entry.parent)] += count;
                 any = true;
               }
             }
@@ -1720,27 +1739,34 @@ class DpEngine {
 
   void kernel_general_reference(Table& out, const Subtemplate& node,
                                 const ColorArray& colors, bool parallel) {
-    (void)colors;  // colors only matter at the leaves
     const Table& ta = *tables_[static_cast<std::size_t>(node.active)];
     const Table& tp = *tables_[static_cast<std::size_t>(node.passive)];
     const int h = node.size();
     const int a = partition_.node(node.active).size();
-    const SplitTable& split = general_splits_.at(std::make_pair(h, a));
-    const auto num_parents = out.num_colorsets();
+    const SplitTable& split = global_splits_.at(std::make_pair(h, a));
+    const RootedColorsets& out_sets = *rooted_[static_cast<std::size_t>(h)];
+    const RootedColorsets& act_sets = *rooted_[static_cast<std::size_t>(a)];
+    const RootedColorsets& pas_sets =
+        *rooted_[static_cast<std::size_t>(h - a)];
     for_all_vertices_reference(
-        parallel, num_parents,
+        parallel, out.num_colorsets(),
         [&](VertexId v, ReferenceWorkspace& ws) {
           if (!ta.has_vertex(v)) return;
+          const int cv = colors[static_cast<std::size_t>(v)];
           // The active side depends only on v: hoist its nonzero
           // (parent, passive, value) triples out of the neighbor loop.
+          // A nonzero active count means cv ∈ active ⊂ parent.
           auto& entries = ws.active_entries;
           entries.clear();
-          for (ColorsetIndex parent = 0; parent < num_parents; ++parent) {
+          for (ColorsetIndex parent = 0; parent < split.num_parents();
+               ++parent) {
             const auto act = split.active_indices(parent);
             const auto pas = split.passive_indices(parent);
             for (std::size_t s = 0; s < act.size(); ++s) {
-              const double ca = ta.get(v, act[s]);
-              if (ca != 0.0) entries.push_back({parent, pas[s], ca});
+              const double ca = value_at(ta, act_sets, v, cv, act[s]);
+              if (ca != 0.0) {
+                entries.push_back({out_sets.slot(cv, parent), pas[s], ca});
+              }
             }
           }
           if (entries.empty()) return;
@@ -1750,8 +1776,10 @@ class DpEngine {
           for (VertexId u : graph_.neighbors(v)) {
             if (!tp.has_vertex(u)) continue;
             any = true;
+            const int cu = colors[static_cast<std::size_t>(u)];
             for (const auto& entry : entries) {
-              row[entry.parent] += entry.value * tp.get(u, entry.passive);
+              row[entry.parent] +=
+                  entry.value * value_at(tp, pas_sets, u, cu, entry.passive);
             }
           }
           if (any) out.commit_row(v, row);
@@ -1770,14 +1798,17 @@ class DpEngine {
   const std::vector<VertexId>* delta_restrict_ = nullptr;
   std::vector<std::unique_ptr<Table>> tables_;
   std::vector<std::vector<VertexId>> frontiers_;
+  /// Global <-> rooted translation per table size (index = size).
+  std::vector<std::optional<RootedColorsets>> rooted_;
   std::vector<std::optional<SingleActiveSplit>> single_splits_;
-  std::map<std::pair<int, int>, SplitTable> general_splits_;
+  std::map<std::pair<int, int>, RootedSplit> general_splits_;
+  /// Global split tables, built for the reference kernels only.
+  std::map<std::pair<int, int>, SplitTable> global_splits_;
   /// Per-node split pointers resolved at construction — the kernels
   /// never hit the optional/map lookups on the hot path.
   std::vector<const SingleActiveSplit*> node_single_;
-  std::vector<const SplitTable*> node_general_;
+  std::vector<const RootedSplit*> node_general_;
   std::vector<std::size_t> node_active_bound_;
-  std::vector<ColorsetIndex> pair_index_;
   std::vector<DpStageStats> stats_;
   /// Per-thread scratch, persistent across stages and iterations.
   std::vector<Workspace> workspaces_;

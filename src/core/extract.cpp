@@ -162,7 +162,12 @@ class Walker {
       return 1.0;
     }
     const Table* table = engine_.table(index);
-    return table == nullptr ? 0.0 : table->get(v, cset);
+    if (table == nullptr) return 0.0;
+    // Rows are rooted at v's color: a set without it has no slot.
+    const ColorsetIndex slot = engine_.rooted_colorsets(node.size())
+                                   .slot(colors_[static_cast<std::size_t>(v)],
+                                         cset);
+    return slot == kNoRootedSlot ? 0.0 : table->get(v, slot);
   }
 
   DpEngine<Table>& engine_;
@@ -259,6 +264,8 @@ std::vector<Embedding> sample_embeddings(const Graph& graph,
     const int root = partition.root_node();
     const Table* root_table = engine.table(root);
     if (root_table == nullptr) break;  // size-1 template: no table
+    const RootedColorsets& root_sets =
+        engine.rooted_colorsets(partition.node(root).size());
     // Build the (v, cset) marginal once per coloring.
     std::vector<std::pair<VertexId, double>> vertex_weights;
     for (VertexId v = 0; v < graph.num_vertices(); ++v) {
@@ -275,18 +282,21 @@ std::vector<Embedding> sample_embeddings(const Graph& graph,
         }
         pick -= weight;
       }
-      // Then a colorset within v.
-      const auto num_sets = root_table->num_colorsets();
+      // Then a colorset within v (rows hold rooted slots; the walker
+      // takes global colorsets).
+      const auto num_slots = root_table->num_colorsets();
       double pick_set = rng.uniform() * root_table->vertex_total(v);
-      ColorsetIndex cset = 0;
-      for (ColorsetIndex c = 0; c < num_sets; ++c) {
+      ColorsetIndex slot = 0;
+      for (ColorsetIndex c = 0; c < num_slots; ++c) {
         const double w = root_table->get(v, c);
         if (pick_set < w) {
-          cset = c;
+          slot = c;
           break;
         }
         pick_set -= w;
       }
+      const ColorsetIndex cset = root_sets.global(
+          colors[static_cast<std::size_t>(v)], slot);
       Embedding embedding;
       embedding.vertices.assign(static_cast<std::size_t>(tmpl.size()), -1);
       walker.sample_node(root, v, cset, embedding.vertices, rng);
@@ -347,13 +357,16 @@ std::vector<Embedding> enumerate_embeddings(const Graph& graph,
     return out.size() < limit;
   };
 
+  const RootedColorsets& root_sets =
+      engine.rooted_colorsets(partition.node(root).size());
   bool keep_going = true;
   for (VertexId v = 0; v < graph.num_vertices() && keep_going; ++v) {
     if (!root_table->has_vertex(v)) continue;
+    const int cv = colors[static_cast<std::size_t>(v)];
     for (ColorsetIndex c = 0;
          c < root_table->num_colorsets() && keep_going; ++c) {
       if (root_table->get(v, c) == 0.0) continue;
-      std::vector<Walker::Frame> work = {{root, v, c}};
+      std::vector<Walker::Frame> work = {{root, v, root_sets.global(cv, c)}};
       keep_going = walker.expand(work, scratch, sink);
     }
   }

@@ -3,11 +3,13 @@
 //
 // One table instance stores, for a single subtemplate of size h, the
 // count of colorful embeddings rooted at each graph vertex for each
-// colorset (indexed combinadically; see comb/colorset.hpp).  FASCIA's
+// colorset containing that vertex's color: a row holds C(k-1, h-1)
+// color-rooted slots (comb/colorset.hpp), since every other colorset
+// is a structural zero.  The tables themselves only see a row width.  FASCIA's
 // key engineering contribution is abstracting this structure so the
 // layout can vary:
 //
-//   * NaiveTable   — dense n x C(k,h) array, everything initialized
+//   * NaiveTable   — dense n x width array, everything initialized
 //                    (the paper's baseline in Figs. 6-7).
 //   * CompactTable — per-vertex rows allocated lazily on first commit;
 //                    uninitialized vertices answer has_vertex() false,

@@ -1,5 +1,6 @@
 #pragma once
-// Dense count table: n x C(k,h) doubles, all initialized.  This is the
+// Dense count table: n x width doubles (width = C(k-1,h-1) rooted
+// slots), all initialized.  This is the
 // paper's naive baseline: no per-vertex existence tracking, so
 // has_vertex() is constant true and the DP cannot skip empty vertices.
 

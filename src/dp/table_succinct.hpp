@@ -5,9 +5,9 @@
 // order, behind one of two per-row addressings chosen by density at
 // commit time:
 //
-//   * bitmap — C(k,h) bits (one per colorset index) plus a per-word
-//     cumulative-popcount rank directory (comb/colorset.hpp helpers);
-//     get() is a bit test + O(1) rank into the packed values.
+//   * bitmap — C(k-1,h-1) bits (one per color-rooted slot) plus a
+//     per-word cumulative-popcount rank directory (comb/colorset.hpp
+//     helpers); get() is a bit test + O(1) rank into the packed values.
 //   * sparse — the sorted nonzero colorset indices as u32s; get() is a
 //     binary search.  Wins when a row has fewer than roughly one
 //     nonzero per 21 colorset slots, where even the bitmap's
@@ -16,7 +16,7 @@
 // Whichever is smaller per row is used, so the table is never larger
 // than nnz * 12 B + one header word per active vertex (plus the
 // row-pointer array every lazy layout carries).  Compared to compact's
-// C(k,h) * 8 B per active row this is what makes k = 10-12 tables fit
+// C(k-1,h-1) * 8 B per active row this is what makes k = 10-12 tables fit
 // real memory budgets (Fig. 6's regime taken to the k the paper
 // targets); compared to hash it has no empty-slot slack and no key
 // storage.
@@ -89,16 +89,14 @@ class SuccinctTable {
   /// Dense-row reconstruction for the kernels' sequential read
   /// patterns: enumerating the stored nonzeros is O(nnz) (plus the
   /// zero-fill), where a get() sweep over the full width pays a rank
-  /// or binary search per slot.  decode_row writes v's full row
-  /// (exact zeros included) into out[0..num_colorsets());
-  /// add_row_into accumulates only the nonzeros into out.
+  /// or binary search per slot.  Writes v's full row (exact zeros
+  /// included) into out[0..num_colorsets()).
   void decode_row(VertexId v, double* out) const noexcept;
-  void add_row_into(VertexId v, double* out) const noexcept;
 
   /// Calls emit(slot, value) for v's stored nonzeros in ascending
-  /// slot order (no-op for a missing row).  Kernels whose split lists
-  /// are also slot-sorted merge-join against this instead of paying a
-  /// dense reconstruction per row.
+  /// slot order (no-op for a missing row).  Kernels that need every
+  /// stored entry use this instead of paying a dense reconstruction
+  /// per row.
   template <class Emit>
   void for_each_nonzero(VertexId v, Emit&& emit) const {
     const std::uint64_t* blob = rows_[static_cast<std::size_t>(v)];
@@ -262,37 +260,6 @@ inline void SuccinctTable::decode_row(VertexId v,
   std::memset(out, 0, width * sizeof(double));
   succinct_row_for_each(
       blob, words_, [&](ColorsetIndex idx, double value) { out[idx] = value; });
-}
-
-inline void SuccinctTable::add_row_into(VertexId v,
-                                        double* out) const noexcept {
-  const std::uint64_t* blob = rows_[static_cast<std::size_t>(v)];
-  if (blob == nullptr) return;
-  if ((blob[0] >> 32) != 0) {  // bitmap mode: full words add contiguously
-    const std::uint64_t* words = blob + 1;
-    const auto* values = reinterpret_cast<const double*>(
-        blob + 1 + words_ + (words_ + 1) / 2);
-    std::uint32_t rank = 0;
-    for (std::size_t w = 0; w < words_; ++w) {
-      const std::size_t base = w * 64;
-      std::uint64_t bits = words[w];
-      if (bits == ~std::uint64_t{0}) {
-        const double* src = values + rank;
-        double* dst = out + base;
-        for (std::size_t b = 0; b < 64; ++b) dst[b] += src[b];
-        rank += 64;
-        continue;
-      }
-      while (bits != 0) {
-        out[base + std::countr_zero(bits)] += values[rank++];
-        bits &= bits - 1;
-      }
-    }
-    return;
-  }
-  succinct_row_for_each(blob, words_, [&](ColorsetIndex idx, double value) {
-    out[idx] += value;
-  });
 }
 
 }  // namespace fascia

@@ -9,7 +9,8 @@ namespace fascia::run {
 
 namespace {
 
-// Occupancy models (fraction of the n x C(k,h) cells ever nonzero).
+// Occupancy models (fraction of the n x C(k-1,h-1) rooted cells ever
+// nonzero — rows store only the colorsets holding the vertex's color).
 // Unlabeled templates touch most vertices (paper: compact saves ~20 %);
 // labeled ones are highly selective (>90 % saving, §V-A / Fig. 6).
 constexpr double kCompactOccupancyUnlabeled = 0.80;
@@ -18,9 +19,13 @@ constexpr double kHashOccupancyUnlabeled = 0.45;
 constexpr double kHashOccupancyLabeled = 0.04;
 // Succinct rows exist for the same vertices compact rows do, but store
 // only their nonzero slots; the slot density within an active row is
-// what the packed-value + index overhead scales with.
-constexpr double kSuccinctSlotDensityUnlabeled = 0.35;
-constexpr double kSuccinctSlotDensityLabeled = 0.05;
+// what the packed-value + index overhead scales with.  Rooted rows
+// hold no structural zeros, so most of their slots are filled: 0.80–0.97
+// measured on Erdős–Rényi, Enron and Portland stand-ins (k = 7, 10).
+// The labeled figure scales the earlier full-width model by the same
+// factor.
+constexpr double kSuccinctSlotDensityUnlabeled = 0.80;
+constexpr double kSuccinctSlotDensityLabeled = 0.11;
 
 std::string human_bytes(std::size_t bytes) {
   const char* units[] = {"B", "KiB", "MiB", "GiB", "TiB"};
@@ -43,7 +48,7 @@ std::size_t estimate_table_bytes(TableKind kind, VertexId n,
       static_cast<double>(n) * static_cast<double>(colorsets);
   switch (kind) {
     case TableKind::kNaive:
-      // Dense n x C(k,h) doubles, all materialized.
+      // Dense n x C(k-1,h-1) doubles, all materialized.
       return static_cast<std::size_t>(cells * sizeof(double));
     case TableKind::kCompact: {
       // Row-pointer array plus rows for occupied vertices only.
@@ -98,7 +103,7 @@ std::size_t estimate_peak_bytes(const PartitionTree& partition,
     const Subtemplate& node = partition.node(i);
     if (!node.is_leaf()) {
       const auto sets = static_cast<std::uint64_t>(
-          num_colorsets(num_colors, node.size()));
+          num_rooted_colorsets(num_colors, node.size()));
       live[static_cast<std::size_t>(i)] =
           estimate_table_bytes(kind, n, sets, labeled);
       current += live[static_cast<std::size_t>(i)];
@@ -121,8 +126,8 @@ std::size_t estimate_retained_bytes(const PartitionTree& partition,
   std::size_t per_pass = 0;
   for (const Subtemplate& node : partition.nodes()) {
     if (node.is_leaf()) continue;  // leaves never materialize tables
-    const auto sets =
-        static_cast<std::uint64_t>(num_colorsets(num_colors, node.size()));
+    const auto sets = static_cast<std::uint64_t>(
+        num_rooted_colorsets(num_colors, node.size()));
     // Each retained stage also keeps its frontier list (~one VertexId
     // per occupied row; bound it by n).
     per_pass += estimate_table_bytes(kind, n, sets, labeled) +
@@ -137,8 +142,8 @@ std::size_t estimate_spill_working_set_bytes(const PartitionTree& partition,
   const auto table_bytes = [&](int node_index) -> std::size_t {
     const Subtemplate& node = partition.node(node_index);
     if (node.is_leaf()) return 0;  // leaves never materialize tables
-    const auto sets =
-        static_cast<std::uint64_t>(num_colorsets(num_colors, node.size()));
+    const auto sets = static_cast<std::uint64_t>(
+        num_rooted_colorsets(num_colors, node.size()));
     return estimate_table_bytes(kind, n, sets, labeled);
   };
   std::size_t peak = 0;
@@ -158,18 +163,20 @@ std::size_t estimate_workspace_bytes(const PartitionTree& partition,
   std::size_t peak = 0;
   for (const Subtemplate& node : partition.nodes()) {
     if (node.is_leaf()) continue;
-    const Subtemplate& active = partition.node(node.active);
-    const Subtemplate& passive = partition.node(node.passive);
-    const auto row =
-        static_cast<std::size_t>(num_colorsets(num_colors, node.size()));
+    const int a = partition.node(node.active).size();
+    const int p = partition.node(node.passive).size();
+    const auto row = static_cast<std::size_t>(
+        num_rooted_colorsets(num_colors, node.size()));
+    // psum holds per-color counts, a decoded rooted passive row, or
+    // the general kernel's globally indexed folded passive row.
     const auto psum = std::max<std::size_t>(
         static_cast<std::size_t>(num_colors),
-        static_cast<std::size_t>(
-            num_colorsets(num_colors, passive.size())));
+        a > 1 && p > 1 ? num_colorsets(num_colors, p)
+                       : num_rooted_colorsets(num_colors, p));
     const auto gather =
-        static_cast<std::size_t>(num_colorsets(num_colors, active.size()));
+        static_cast<std::size_t>(num_rooted_colorsets(num_colors, a));
     // row + psum + gather doubles, plus the nonzero-index buffer
-    // (one 32-bit index per active colorset).
+    // (one 32-bit index per rooted active slot).
     const std::size_t bytes = (row + psum + gather) * sizeof(double) +
                               gather * sizeof(std::uint32_t);
     peak = std::max(peak, bytes);

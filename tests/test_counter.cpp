@@ -189,11 +189,11 @@ TEST(Counter, VectorizedKernelsBitIdenticalToReference) {
 // and only the order of the sums keeps two kernels in step.  (On a
 // complete graph every count is (h-1)! times a product of color-class
 // sizes, a multiple of a large power of two, and nothing rounds.)  The
-// one-at-a-time partition gives pair and single-active stages only; at
-// k = 12 the single-active stages up to h = 10 fold whole neighbor rows
-// (C(12, h-1) <= 4 C(11, h-1)), so the four-row fold must add the rows
-// in exactly the reference kernel's neighbor order.  Every table entry
-// is compared, not just the totals.
+// one-at-a-time partition gives pair and single-active stages only; the
+// single-active walk adds each neighbor's rooted row through its
+// color-pair list, so every entry must see the reference kernel's
+// neighbor order (which translates global colorsets to rooted slots).
+// Every table entry is compared, not just the totals.
 template <class Table>
 void expect_tables_equal(const DpEngine<Table>& fast,
                          const DpEngine<CompactTable>& ref,
@@ -219,7 +219,9 @@ void expect_tables_equal(const DpEngine<Table>& fast,
 
 TEST(Counter, FoldedGatherBitIdenticalPastTwoToThe53) {
   constexpr int k = 12;
-  constexpr int kWidestFoldedStage = 10;
+  // Stages below the root's two widest: a count past 2^53 there means
+  // the rounding regime reaches mid-schedule single-active stages.
+  constexpr int kWidestCheckedStage = 10;
   const Graph g = erdos_renyi_gnp(400, 0.9, 3);
   const VertexId n = g.num_vertices();
   const auto part = partition_template(TreeTemplate::path(k),
@@ -234,19 +236,19 @@ TEST(Counter, FoldedGatherBitIdenticalPastTwoToThe53) {
   DpEngine<CompactTable> ref(g, part, k, ref_opts);
   ref.run(colors, /*parallel_inner=*/false, nullptr, /*keep_tables=*/true);
 
-  // The regime is real: a folded stage's table holds a count past 2^53.
-  double widest_folded_max = 0.0;
+  // The regime is real: a mid-schedule stage holds a count past 2^53.
+  double checked_max = 0.0;
   for (int node = 0; node < part.num_nodes(); ++node) {
     const Subtemplate& sub = part.node(node);
-    if (sub.is_leaf() || sub.size() > kWidestFoldedStage) continue;
+    if (sub.is_leaf() || sub.size() > kWidestCheckedStage) continue;
     const CompactTable& table = *ref.table(node);
     for (VertexId v = 0; v < n; ++v) {
       for (ColorsetIndex c = 0; c < table.num_colorsets(); ++c) {
-        widest_folded_max = std::max(widest_folded_max, table.get(v, c));
+        checked_max = std::max(checked_max, table.get(v, c));
       }
     }
   }
-  ASSERT_GT(widest_folded_max, 0x1p53);
+  ASSERT_GT(checked_max, 0x1p53);
 
   for (const bool parallel : {false, true}) {
     DpEngine<CompactTable> compact(g, part, k);

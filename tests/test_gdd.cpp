@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 namespace fascia::analytics {
 namespace {
 
@@ -24,6 +28,26 @@ TEST(Gdd, HistogramIsSparseForHugeDegrees) {
   const auto hist = gdd_histogram({1e9, 1e9, 3.0});
   EXPECT_EQ(hist.size(), 2u);
   EXPECT_DOUBLE_EQ(hist.at(1000000000), 2.0);
+}
+
+TEST(Gdd, HistogramMatchesPerElementInsertion) {
+  // Negatives, zeros, x.5 values (llround rounds half away from zero),
+  // repeats in shuffled order, and degrees past 2^53.
+  std::vector<double> degrees = {-3.5, -0.5, 0.0, 0.49, 0.5, 1.5, 2.5,
+                                 2.4999, 7.0, 1e9, 1e9 + 0.5, 0x1p60,
+                                 0x1p60, 3.0, 1.5, -2.0, 4.5};
+  for (int i = 0; i < 500; ++i) {
+    degrees.push_back(static_cast<double>((i * 7919) % 97) / 2.0);
+  }
+  GddHistogram expected;
+  for (const double degree : degrees) {
+    const auto j = static_cast<std::int64_t>(std::llround(degree));
+    if (j > 0) expected[j] += 1.0;
+  }
+  EXPECT_EQ(gdd_histogram(degrees), expected);
+  // Halves round away from zero; -0.5 rounds to -1 and is dropped.
+  const GddHistogram halves = {{1, 1.0}, {3, 1.0}};
+  EXPECT_EQ(gdd_histogram({0.5, 2.5, -0.5}), halves);
 }
 
 TEST(Gdd, AgreementWithHugeDegreesIsCheap) {

@@ -50,61 +50,97 @@ INSTANTIATE_TEST_SUITE_P(
                       SplitParam{7, 7, 3}, SplitParam{10, 6, 3},
                       SplitParam{12, 5, 2}));
 
-TEST_P(SplitTableProperty, ParentMajorViewMatchesPerParentSpans) {
-  const auto [k, h, a] = GetParam();
-  const SplitTable table(k, h, a);
-  const auto all_act = table.all_actives();
-  const auto all_pas = table.all_passives();
-  ASSERT_EQ(table.flat_size(),
-            static_cast<std::size_t>(table.num_parents()) *
-                table.splits_per_parent());
-  ASSERT_EQ(all_act.size(), table.flat_size());
-  ASSERT_EQ(all_pas.size(), table.flat_size());
-  for (ColorsetIndex parent = 0; parent < table.num_parents(); ++parent) {
-    const auto actives = table.active_indices(parent);
-    const auto passives = table.passive_indices(parent);
-    const std::size_t base =
-        static_cast<std::size_t>(parent) * table.splits_per_parent();
-    for (std::size_t s = 0; s < actives.size(); ++s) {
-      EXPECT_EQ(all_act[base + s], actives[s]);
-      EXPECT_EQ(all_pas[base + s], passives[s]);
-    }
-  }
+/// Global index of `colors` minus `drop` (sorted input, member drop).
+ColorsetIndex without(std::vector<int> colors, int drop) {
+  colors.erase(std::find(colors.begin(), colors.end(), drop));
+  return colorset_index(colors);
 }
 
-TEST_P(SplitTableProperty, ActiveGroupedViewCoversAllSplits) {
+TEST_P(SplitTableProperty, RootedGroupsAreTheSplitsHoldingBothColors) {
   const auto [k, h, a] = GetParam();
-  const SplitTable table(k, h, a);
-  EXPECT_EQ(table.num_actives(), num_colorsets(k, a));
-  EXPECT_EQ(table.per_active(), num_colorsets(k - a, h - a));
+  const SplitTable global(k, h, a);
+  const RootedSplit rooted(k, h, a);
+  const RootedColorsets parents(k, h), actives(k, a), passives(k, h - a);
+  EXPECT_EQ(rooted.num_parents(), num_rooted_colorsets(k, h));
+  EXPECT_EQ(rooted.num_actives(), num_rooted_colorsets(k, a));
 
-  // Collect the ground-truth (active, parent, passive) triples from
-  // the per-parent view.
-  std::set<std::tuple<ColorsetIndex, ColorsetIndex, ColorsetIndex>> expected;
-  for (ColorsetIndex parent = 0; parent < table.num_parents(); ++parent) {
-    const auto actives = table.active_indices(parent);
-    const auto passives = table.passive_indices(parent);
-    for (std::size_t s = 0; s < actives.size(); ++s) {
-      expected.emplace(actives[s], parent, passives[s]);
+  // Ground truth from the global view: split (A, P) of S belongs to
+  // group (root, other, slot of A) for every root ∈ A and other ∈ P.
+  using Entry = std::tuple<int, int, ColorsetIndex, ColorsetIndex,
+                           ColorsetIndex>;
+  std::set<Entry> expected;
+  for (ColorsetIndex parent = 0; parent < global.num_parents(); ++parent) {
+    const auto act = global.active_indices(parent);
+    const auto pas = global.passive_indices(parent);
+    for (std::size_t s = 0; s < act.size(); ++s) {
+      for (const int root : colorset_colors(act[s], a)) {
+        for (const int other : colorset_colors(pas[s], h - a)) {
+          expected.emplace(root, other, actives.slot(root, act[s]),
+                           parents.slot(root, parent),
+                           passives.slot(other, pas[s]));
+        }
+      }
     }
   }
 
-  std::set<std::tuple<ColorsetIndex, ColorsetIndex, ColorsetIndex>> grouped;
-  for (ColorsetIndex act = 0; act < table.num_actives(); ++act) {
-    const auto parents = table.group_parents(act);
-    const auto passives = table.group_passives(act);
-    ASSERT_EQ(parents.size(), table.per_active());
-    ASSERT_EQ(passives.size(), table.per_active());
-    std::set<ColorsetIndex> parents_seen;
-    for (std::size_t s = 0; s < parents.size(); ++s) {
-      // Passives ascend within a group (monotone gather) ...
-      if (s > 0) EXPECT_LT(passives[s - 1], passives[s]);
-      // ... and parents are distinct (conflict-free scatter).
-      EXPECT_TRUE(parents_seen.insert(parents[s]).second);
-      grouped.emplace(act, parents[s], passives[s]);
+  std::set<Entry> grouped;
+  for (int root = 0; root < k; ++root) {
+    for (int other = 0; other < k; ++other) {
+      for (ColorsetIndex act = 0; act < rooted.num_actives(); ++act) {
+        const auto gpar = rooted.group_parents(root, other, act);
+        const auto gpas = rooted.group_passives(root, other, act);
+        ASSERT_EQ(gpar.size(), gpas.size());
+        const bool holds_other =
+            actives.slot(other, actives.global(root, act)) != kNoRootedSlot;
+        if (root == other || holds_other) {
+          EXPECT_TRUE(gpar.empty());
+        } else {
+          EXPECT_EQ(gpar.size(), choose(k - a - 1, h - a - 1));
+        }
+        std::set<ColorsetIndex> parents_seen;
+        for (std::size_t s = 0; s < gpar.size(); ++s) {
+          // Passives ascend (monotone gather), parents are distinct
+          // (conflict-free scatter).
+          if (s > 0) {
+            EXPECT_LT(gpas[s - 1], gpas[s]);
+          }
+          EXPECT_TRUE(parents_seen.insert(gpar[s]).second);
+          grouped.emplace(root, other, act, gpar[s], gpas[s]);
+        }
+      }
     }
   }
   EXPECT_EQ(grouped, expected);
+}
+
+TEST_P(SplitTableProperty, RootedFoldViewFiltersPerParentSplits) {
+  const auto [k, h, a] = GetParam();
+  const SplitTable global(k, h, a);
+  const RootedSplit rooted(k, h, a);
+  const RootedColorsets parents(k, h), actives(k, a);
+  const std::uint32_t per = rooted.splits_per_parent();
+  EXPECT_EQ(per, num_colorsets(h - 1, a - 1));
+  for (int root = 0; root < k; ++root) {
+    const auto fold_act = rooted.fold_actives(root);
+    const auto fold_pas = rooted.fold_passives(root);
+    ASSERT_EQ(fold_act.size(),
+              static_cast<std::size_t>(rooted.num_parents()) * per);
+    ASSERT_EQ(fold_pas.size(), fold_act.size());
+    for (ColorsetIndex slot = 0; slot < rooted.num_parents(); ++slot) {
+      const ColorsetIndex parent = parents.global(root, slot);
+      const auto act = global.active_indices(parent);
+      const auto pas = global.passive_indices(parent);
+      std::size_t at = static_cast<std::size_t>(slot) * per;
+      for (std::size_t s = 0; s < act.size(); ++s) {
+        const ColorsetIndex act_slot = actives.slot(root, act[s]);
+        if (act_slot == kNoRootedSlot) continue;
+        EXPECT_EQ(fold_act[at], act_slot);
+        EXPECT_EQ(fold_pas[at], pas[s]);
+        ++at;
+      }
+      EXPECT_EQ(at, static_cast<std::size_t>(slot + 1) * per);
+    }
+  }
 }
 
 TEST(SplitTable, RejectsBadShapes) {
@@ -162,19 +198,36 @@ INSTANTIATE_TEST_SUITE_P(
                       SplitParam{7, 4, 0}, SplitParam{10, 7, 0},
                       SplitParam{12, 12, 0}));
 
-TEST_P(SingleActiveProperty, SoaViewMirrorsEntries) {
+TEST_P(SingleActiveProperty, PairListsAreRootedSetsHoldingBothColors) {
   const auto [k, h, a_unused] = GetParam();
   (void)a_unused;
   const SingleActiveSplit split(k, h);
-  for (int c = 0; c < k; ++c) {
-    const auto entries = split.entries(c);
-    const auto passives = split.passives(c);
-    const auto parents = split.parents(c);
-    ASSERT_EQ(passives.size(), entries.size());
-    ASSERT_EQ(parents.size(), entries.size());
-    for (std::size_t s = 0; s < entries.size(); ++s) {
-      EXPECT_EQ(passives[s], entries[s].passive);
-      EXPECT_EQ(parents[s], entries[s].parent);
+  const RootedColorsets parents(k, h), rests(k, h - 1);
+  EXPECT_EQ(split.per_pair(), num_colorsets(k - 2, h - 2));
+  for (int root = 0; root < k; ++root) {
+    for (int other = 0; other < k; ++other) {
+      const auto par = split.parents(root, other);
+      const auto pas = split.passives(root, other);
+      const auto act = split.actives(root, other);
+      if (root == other) {
+        EXPECT_TRUE(par.empty() && pas.empty() && act.empty());
+        continue;
+      }
+      ASSERT_EQ(par.size(), split.per_pair());
+      ASSERT_EQ(pas.size(), par.size());
+      ASSERT_EQ(act.size(), par.size());
+      for (std::size_t s = 0; s < par.size(); ++s) {
+        const ColorsetIndex set = parents.global(root, par[s]);
+        const auto colors = colorset_colors(set, h);
+        EXPECT_TRUE(std::binary_search(colors.begin(), colors.end(), other));
+        EXPECT_EQ(pas[s], rests.slot(other, without(colors, root)));
+        EXPECT_EQ(act[s], rests.slot(root, without(colors, other)));
+        if (s > 0) {
+          EXPECT_LT(par[s - 1], par[s]);
+          EXPECT_LT(pas[s - 1], pas[s]);
+          EXPECT_LT(act[s - 1], act[s]);
+        }
+      }
     }
   }
 }

@@ -332,26 +332,6 @@ TEST(SuccinctTable, DecodeRowRoundTripsBothModes) {
   }
 }
 
-TEST(SuccinctTable, AddRowIntoAccumulates) {
-  constexpr std::uint32_t kWidth = 80;
-  SuccinctTable table(2, kWidth);
-  std::vector<double> a(kWidth, 1.0);  // word 0 all-ones fast path
-  std::vector<double> b(kWidth, 0.0);
-  b[10] = 3.0;
-  b[79] = 4.0;
-  table.commit_row(0, a);
-  table.commit_row(1, b);
-  std::vector<double> acc(kWidth, 1.0);
-  table.add_row_into(0, acc.data());
-  table.add_row_into(1, acc.data());
-  for (std::uint32_t c = 0; c < kWidth; ++c) {
-    double expect = 2.0;
-    if (c == 10) expect += 3.0;
-    if (c == 79) expect += 4.0;
-    EXPECT_DOUBLE_EQ(acc[c], expect) << "slot " << c;
-  }
-}
-
 TEST(SuccinctTable, ForEachNonzeroAscendingSlots) {
   SuccinctTable table(1, 130);
   std::vector<double> row(130, 0.0);
