@@ -2,8 +2,8 @@
 // template on Portland vs processor cores (1, 2, 4, 8, 12, 16).
 //
 // Expected shape (paper): near-linear to 8 cores, ~12x at 16 cores.
-// NOTE: this container exposes a single core, so the sweep runs but
-// the speedup curve flattens at 1 (recorded in EXPERIMENTS.md).
+// Thread counts beyond the machine's cores oversubscribe them, so the
+// curve flattens past the core count (flat at 1 on a single core).
 
 #include <string>
 #include <thread>

@@ -23,18 +23,8 @@ namespace {
 
 std::string format_bool(bool value) { return value ? "true" : "false"; }
 
-/// Alg. 1 for one tree template: a one-job plan (cross-template reuse
-/// off, the caller's root, so the stage DAG is exactly
-/// partition_template's) run on the iteration driver.  When `perm` is
-/// non-null, `graph` is the REORDERED graph; colorings, checkpoints and
-/// per-vertex outputs stay keyed by original ids.
-CountResult run_one_job(const Graph& graph, const TreeTemplate& tmpl,
-                        const CountOptions& options, const char* kind,
-                        const Permutation* perm, double reorder_seconds) {
-  const int k = effective_colors(tmpl, options);
-  FASCIA_TRACE("count.run", tmpl.size(), k,
-               table_kind_name(options.execution.table));
-
+/// The batch view of a tree count: one job, cross-template reuse off.
+sched::BatchOptions one_job_options(const CountOptions& options, int k) {
   sched::BatchOptions batch;
   batch.num_colors = k;
   batch.table = options.execution.table;
@@ -47,14 +37,72 @@ CountResult run_one_job(const Graph& graph, const TreeTemplate& tmpl,
   batch.reference_kernels = options.execution.reference_kernels;
   batch.run = options.run;
   batch.observability = options.observability;
+  return batch;
+}
+
+std::vector<sched::BatchJob> one_job(const TreeTemplate& tmpl,
+                                     const CountOptions& options) {
   std::vector<sched::BatchJob> jobs(1);
   jobs[0].tmpl = tmpl;
   jobs[0].iterations = options.sampling.iterations;
+  return jobs;
+}
+
+/// count_template and graphlet_degrees: validation, then the locality
+/// pass (once, up front) and the one-job run.  Everything downstream
+/// of a reorder sees the reordered graph, while colorings, checkpoints
+/// and per-vertex outputs stay keyed by original ids, so the estimate
+/// is bit-identical to the unreordered run.
+CountResult count(const Graph& graph, const TreeTemplate& tmpl,
+                  const CountOptions& options, const char* kind) {
+  if (options.execution.incremental) {
+    throw usage_error(
+        "count_template does not retain DP state; use begin_incremental "
+        "(core/incremental.hpp) for incremental recounting");
+  }
+  if (options.observability.enabled) obs::set_enabled(true);
+  detail::validate_tree_count(graph, tmpl, options, "count_template");
+  if (options.execution.reorder == ReorderMode::kNone) {
+    const sched::BatchPlan plan = detail::plan_tree_count(graph, tmpl, options);
+    return detail::run_tree_count(graph, tmpl, options, plan, kind, {}, 0.0);
+  }
+  WallTimer timer;
+  const Permutation perm = reorder_permutation(graph, options.execution.reorder);
+  const Graph reordered = apply_permutation(graph, perm);
+  const double reorder_seconds = timer.elapsed_s();
   const sched::BatchPlan plan =
-      sched::plan_batch(graph, jobs, batch, options.root);
+      detail::plan_tree_count(reordered, tmpl, options);
+  sched::DriverInputs inputs;
+  inputs.perm = &perm;
+  CountResult result = detail::run_tree_count(reordered, tmpl, options, plan,
+                                              kind, inputs, reorder_seconds);
+  result.reorder_gap_before = avg_neighbor_gap(graph);
+  result.reorder_gap_after = avg_neighbor_gap(reordered);
+  return result;
+}
+
+}  // namespace
+
+namespace detail {
+
+sched::BatchPlan plan_tree_count(const Graph& graph, const TreeTemplate& tmpl,
+                                 const CountOptions& options) {
+  return sched::plan_batch(
+      graph, one_job(tmpl, options),
+      one_job_options(options, effective_colors(tmpl, options)),
+      options.root);
+}
+
+CountResult run_tree_count(const Graph& graph, const TreeTemplate& tmpl,
+                           const CountOptions& options,
+                           const sched::BatchPlan& plan, const char* kind,
+                           sched::DriverInputs inputs,
+                           double reorder_seconds) {
+  const int k = effective_colors(tmpl, options);
+  FASCIA_TRACE("count.run", tmpl.size(), k,
+               table_kind_name(options.execution.table));
   const PartitionTree& partition = plan.merged;
 
-  sched::DriverInputs inputs;
   inputs.checkpoint_kind = run::Checkpoint::kKindCount;
   // Everything the per-iteration estimates depend on, so a checkpoint
   // from a different configuration is rejected instead of silently
@@ -82,10 +130,11 @@ CountResult run_one_job(const Graph& graph, const TreeTemplate& tmpl,
     fp = run::fingerprint_mix(fp, static_cast<std::uint64_t>(table));
     return fp;
   };
-  inputs.perm = perm;
   inputs.per_vertex = options.per_vertex;
   inputs.forced_outer_copies = options.execution.outer_copies;
-  sched::DriverOutput driven = sched::drive(graph, jobs, batch, plan, inputs);
+  sched::DriverOutput driven =
+      sched::drive(graph, one_job(tmpl, options), one_job_options(options, k),
+                   plan, inputs);
   sched::BatchJobResult& job = driven.batch.jobs.front();
 
   CountResult result;
@@ -102,6 +151,9 @@ CountResult run_one_job(const Graph& graph, const TreeTemplate& tmpl,
   result.max_live_tables = partition.max_live_tables();
   result.num_subtemplates = partition.num_nodes();
   result.reorder_seconds = reorder_seconds;
+  result.delta.stages_recomputed = driven.delta.stages_recomputed;
+  result.delta.rows_recomputed = driven.delta.rows_recomputed;
+  result.delta.rows_copied = driven.delta.rows_copied;
   // Honest partial result: the estimate covers exactly the contiguous
   // completed prefix.
   result.estimate = mean(result.per_iteration);
@@ -154,6 +206,9 @@ CountResult run_one_job(const Graph& graph, const TreeTemplate& tmpl,
     report->options.emplace_back("run.resume",
                                  format_bool(options.run.resume));
   }
+  if (options.execution.incremental) {
+    report->options.emplace_back("execution.incremental", "true");
+  }
   report->tmpl.vertices = tmpl.size();
   report->tmpl.root = options.root;
   report->tmpl.subtemplates = result.num_subtemplates;
@@ -167,38 +222,6 @@ CountResult run_one_job(const Graph& graph, const TreeTemplate& tmpl,
   result.report = std::move(report);
   return result;
 }
-
-/// count_template and graphlet_degrees: validation, then the locality
-/// pass (once, up front) and the one-job run.  Everything downstream
-/// of a reorder sees the reordered graph, while colorings, checkpoints
-/// and per-vertex outputs stay keyed by original ids, so the estimate
-/// is bit-identical to the unreordered run.
-CountResult count(const Graph& graph, const TreeTemplate& tmpl,
-                  const CountOptions& options, const char* kind) {
-  if (options.execution.incremental) {
-    throw usage_error(
-        "count_template does not retain DP state; use begin_incremental "
-        "(core/incremental.hpp) for incremental recounting");
-  }
-  if (options.observability.enabled) obs::set_enabled(true);
-  detail::validate_tree_count(graph, tmpl, options, "count_template");
-  if (options.execution.reorder == ReorderMode::kNone) {
-    return run_one_job(graph, tmpl, options, kind, nullptr, 0.0);
-  }
-  WallTimer timer;
-  const Permutation perm = reorder_permutation(graph, options.execution.reorder);
-  const Graph reordered = apply_permutation(graph, perm);
-  const double reorder_seconds = timer.elapsed_s();
-  CountResult result =
-      run_one_job(reordered, tmpl, options, kind, &perm, reorder_seconds);
-  result.reorder_gap_before = avg_neighbor_gap(graph);
-  result.reorder_gap_after = avg_neighbor_gap(reordered);
-  return result;
-}
-
-}  // namespace
-
-namespace detail {
 
 void validate_tree_count(const Graph& graph, const TreeTemplate& tmpl,
                          const CountOptions& options, const char* caller) {

@@ -17,6 +17,11 @@
 #include "graph/graph.hpp"
 #include "treelet/tree_template.hpp"
 
+namespace fascia::sched {
+struct BatchPlan;
+struct DriverInputs;
+}  // namespace fascia::sched
+
 namespace fascia {
 
 /// Approximate count of non-induced embeddings of `tmpl` in `graph`.
@@ -47,6 +52,25 @@ namespace detail {
 /// Messages start with `caller` ("count_template", "begin_incremental").
 void validate_tree_count(const Graph& graph, const TreeTemplate& tmpl,
                          const CountOptions& options, const char* caller);
+
+/// The one-job plan a tree count runs: cross-template reuse off and
+/// options.root, so its stage DAG is exactly partition_template(tmpl,
+/// partition, share_tables, root).
+sched::BatchPlan plan_tree_count(const Graph& graph, const TreeTemplate& tmpl,
+                                 const CountOptions& options);
+
+/// Alg. 1 for one tree template: runs `plan` (from plan_tree_count) on
+/// the iteration driver and scales its totals into a CountResult with
+/// a report of kind `kind`.  `inputs` carries the caller's pass
+/// policy (perm, retained, dirty); the checkpoint identity, per-vertex
+/// flag and outer-copy pin come from `options`.  When inputs.perm is
+/// set, `graph` is the REORDERED graph; colorings, checkpoints and
+/// per-vertex outputs stay keyed by original ids.
+CountResult run_tree_count(const Graph& graph, const TreeTemplate& tmpl,
+                           const CountOptions& options,
+                           const sched::BatchPlan& plan, const char* kind,
+                           sched::DriverInputs inputs,
+                           double reorder_seconds);
 
 }  // namespace detail
 

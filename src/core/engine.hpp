@@ -6,7 +6,7 @@
 // combination and may run many iterations; tables are allocated per
 // node when its pass starts and freed on the partition's free_after
 // schedule (≤ ~4 live at once, §III-C), except in keep_tables mode
-// used by the embedding extractor.
+// (the embedding extractor and incremental runs).
 //
 // Rows are color-rooted (comb/colorset.hpp, DESIGN.md §8): row v of a
 // size-h table counts embeddings whose root maps to v, so only the
@@ -157,6 +157,14 @@ struct DirtyBalls {
     }
     return out;
   }
+};
+
+/// Work accounting for delta passes (DpEngine::run_delta), summed
+/// over a recount's iterations into CountResult::delta.
+struct DeltaPassStats {
+  std::uint64_t rows_recomputed = 0;
+  std::uint64_t rows_copied = 0;
+  std::uint64_t stages_recomputed = 0;
 };
 
 /// Engine tuning knobs (all default to the production fast path).
@@ -505,16 +513,11 @@ class DpEngine {
   }
 
   /// One full bottom-up DP pass for a fixed coloring; returns the sum
-  /// over the root table.  When per_vertex is non-null it must have
-  /// size n; root-table vertex totals are *added* into it.
+  /// over the root table.
   double run(const ColorArray& colors, bool parallel_inner,
-             std::vector<double>* per_vertex = nullptr,
              bool keep_tables = false) {
     compute_tables(colors, parallel_inner, nullptr, keep_tables);
     if (guard_ != nullptr && guard_->stopped()) return 0.0;
-    if (per_vertex != nullptr) {
-      add_vertex_totals(partition_.root_node(), *per_vertex);
-    }
     const double total = root_total();
     if (!keep_tables) release_all_tables();
     return total;
@@ -544,25 +547,18 @@ class DpEngine {
   }
 
   /// Retained DP state of one coloring's pass: every non-leaf table
-  /// plus its frontier, as left behind by run(..., keep_tables = true)
-  /// or run_delta().  Moved out per iteration by the incremental
-  /// counter (core/incremental.hpp) and re-adopted before the next
-  /// recount of the same iteration.
+  /// plus its frontier, as left behind by compute_tables(...,
+  /// keep_tables = true) or run_delta().  The iteration driver moves it
+  /// out per iteration on incremental runs (sched/driver.hpp) and
+  /// re-adopts it before the next recount of the same iteration.
   struct Retained {
     std::vector<std::unique_ptr<Table>> tables;
     std::vector<std::vector<VertexId>> frontiers;
   };
 
-  /// Per-pass work accounting for the delta path (aggregated across
-  /// iterations into CountResult::delta).
-  struct DeltaPassStats {
-    std::uint64_t rows_recomputed = 0;
-    std::uint64_t rows_copied = 0;
-    int stages_recomputed = 0;
-  };
-
   /// Moves the current tables/frontiers out (leaving empty slots);
-  /// valid after run(..., keep_tables = true) or run_delta().
+  /// valid after compute_tables(..., keep_tables = true) or
+  /// run_delta().
   [[nodiscard]] Retained take_retained() {
     Retained out;
     out.tables = std::move(tables_);
@@ -598,13 +594,12 @@ class DpEngine {
   /// pass never touches the O(n) clean region; the other layouts copy
   /// every clean row verbatim into the fresh table (run/spill.hpp's
   /// decode -> commit_row round trip, proven bit-exact).  The
-  /// resulting tables, frontiers, and return value are bit-identical
-  /// to a full run(colors, ..., keep_tables = true) on the new graph
-  /// either way.
-  double run_delta(const ColorArray& colors, bool parallel_inner,
-                   const DirtyBalls& dirty,
-                   DeltaPassStats* delta_stats = nullptr,
-                   std::vector<double>* per_vertex = nullptr) {
+  /// resulting tables and frontiers are bit-identical to a full
+  /// compute_tables(colors, ..., keep_tables = true) on the new graph
+  /// either way, so callers read totals (node_total, add_vertex_totals)
+  /// exactly as after a full pass.
+  void run_delta(const ColorArray& colors, bool parallel_inner,
+                 const DirtyBalls& dirty, DeltaPassStats& delta_stats) {
     const int num_nodes = partition_.num_nodes();
     std::vector<std::unique_ptr<Table>> old_tables = std::move(tables_);
     std::vector<std::vector<VertexId>> old_frontiers = std::move(frontiers_);
@@ -656,10 +651,8 @@ class DpEngine {
       delta_restrict_ = nullptr;
 
       std::vector<VertexId>& fresh_frontier = frontiers_[idx];
-      if (delta_stats != nullptr) {
-        ++delta_stats->stages_recomputed;
-        delta_stats->rows_recomputed += fresh_frontier.size();
-      }
+      ++delta_stats.stages_recomputed;
+      delta_stats.rows_recomputed += fresh_frontier.size();
       // Preserve the clean rows: every retained-frontier vertex
       // outside the ball kept its row (the dirty-ball bound).  The
       // retained frontier entries are kept even when rowless (zero-row
@@ -689,9 +682,7 @@ class DpEngine {
           for (const VertexId v : old_frontier) {
             if (!dirty.dirty(v, h - 1)) clean.push_back(v);
           }
-          if (delta_stats != nullptr) {
-            delta_stats->rows_copied += clean.size();
-          }
+          delta_stats.rows_copied += clean.size();
           tables_[idx] = std::move(old_tables[idx]);
         }
       } else if (old != nullptr) {
@@ -717,7 +708,7 @@ class DpEngine {
             }
           }
           fresh.commit_row(v, rowbuf);
-          if (delta_stats != nullptr) ++delta_stats->rows_copied;
+          ++delta_stats.rows_copied;
         }
       }
       if (!clean.empty()) {
@@ -732,11 +723,6 @@ class DpEngine {
       old_tables[idx].reset();
       std::vector<VertexId>().swap(old_frontiers[idx]);
     }
-
-    if (per_vertex != nullptr) {
-      add_vertex_totals(partition_.root_node(), *per_vertex);
-    }
-    return root_total();
   }
 
   [[nodiscard]] const PartitionTree& partition() const noexcept {

@@ -20,6 +20,17 @@
 //   graph.apply(delta);
 //   use(handle.recount(graph, delta).estimate);  // == full recount
 //
+// Both calls are one-job plans on the iteration driver
+// (sched/driver.hpp), the path count_template takes, with retention as
+// the driver's per-iteration pass policy: they report the same layout,
+// metrics, stage stats and report sections as any count, plus the
+// report's `delta` section.  The handle builds its plan once, so the
+// retained node indices match on every recount.  A pass that does not
+// complete (an allocation failure ends a driver run as mem-degraded)
+// leaves the retained state half advanced, so it is fatal: a failed
+// begin_incremental throws, and a failed recount throws and poisons
+// the handle.
+//
 // Memory: the handle holds iterations x (all non-leaf tables), priced
 // by run::estimate_retained_bytes — retention is opt-in for a reason.
 // Restrictions (CountOptions::validate with execution.incremental):
@@ -33,6 +44,11 @@
 #include "core/count_options.hpp"
 #include "graph/graph.hpp"
 #include "treelet/tree_template.hpp"
+
+namespace fascia::sched {
+struct BatchPlan;
+class RetainedPasses;
+}  // namespace fascia::sched
 
 namespace fascia {
 
@@ -69,19 +85,30 @@ class RunHandle {
   /// graph must be the handle's graph with exactly `delta` applied
   /// since the last (re)count — same vertex set, same labels.  Throws
   /// Error(kBadInput) on a vertex-count mismatch and Error(kUsage) on
-  /// a handle poisoned by a previously failed recount; on any failure
-  /// mid-recount the handle becomes unusable (retained state is
-  /// partially advanced) and the caller must begin_incremental anew.
+  /// a handle poisoned by a previously failed recount.  A recount that
+  /// throws, or whose pass does not complete (then Error(kResource)),
+  /// poisons the handle: its retained state is partially advanced and
+  /// the caller must begin_incremental anew.
   const CountResult& recount(const Graph& new_graph, const GraphDelta& delta);
-
-  /// Type-erased per-table-layout state; public only for the factory.
-  class Impl;
 
  private:
   friend RunHandle begin_incremental(const Graph&, const TreeTemplate&,
                                      const CountOptions&);
-  explicit RunHandle(std::unique_ptr<Impl> impl);
-  std::unique_ptr<Impl> impl_;
+  RunHandle(const Graph& graph, const TreeTemplate& tmpl,
+            const CountOptions& options);
+
+  /// One driver run of the handle's plan: the initial pass when
+  /// `delta` is null, else a recount of `delta` on `graph`.
+  void pass(const Graph& graph, const GraphDelta* delta);
+
+  TreeTemplate tmpl_;
+  CountOptions options_;
+  std::unique_ptr<sched::BatchPlan> plan_;
+  std::unique_ptr<sched::RetainedPasses> retained_;
+  CountResult result_;
+  std::uint64_t graph_version_ = 0;
+  std::uint64_t recounts_ = 0;
+  bool poisoned_ = false;
 };
 
 /// Runs the initial count with per-iteration DP state retained.

@@ -110,6 +110,25 @@ struct Setup {
   std::uint64_t fingerprint = 0;
 };
 
+/// The table-typed RetainedPasses: slot i holds iteration i's state.
+template <class Table>
+struct RetainedStore final : RetainedPasses {
+  std::vector<typename DpEngine<Table>::Retained> slots;
+
+  [[nodiscard]] std::size_t bytes() const noexcept override {
+    std::size_t total = 0;
+    for (const auto& pass : slots) {
+      for (const auto& table : pass.tables) {
+        if (table != nullptr) total += table->bytes();
+      }
+      for (const auto& frontier : pass.frontiers) {
+        total += frontier.size() * sizeof(VertexId);
+      }
+    }
+    return total;
+  }
+};
+
 /// Mean frontier occupancy (candidates / n) over one pass's stages;
 /// 1 when the pass computed no stage.
 double measured_occupancy(const std::vector<DpStageStats>& stats,
@@ -254,6 +273,24 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
     requested = std::max(requested, state.cap);
   }
   out.run.requested_iterations = requested;
+
+  // Incremental runs: slot i of `store` holds iteration i's retained
+  // state — a fresh store on an initial pass, the caller's on a recount.
+  RetainedStore<Table>* store = nullptr;
+  if (inputs.dirty != nullptr) {
+    store = inputs.retained != nullptr
+                ? dynamic_cast<RetainedStore<Table>*>(inputs.retained->get())
+                : nullptr;
+    if (store == nullptr ||
+        store->slots.size() != static_cast<std::size_t>(requested)) {
+      throw internal_error("recount: retained passes do not match the plan");
+    }
+  } else if (inputs.retained != nullptr) {
+    auto fresh = std::make_unique<RetainedStore<Table>>();
+    fresh->slots.resize(static_cast<std::size_t>(requested));
+    store = fresh.get();
+    *inputs.retained = std::move(fresh);
+  }
 
   const auto num_nodes = static_cast<std::size_t>(plan.merged.num_nodes());
   int done = 0;
@@ -480,7 +517,15 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
         const ColorArray colors =
             perm != nullptr ? random_coloring_permuted(k, seed, perm->to_new)
                             : random_coloring(graph, k, seed);
-        engine.compute_tables(colors, parallel_inner, &needed);
+        if (inputs.dirty != nullptr) {
+          engine.adopt_retained(
+              std::move(store->slots[static_cast<std::size_t>(iter)]));
+          engine.run_delta(colors, parallel_inner, *inputs.dirty,
+                           drive_out.delta);
+        } else {
+          engine.compute_tables(colors, parallel_inner, &needed,
+                                /*keep_tables=*/store != nullptr);
+        }
         if (guard.stopped()) {  // aborted mid-pass: discard
           engine.release_all_tables();
           return;
@@ -495,7 +540,11 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
           out.jobs[j].per_iteration[static_cast<std::size_t>(
               states[j].base + (iter - begin))] = raw * states[j].scale;
         }
-        engine.release_all_tables();
+        if (store != nullptr) {
+          store->slots[static_cast<std::size_t>(iter)] = engine.take_retained();
+        } else {
+          engine.release_all_tables();
+        }
         const double secs = timer.elapsed_s();
         out.seconds_per_iteration[static_cast<std::size_t>(iter)] = secs;
         iteration_seconds_metric().observe(secs);

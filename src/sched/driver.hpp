@@ -1,8 +1,9 @@
 #pragma once
 // The iteration driver: the one implementation of Alg. 1's loop (draw
-// a coloring, run the DP, scale the root totals) behind both
-// sched::run_batch and count_template / graphlet_degrees.  Internal to
-// the library; callers reach it through those entry points.
+// a coloring, run the DP, scale the root totals) behind
+// sched::run_batch, count_template / graphlet_degrees, and the
+// incremental begin_incremental / RunHandle::recount.  Internal to the
+// library; callers reach it through those entry points.
 //
 // A caller hands in a plan (plan.hpp) and the run's identity: the
 // checkpoint kind, a fingerprint of everything its estimates depend
@@ -18,6 +19,15 @@
 // the guard, checkpoints and resume, and the report sections every
 // run fills the same way.
 //
+// Retention is a per-iteration pass policy (DriverInputs::retained).
+// A plain pass releases its tables once the totals are read; an
+// incremental pass keeps them and moves iteration i's state into slot
+// i of a RetainedPasses store; a recount adopts slot i, re-runs only
+// the dirty balls (DpEngine::run_delta) and moves the state back.  A
+// failed iteration still ends the run as a partial result, which
+// leaves the store half advanced: callers must treat any status but
+// completed as fatal for it.
+//
 // Checkpoint layout: one array per job holding its completed
 // per-iteration estimates, then — for per-vertex runs — the raw
 // root-table vertex sums keyed by original vertex ids.  A
@@ -26,14 +36,28 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
+#include "core/engine.hpp"
 #include "graph/reorder.hpp"
 #include "obs/report.hpp"
 #include "sched/batch.hpp"
 #include "sched/plan.hpp"
 
 namespace fascia::sched {
+
+/// Per-iteration DP state an incremental run keeps between passes:
+/// every non-leaf table and frontier of each coloring.  Only the
+/// driver knows the table type, so it creates the store on an initial
+/// incremental pass and adopts it back on each recount.
+class RetainedPasses {
+ public:
+  virtual ~RetainedPasses() = default;
+
+  /// Bytes held by the retained tables and frontiers.
+  [[nodiscard]] virtual std::size_t bytes() const noexcept = 0;
+};
 
 struct DriverInputs {
   std::uint32_t checkpoint_kind = 0;  ///< run::Checkpoint::kKind*
@@ -55,6 +79,16 @@ struct DriverInputs {
   /// > 0 pins hybrid mode's outer copy count (the cost model decides
   /// otherwise).
   int forced_outer_copies = 0;
+
+  /// Incremental runs only (one-job plans, serial or inner layouts, no
+  /// reorder, no run controls).  Non-null keeps every iteration's DP
+  /// state: with `dirty` null the pass computes from scratch and
+  /// replaces *retained with a fresh store; with `dirty` set the pass
+  /// is a recount of the store *retained already holds.
+  std::unique_ptr<RetainedPasses>* retained = nullptr;
+
+  /// Recounts: the delta's dirty balls on `graph`, the post-delta graph.
+  const DirtyBalls* dirty = nullptr;
 };
 
 struct DriverOutput {
@@ -68,6 +102,9 @@ struct DriverOutput {
 
   double seconds = 0.0;  ///< wall time of the iteration loop
   std::size_t peak_table_bytes = 0;
+
+  /// Recounts: delta-pass work summed over every iteration.
+  DeltaPassStats delta;
 
   /// Graph, sampling counters, per-iteration timing, memory, threads,
   /// run status and stages; the caller adds kind, options, template

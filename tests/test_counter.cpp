@@ -234,7 +234,7 @@ TEST(Counter, FoldedGatherBitIdenticalPastTwoToThe53) {
   DpEngineOptions ref_opts;
   ref_opts.reference_kernels = true;
   DpEngine<CompactTable> ref(g, part, k, ref_opts);
-  ref.run(colors, /*parallel_inner=*/false, nullptr, /*keep_tables=*/true);
+  ref.run(colors, /*parallel_inner=*/false, /*keep_tables=*/true);
 
   // The regime is real: a mid-schedule stage holds a count past 2^53.
   double checked_max = 0.0;
@@ -252,11 +252,11 @@ TEST(Counter, FoldedGatherBitIdenticalPastTwoToThe53) {
 
   for (const bool parallel : {false, true}) {
     DpEngine<CompactTable> compact(g, part, k);
-    compact.run(colors, parallel, nullptr, /*keep_tables=*/true);
+    compact.run(colors, parallel, /*keep_tables=*/true);
     expect_tables_equal(compact, ref, part, n,
                         parallel ? "compact inner" : "compact serial");
     DpEngine<NaiveTable> naive(g, part, k);
-    naive.run(colors, parallel, nullptr, /*keep_tables=*/true);
+    naive.run(colors, parallel, /*keep_tables=*/true);
     expect_tables_equal(naive, ref, part, n,
                         parallel ? "naive inner" : "naive serial");
   }

@@ -24,6 +24,8 @@
 #include "graph/generators.hpp"
 #include "graph/labels.hpp"
 #include "graph/source.hpp"
+#include "obs/metrics.hpp"
+#include "obs/report.hpp"
 #include "treelet/tree_template.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -258,6 +260,10 @@ void expect_bit_identical(const CountResult& incremental,
 struct IncrementalCase {
   TableKind table;
   bool labeled;
+  /// Road grid with one insert and one delete per round: the dirty
+  /// balls cover about a tenth of the graph, so most rows are clean.
+  /// On the 59-vertex graph the outermost ball is the whole graph.
+  bool road = false;
 };
 
 class IncrementalBitIdentity
@@ -265,7 +271,10 @@ class IncrementalBitIdentity
 
 TEST_P(IncrementalBitIdentity, RecountMatchesFullRecount) {
   const IncrementalCase param = GetParam();
-  Graph g = grid_graph();
+  Graph g = param.road ? largest_component(grid_road(2000, 0.9, 7))
+                       : grid_graph();
+  const int inserts = param.road ? 1 : 4;
+  const int deletes = param.road ? 1 : 3;
   TreeTemplate tmpl = TreeTemplate::path(7);
   if (param.labeled) {
     assign_random_labels(g, 3, 21);
@@ -289,13 +298,21 @@ TEST_P(IncrementalBitIdentity, RecountMatchesFullRecount) {
   // the first.
   Xoshiro256 rng(7 + static_cast<std::uint64_t>(param.table));
   for (int round = 0; round < 3; ++round) {
-    GraphDelta delta = random_delta(g, 4, 3, rng);
+    GraphDelta delta = random_delta(g, inserts, deletes, rng);
     g.apply(delta);
     const CountResult& incremental = handle.recount(g, delta);
     expect_bit_identical(incremental, count_template(g, tmpl, options));
-    EXPECT_EQ(incremental.delta.applied_edges, 7u);
+    EXPECT_EQ(incremental.delta.applied_edges,
+              static_cast<std::uint64_t>(inserts + deletes));
     EXPECT_GT(incremental.delta.dirty_vertices, 0u);
     EXPECT_GT(incremental.delta.stages_recomputed, 0u);
+    if (param.road) {
+      // Each layout's clean-row route (patch, contiguous copy, per-slot
+      // copy, decode copy) carries most rows.
+      EXPECT_LT(incremental.delta.dirty_fraction, 0.5);
+      EXPECT_GT(incremental.delta.rows_copied,
+                incremental.delta.rows_recomputed);
+    }
     EXPECT_EQ(handle.graph_version(), g.version());
     ASSERT_TRUE(incremental.report != nullptr);
     EXPECT_TRUE(incremental.report->delta.incremental);
@@ -312,7 +329,55 @@ INSTANTIATE_TEST_SUITE_P(
                       IncrementalCase{TableKind::kHash, false},
                       IncrementalCase{TableKind::kSuccinct, false},
                       IncrementalCase{TableKind::kCompact, true},
-                      IncrementalCase{TableKind::kHash, true}));
+                      IncrementalCase{TableKind::kHash, true},
+                      IncrementalCase{TableKind::kNaive, false, true},
+                      IncrementalCase{TableKind::kCompact, false, true},
+                      IncrementalCase{TableKind::kHash, false, true},
+                      IncrementalCase{TableKind::kSuccinct, false, true}));
+
+TEST(Incremental, ReportsLikeEveryOtherRun) {
+  // Both passes run on the iteration driver: every coloring is counted
+  // in the registry and the report carries the per-stage detail.
+  struct ObsOff {
+    ~ObsOff() { obs::set_enabled(false); }
+  } off;
+  Graph g = grid_graph();
+  const TreeTemplate tmpl = TreeTemplate::path(5);
+  const int iterations = 3;
+  const CountOptions options = CountOptions::builder()
+                                   .iterations(iterations)
+                                   .seed(17)
+                                   .observability(true)
+                                   .collect_stages(true)
+                                   .build();
+  const auto colorings = [] {
+    return obs::Registry::global().read("count.colorings").value;
+  };
+
+  const double before = colorings();
+  RunHandle handle = begin_incremental(g, tmpl, options);
+  EXPECT_EQ(colorings() - before, iterations);
+  ASSERT_NE(handle.result().report, nullptr);
+  EXPECT_EQ(handle.result().report->kind, "incremental_count");
+  EXPECT_FALSE(handle.result().report->stages.empty());
+  EXPECT_TRUE(handle.result().report->delta.incremental);
+  EXPECT_EQ(handle.result().report->delta.recounts, 0u);
+
+  Xoshiro256 rng(5);
+  GraphDelta delta = random_delta(g, 2, 1, rng);
+  g.apply(delta);
+  const double mid = colorings();
+  const CountResult& recounted = handle.recount(g, delta);
+  EXPECT_EQ(colorings() - mid, iterations);
+  ASSERT_NE(recounted.report, nullptr);
+  EXPECT_EQ(recounted.report->kind, "incremental_count");
+  EXPECT_FALSE(recounted.report->stages.empty());
+  EXPECT_TRUE(recounted.report->delta.incremental);
+  EXPECT_EQ(recounted.report->delta.recounts, 1u);
+  EXPECT_EQ(recounted.report->delta.graph_version, g.version());
+  EXPECT_EQ(recounted.report->delta.applied_edges, 3u);
+  EXPECT_EQ(recounted.report->delta.rows_copied, recounted.delta.rows_copied);
+}
 
 TEST(Incremental, DeleteOnlyAndInsertOnlyDeltas) {
   Graph g = grid_graph();

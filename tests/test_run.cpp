@@ -15,6 +15,8 @@
 #include <vector>
 
 #include "core/counter.hpp"
+#include "core/incremental.hpp"
+#include "graph/delta.hpp"
 #include "graph/generators.hpp"
 #include "helpers.hpp"
 #include "run/checkpoint.hpp"
@@ -921,6 +923,41 @@ TEST_F(FaultFixture, DpAllocFailureDegradesGracefully) {
   EXPECT_EQ(result.run.status, RunStatus::kMemDegraded);
   EXPECT_LT(result.run.completed_iterations, options.sampling.iterations);
   EXPECT_GE(fault::hits("dp.alloc"), 1);
+}
+
+TEST_F(FaultFixture, FailedIncrementalPassPoisonsTheHandle) {
+  // The driver turns an allocation failure into a mem-degraded partial
+  // result; for retained state that is fatal, never a shorter estimate.
+  Graph g = test_graph();
+  const TreeTemplate& tree = catalog_entry("U5-2").tree;
+  const CountOptions options = base_options();
+  RunHandle handle = begin_incremental(g, tree, options);
+
+  GraphDelta delta;
+  delta.remove(0, 1);
+  g.apply(delta);
+  fault::arm("dp.alloc", 3);  // fails mid-recount, state half advanced
+  try {
+    handle.recount(g, delta);
+    ADD_FAILURE() << "recount survived an allocation failure";
+  } catch (const Error& error) {
+    EXPECT_EQ(error.category(), ErrorCategory::kResource);
+  }
+  EXPECT_GE(fault::hits("dp.alloc"), 3);
+
+  fault::disarm_all();
+  const GraphDelta empty;
+  g.apply(empty);
+  try {
+    handle.recount(g, empty);
+    ADD_FAILURE() << "a poisoned handle recounted";
+  } catch (const Error& error) {
+    EXPECT_EQ(error.category(), ErrorCategory::kUsage);
+  }
+
+  fault::arm("dp.alloc", 2);
+  EXPECT_THROW(begin_incremental(g, tree, options), Error);
+  EXPECT_GE(fault::hits("dp.alloc"), 2);
 }
 
 TEST_F(FaultFixture, CheckpointWriteFailureDoesNotKillRun) {
