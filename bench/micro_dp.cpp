@@ -339,7 +339,7 @@ int main(int argc, char** argv) {
   std::printf("graph: %s, %d labels\n\n", bench::describe_graph(g).c_str(),
               kNumLabels);
 
-  Harness harness{g, iters, ctx.seed};
+  Harness harness{g, iters, ctx.seed, {}, {}};
   for (int k = kmin; k <= kmax; ++k) {
     harness.run_all("path", PartitionStrategy::kOneAtATime, k);
     harness.run_all("path", PartitionStrategy::kBalanced, k);

@@ -5,8 +5,9 @@
 // One engine instance serves one (graph, template, partition, k)
 // combination and may run many iterations; tables are allocated per
 // node when its pass starts and freed on the partition's free_after
-// schedule (≤ ~4 live at once, §III-C), except in keep_tables mode
-// (the embedding extractor and incremental runs).
+// schedule (≤ ~4 live at once, §III-C), except in passes that keep
+// their tables (KeepTables: the embedding extractor and incremental
+// runs).
 //
 // Rows are color-rooted (comb/colorset.hpp, DESIGN.md §8): row v of a
 // size-h table counts embeddings whose root maps to v, so only the
@@ -45,6 +46,14 @@
 // counts in doubles, so the reassociated sums match bit for bit while
 // counts stay below 2^53), which tests/test_counter.cpp pins down and
 // bench/micro_dp measures.
+//
+// Exact 32-bit rows (DESIGN.md §8): before a stage runs, the engine
+// bounds its entries from its children's tracked maxima
+// (stage_entry_bound below); when the bound fits INT32_MAX the stage's
+// table stores int32_t counts, otherwise doubles.  The kernels read a
+// child's rows in its stored type (one template instantiation per
+// width, picked once per stage) and do every addition in double, so
+// each sum sees the same doubles in the same order at either width.
 
 #include <algorithm>
 #include <array>
@@ -52,10 +61,12 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #ifdef _OPENMP
@@ -159,6 +170,73 @@ struct DirtyBalls {
   }
 };
 
+/// Largest value stage_entry_bound returns: "no bound fits 64 bits".
+inline constexpr std::uint64_t kSaturatedBound =
+    std::numeric_limits<std::uint64_t>::max();
+
+namespace detail {
+
+/// A tracked maximum entry as an exact integer; saturated when it is
+/// past 2^53 (where doubles stop being exact) or unknown (infinite).
+[[nodiscard]] inline std::uint64_t bound_operand(double max_entry) noexcept {
+  if (!(max_entry <= 0x1p53)) return kSaturatedBound;
+  return max_entry > 0.0 ? static_cast<std::uint64_t>(max_entry) : 0;
+}
+
+[[nodiscard]] inline std::uint64_t saturating_mul(std::uint64_t x,
+                                                  std::uint64_t y) noexcept {
+  if (x != 0 && y > kSaturatedBound / x) return kSaturatedBound;
+  return x * y;
+}
+
+}  // namespace detail
+
+/// Upper bound on every entry of a size-h stage whose active child has
+/// size a, from the largest vertex degree and the children's largest
+/// entries (a leaf child counts as 1, whatever is passed for it):
+///
+///   pair            (h = 2)      Δ
+///   single_active   (a = 1)      Δ · M_p
+///   single_passive  (h - a = 1)  Δ · M_a
+///   general                      C(h-1, a-1) · M_a · Δ · M_p
+///
+/// An entry sums, over v's at most Δ neighbors u, the products of an
+/// active and a passive count over the splits of its colorset whose
+/// active side holds c(v): at most C(h-1, a-1) of them, and exactly one
+/// (the side holding only c(v) or only c(u)) when either child is a
+/// single vertex.  Saturating: maxima past 2^53 (or infinite) and any
+/// overflowing product give kSaturatedBound.
+[[nodiscard]] inline std::uint64_t stage_entry_bound(
+    int h, int a, std::uint64_t max_degree, double max_active,
+    double max_passive) noexcept {
+  const std::uint64_t m_a = a == 1 ? 1 : detail::bound_operand(max_active);
+  const std::uint64_t m_p =
+      h - a == 1 ? 1 : detail::bound_operand(max_passive);
+  const std::uint64_t splits = a == 1 || h - a == 1 ? 1 : choose(h - 1, a - 1);
+  return detail::saturating_mul(
+      detail::saturating_mul(detail::saturating_mul(splits, m_a), max_degree),
+      m_p);
+}
+
+/// Bytes per entry a stage with this bound stores: 4 (int32_t) when
+/// every entry provably fits, else 8 (double).
+[[nodiscard]] constexpr int stage_entry_bytes(std::uint64_t bound) noexcept {
+  return bound <= static_cast<std::uint64_t>(
+                      std::numeric_limits<std::int32_t>::max())
+             ? 4
+             : 8;
+}
+
+/// What a DP pass leaves behind (DpEngine::compute_tables, run).
+enum class KeepTables {
+  kNo,       ///< free each table on the partition's free_after schedule
+  kForReads, ///< keep every table for reads through get() (extraction)
+  /// Keep every table for incremental recounts: every stage stores
+  /// 8-byte entries, since run_delta's patch and copy routes rewrite
+  /// them with counts no bound was taken for.
+  kForRecounts,
+};
+
 /// Work accounting for delta passes (DpEngine::run_delta), summed
 /// over a recount's iterations into CountResult::delta.
 struct DeltaPassStats {
@@ -200,9 +278,9 @@ struct DpEngineOptions {
   /// total read) that consumes them.  The eviction policy is Belady on
   /// the static stage schedule: the victim is the resident table whose
   /// next consuming stage is farthest away.  Restored rows re-commit
-  /// through the table's own commit_row with doubles stored verbatim,
-  /// so paged and in-memory passes are bit-identical.  Inert in
-  /// keep_tables passes (the extractor needs every table resident).
+  /// through the table's own commit_row at the table's entry width, so
+  /// paged and in-memory passes are bit-identical.  Inert in passes
+  /// that keep their tables (the extractor needs every table resident).
   std::string spill_dir;
   std::size_t spill_budget_bytes = 0;
 };
@@ -217,6 +295,9 @@ struct DpStageStats {
   std::uint64_t candidates = 0;  ///< vertices iterated by the pass
   std::uint64_t survivors = 0;   ///< nonzero rows committed (frontier out)
   std::uint64_t macs = 0;        ///< multiply-accumulates performed (fast path)
+  int entry_bytes = 8;           ///< stored width: 4 (int32) or 8 (double)
+  std::uint64_t bound = 0;       ///< stage_entry_bound the width came from
+  double max_entry = 0.0;        ///< largest committed entry (fast path)
 };
 
 /// Human-readable kernel name for a DpStageStats::kernel tag.
@@ -259,6 +340,8 @@ inline void merge_stage_stats(const std::vector<DpStageStats>& stats,
       slot->active_size = stat.active_size;
     }
     ++slot->passes;
+    if (stat.entry_bytes == 4) ++slot->narrow_passes;
+    slot->max_bound = std::max(slot->max_bound, static_cast<double>(stat.bound));
     slot->seconds += stat.seconds;
     slot->candidates += static_cast<double>(stat.candidates);
     slot->survivors += static_cast<double>(stat.survivors);
@@ -352,13 +435,16 @@ class DpEngine {
   DpEngine(const Graph& graph, const PartitionTree& partition, int num_colors,
            DpEngineOptions options = {})
       : graph_(graph), partition_(partition), k_(num_colors),
-        opts_(std::move(options)) {
+        opts_(std::move(options)),
+        max_degree_(static_cast<std::uint64_t>(graph.max_degree())) {
     const int num_nodes = partition_.num_nodes();
     tables_.resize(static_cast<std::size_t>(num_nodes));
     frontiers_.resize(static_cast<std::size_t>(num_nodes));
+    node_max_.assign(static_cast<std::size_t>(num_nodes), kUnknownMax);
     if (spill_enabled()) {
       spill_tag_ = detail::next_spill_tag();
       spilled_to_.resize(static_cast<std::size_t>(num_nodes));
+      spilled_entry_bytes_.assign(static_cast<std::size_t>(num_nodes), 8);
       node_bytes_.assign(static_cast<std::size_t>(num_nodes), 0);
       consumers_.resize(static_cast<std::size_t>(num_nodes));
       for (int i = 0; i < num_nodes; ++i) {
@@ -424,12 +510,13 @@ class DpEngine {
   /// nodes are computed — the batch scheduler masks off stages no
   /// active job demands; the mask must be closed under children.
   /// Intermediate tables are freed on the free_after schedule unless
-  /// keep_tables; nodes with free_after == -1 survive until
-  /// release_all_tables() so callers can read them.
+  /// `keep` says otherwise (KeepTables); nodes with free_after == -1
+  /// survive until release_all_tables() so callers can read them.
   void compute_tables(const ColorArray& colors, bool parallel_inner,
                       const std::vector<char>* needed = nullptr,
-                      bool keep_tables = false) {
+                      KeepTables keep = KeepTables::kNo) {
     release_all_tables();
+    const bool keep_tables = keep != KeepTables::kNo;
     const int num_nodes = partition_.num_nodes();
     for (int i = 0; i < num_nodes; ++i) {
       // Cooperative stop (run/guard.hpp): polled between stage passes
@@ -451,7 +538,8 @@ class DpEngine {
           ensure_resident(node.active);
           ensure_resident(node.passive);
         }
-        compute_node(i, colors, parallel_inner);
+        compute_node(i, colors, parallel_inner,
+                     /*narrow_ok=*/keep != KeepTables::kForRecounts);
         if (paging) {
           node_bytes_[static_cast<std::size_t>(i)] =
               tables_[static_cast<std::size_t>(i)]->bytes();
@@ -515,16 +603,16 @@ class DpEngine {
   /// One full bottom-up DP pass for a fixed coloring; returns the sum
   /// over the root table.
   double run(const ColorArray& colors, bool parallel_inner,
-             bool keep_tables = false) {
-    compute_tables(colors, parallel_inner, nullptr, keep_tables);
+             KeepTables keep = KeepTables::kNo) {
+    compute_tables(colors, parallel_inner, nullptr, keep);
     if (guard_ != nullptr && guard_->stopped()) return 0.0;
     const double total = root_total();
-    if (!keep_tables) release_all_tables();
+    if (keep == KeepTables::kNo) release_all_tables();
     return total;
   }
 
   /// Table for a node (nullptr for leaves or freed nodes); valid after
-  /// run(..., keep_tables = true).
+  /// a pass that kept its tables (KeepTables).
   [[nodiscard]] const Table* table(int node) const noexcept {
     return tables_[static_cast<std::size_t>(node)].get();
   }
@@ -548,7 +636,7 @@ class DpEngine {
 
   /// Retained DP state of one coloring's pass: every non-leaf table
   /// plus its frontier, as left behind by compute_tables(...,
-  /// keep_tables = true) or run_delta().  The iteration driver moves it
+  /// KeepTables::kForRecounts) or run_delta().  The iteration driver moves it
   /// out per iteration on incremental runs (sched/driver.hpp) and
   /// re-adopts it before the next recount of the same iteration.
   struct Retained {
@@ -557,7 +645,7 @@ class DpEngine {
   };
 
   /// Moves the current tables/frontiers out (leaving empty slots);
-  /// valid after compute_tables(..., keep_tables = true) or
+  /// valid after compute_tables(..., KeepTables::kForRecounts) or
   /// run_delta().
   [[nodiscard]] Retained take_retained() {
     Retained out;
@@ -595,9 +683,11 @@ class DpEngine {
   /// every clean row verbatim into the fresh table (run/spill.hpp's
   /// decode -> commit_row round trip, proven bit-exact).  The
   /// resulting tables and frontiers are bit-identical to a full
-  /// compute_tables(colors, ..., keep_tables = true) on the new graph
-  /// either way, so callers read totals (node_total, add_vertex_totals)
-  /// exactly as after a full pass.
+  /// compute_tables(colors, ..., KeepTables::kForRecounts) on the new
+  /// graph either way, so callers read totals (node_total,
+  /// add_vertex_totals) exactly as after a full pass.  Every table it
+  /// builds stores 8-byte entries; the partial passes leave no tracked
+  /// maxima behind.
   void run_delta(const ColorArray& colors, bool parallel_inner,
                  const DirtyBalls& dirty, DeltaPassStats& delta_stats) {
     const int num_nodes = partition_.num_nodes();
@@ -647,8 +737,9 @@ class DpEngine {
         }
         delta_restrict_ = &restricted;
       }
-      compute_node(i, colors, parallel_inner);
+      compute_node(i, colors, parallel_inner, /*narrow_ok=*/false);
       delta_restrict_ = nullptr;
+      node_max_[idx] = kUnknownMax;  // the ball rows' maximum only
 
       std::vector<VertexId>& fresh_frontier = frontiers_[idx];
       ++delta_stats.stages_recomputed;
@@ -813,8 +904,9 @@ class DpEngine {
     const auto idx = static_cast<std::size_t>(node);
     if (idx >= spilled_to_.size() || spilled_to_[idx].empty()) return;
     FASCIA_TRACE("dp.page_in", node);
-    tables_[idx] = run::restore_table<Table>(spilled_to_[idx],
-                                             graph_.num_vertices(), nullptr);
+    tables_[idx] = run::restore_table<Table>(
+        spilled_to_[idx], graph_.num_vertices(), nullptr,
+        spilled_entry_bytes_[idx]);
     std::remove(spilled_to_[idx].c_str());
     spilled_to_[idx].clear();
     node_bytes_[idx] = tables_[idx]->bytes();
@@ -876,6 +968,7 @@ class DpEngine {
     const std::size_t written = run::spill_table(
         path, *tables_[idx], frontiers_[idx], graph_.num_vertices());
     spilled_to_[idx] = std::move(path);
+    spilled_entry_bytes_[idx] = tables_[idx]->entry_bytes();
     spilled_bytes_ += written;
     ++spill_events_;
     resident_bytes_ -= node_bytes_[idx];
@@ -895,15 +988,36 @@ class DpEngine {
 #endif
   }
 
-  void compute_node(int index, const ColorArray& colors, bool parallel) {
+  /// Largest entry of a computed node's table (1 for a leaf).
+  [[nodiscard]] double node_max(int node) const noexcept {
+    return partition_.node(node).is_leaf()
+               ? 1.0
+               : node_max_[static_cast<std::size_t>(node)];
+  }
+
+  /// Calls body(std::type_identity<E>{}) with E the type `table` stores
+  /// its contiguous rows in: std::int32_t for a 4-byte table, else
+  /// double.  Layouts without contiguous rows always get double — they
+  /// are read through get()/decode_row, which convert.
+  template <class Body>
+  static void with_entry_type(const Table& table, Body&& body) {
+    if constexpr (Table::kContiguousRows) {
+      if (table.entry_bytes() == 4) {
+        body(std::type_identity<std::int32_t>{});
+        return;
+      }
+    }
+    body(std::type_identity<double>{});
+  }
+
+  /// Runs one stage into a fresh table.  Its width comes from the
+  /// children's tracked maxima (stage_entry_bound): 4 bytes when the
+  /// bound fits int32_t and `narrow_ok`, else 8.
+  void compute_node(int index, const ColorArray& colors, bool parallel,
+                    bool narrow_ok) {
     const Subtemplate& node = partition_.node(index);
     const int h = node.size();
     const auto num_sets = num_rooted_colorsets(k_, h);
-    // First-touch: zero the table with the same thread partition the
-    // parallel sweep below uses (count_table.hpp TableInit).
-    const TableInit init{parallel ? effective_inner_threads() : 1};
-    auto table = std::make_unique<Table>(graph_.num_vertices(), num_sets, init);
-
     const Subtemplate& active = partition_.node(node.active);
     const Subtemplate& passive = partition_.node(node.passive);
     const int a = active.size();
@@ -914,6 +1028,14 @@ class DpEngine {
     stat.parent_size = h;
     stat.active_size = a;
     stat.kernel = h == 2 ? 'P' : a == 1 ? 'A' : p == 1 ? 'S' : 'G';
+    stat.bound = stage_entry_bound(h, a, max_degree_, node_max(node.active),
+                                   node_max(node.passive));
+    stat.entry_bytes = narrow_ok ? stage_entry_bytes(stat.bound) : 8;
+    // First-touch: zero the table with the same thread partition the
+    // parallel sweep below uses (count_table.hpp TableInit).
+    const TableInit init{parallel ? effective_inner_threads() : 1,
+                         stat.entry_bytes};
+    auto table = std::make_unique<Table>(graph_.num_vertices(), num_sets, init);
     const bool obs_on = obs::enabled();
     WallClock clock(opts_.collect_stats || obs_on);
     // Span detail carries what the fixed args cannot: the table layout
@@ -944,24 +1066,39 @@ class DpEngine {
       if (opts_.reference_kernels) {
         kernel_single_active_reference(*table, node, colors, parallel);
       } else {
-        kernel_single_active(*table, index, node, colors, parallel,
-                             frontier_sink, stat);
+        with_entry_type(*tables_[static_cast<std::size_t>(node.passive)],
+                        [&]<class E>(std::type_identity<E>) {
+                          kernel_single_active<E>(*table, index, node, colors,
+                                                  parallel, frontier_sink,
+                                                  stat);
+                        });
       }
     } else if (p == 1) {
       if (opts_.reference_kernels) {
         kernel_single_passive_reference(*table, node, colors, parallel);
       } else {
-        kernel_single_passive(*table, index, node, colors, parallel,
-                              frontier_sink, stat);
+        with_entry_type(*tables_[static_cast<std::size_t>(node.active)],
+                        [&]<class E>(std::type_identity<E>) {
+                          kernel_single_passive<E>(*table, index, node,
+                                                   colors, parallel,
+                                                   frontier_sink, stat);
+                        });
       }
     } else {
       if (opts_.reference_kernels) {
         kernel_general_reference(*table, node, colors, parallel);
       } else {
-        kernel_general(*table, index, node, colors, parallel, frontier_sink,
-                       stat);
+        with_entry_type(*tables_[static_cast<std::size_t>(node.passive)],
+                        [&]<class E>(std::type_identity<E>) {
+                          kernel_general<E>(*table, index, node, colors,
+                                            parallel, frontier_sink, stat);
+                        });
       }
     }
+    // The reference kernels track no maxima: their tables bound nothing
+    // (so every stage downstream of them stays 8 bytes wide).
+    node_max_[static_cast<std::size_t>(index)] =
+        opts_.reference_kernels ? kUnknownMax : stat.max_entry;
     // The stage metric samples every live table's bytes at once:
     // MemTracker::current(), one O(1) atomic read.
     const std::size_t table_bytes = obs_on ? MemTracker::current() : 0;
@@ -1019,6 +1156,7 @@ class DpEngine {
     /// Hoisted nonzero active-row colorset indices (general kernel).
     std::vector<ColorsetIndex> nz_active;
     std::uint64_t macs = 0;  ///< multiply-accumulate tally
+    double max_entry = 0.0;  ///< largest entry this thread committed
   };
 
   /// Candidate set of one kernel pass: an explicit frontier, or all n
@@ -1073,6 +1211,7 @@ class DpEngine {
       ws.psum.resize(psum_width);
       if (active_bound > 0) ws.nz_active.reserve(active_bound);
       ws.macs = 0;
+      ws.max_entry = 0.0;
     };
 #ifdef _OPENMP
     if (parallel && count > 0) {
@@ -1094,7 +1233,9 @@ class DpEngine {
       }
       const bool guided = opts_.guided_schedule;
       std::uint64_t macs = 0;
-#pragma omp parallel num_threads(threads) reduction(+ : macs)
+      double max_entry = 0.0;
+#pragma omp parallel num_threads(threads) reduction(+ : macs) \
+    reduction(max : max_entry)
       {
         Workspace& ws =
             workspaces_[static_cast<std::size_t>(omp_get_thread_num())];
@@ -1117,8 +1258,10 @@ class DpEngine {
           }
         }
         macs += ws.macs;
+        max_entry = std::max(max_entry, ws.max_entry);
       }
       stat.macs += macs;
+      stat.max_entry = std::max(stat.max_entry, max_entry);
       if (keep != nullptr) {
         for (std::size_t i = 0; i < count; ++i) {
           if (keep[i] != 0) frontier_out->push_back(front[i]);
@@ -1135,6 +1278,23 @@ class DpEngine {
       if (body(v, ws) && frontier_out != nullptr) frontier_out->push_back(v);
     }
     stat.macs += ws.macs;
+    stat.max_entry = std::max(stat.max_entry, ws.max_entry);
+  }
+
+  /// Commits ws.row as v's row and folds its largest entry into the
+  /// thread's running maximum, which for_frontier reduces into the
+  /// stage's — the next stage's bound input.  Per thread: the commit
+  /// path takes no lock and no atomic.
+  static void commit(Table& out, VertexId v, Workspace& ws) {
+    const double* r = ws.row.data();
+    const std::size_t width = ws.row.size();
+    double m = ws.max_entry;
+#ifdef _OPENMP
+#pragma omp simd reduction(max : m)
+#endif
+    for (std::size_t c = 0; c < width; ++c) m = r[c] > m ? r[c] : m;
+    ws.max_entry = m;
+    out.commit_row(v, ws.row);
   }
 
   /// Zeroes ps[0..width) — a globally indexed passive row — and adds
@@ -1146,6 +1306,8 @@ class DpEngine {
   /// one-row-at-a-time fold of full-width rows, minus the structural
   /// zeros, so sums stay bit-identical even past 2^53.  Sparse rows add
   /// only their stored nonzeros; hash rows are probed per slot.
+  /// Borrowed rows are read in their stored type E (with_entry_type).
+  template <class E>
   [[nodiscard]] std::size_t fold_neighbor_rows(
       const Table& tp, const RootedColorsets& sets, const ColorArray& colors,
       const VertexId* nbr, std::size_t deg, std::uint32_t width,
@@ -1166,7 +1328,7 @@ class DpEngine {
       const ColorsetIndex* to =
           sets.globals(colors[static_cast<std::size_t>(u)]).data();
       if constexpr (Table::kContiguousRows) {
-        const double* prow = tp.row_ptr(u);
+        const E* prow = tp.template row_ptr<E>(u);
         if (prow == nullptr) continue;
         ++nu;
 #ifdef _OPENMP
@@ -1235,12 +1397,14 @@ class DpEngine {
             any = any || count != 0.0;
           }
           if (!any) return false;
-          out.commit_row(v, ws.row);
+          commit(out, v, ws);
           ws.macs += graph_.neighbors(v).size() + static_cast<std::size_t>(k_);
           return true;
         });
   }
 
+  /// E: the passive child's stored entry type (with_entry_type).
+  template <class E>
   void kernel_single_active(Table& out, int index, const Subtemplate& node,
                             const ColorArray& colors, bool parallel,
                             std::vector<VertexId>* frontier_out,
@@ -1282,9 +1446,9 @@ class DpEngine {
               }
             }
             const VertexId u = nbr[j];
-            const double* prow = nullptr;
+            const E* prow = nullptr;
             if constexpr (Table::kContiguousRows) {
-              prow = tp.row_ptr(u);
+              prow = tp.template row_ptr<E>(u);
               if (prow == nullptr) continue;
             } else {
               if (!tp.has_vertex(u)) continue;
@@ -1320,12 +1484,14 @@ class DpEngine {
             }
           }
           if (nu == 0) return false;
-          out.commit_row(v, row);
+          commit(out, v, ws);
           ws.macs += nu * macs_per_row;
           return true;
         });
   }
 
+  /// E: the active child's stored entry type (with_entry_type).
+  template <class E>
   void kernel_single_passive(Table& out, int index, const Subtemplate& node,
                              const ColorArray& colors, bool parallel,
                              std::vector<VertexId>* frontier_out,
@@ -1368,9 +1534,9 @@ class DpEngine {
           auto& row = ws.row;
           std::fill(row.begin(), row.end(), 0.0);
           double* r = row.data();
-          const double* arow = nullptr;
+          const E* arow = nullptr;
           if constexpr (Table::kContiguousRows) {
-            arow = ta.row_ptr(v);
+            arow = ta.template row_ptr<E>(v);
             if (arow == nullptr) return false;  // frontier guarantees rows
           } else if constexpr (DecodableRowTable<Table>) {
             // v's row feeds every color's list: reconstruct it once,
@@ -1401,12 +1567,15 @@ class DpEngine {
               }
             }
           }
-          out.commit_row(v, row);
+          commit(out, v, ws);
           ws.macs += graph_.neighbors(v).size();
           return true;
         });
   }
 
+  /// E: the passive child's stored entry type (with_entry_type).  The
+  /// active row is read once per vertex, so a 4-byte one is decoded.
+  template <class E>
   void kernel_general(Table& out, int index, const Subtemplate& node,
                       const ColorArray& colors, bool parallel,
                       std::vector<VertexId>* frontier_out,
@@ -1448,8 +1617,16 @@ class DpEngine {
           // (conflict-free scatter).
           const double* arow;
           if constexpr (Table::kContiguousRows) {
-            arow = ta.row_ptr(v);
-            if (arow == nullptr) return false;  // frontier guarantees rows
+            if (ta.entry_bytes() == 4) {
+              const std::int32_t* narrow =
+                  ta.template row_ptr<std::int32_t>(v);
+              if (narrow == nullptr) return false;
+              ws.gather.assign(narrow, narrow + num_actives);
+              arow = ws.gather.data();
+            } else {
+              arow = ta.row_ptr(v);
+              if (arow == nullptr) return false;  // frontier guarantees rows
+            }
           } else {
             // Zero-row frontier carry-overs (see kernel_single_passive)
             // decode to all zeros: drop them before paying the gather.
@@ -1504,8 +1681,8 @@ class DpEngine {
           const VertexId* nbr = neighbors.data();
           if (fold_neighbors) {
             double* ps = ws.psum.data();
-            nu = fold_neighbor_rows(tp, passive_sets, colors, nbr, deg,
-                                    passive_width, ps);
+            nu = fold_neighbor_rows<E>(tp, passive_sets, colors, nbr, deg,
+                                       passive_width, ps);
             if (nu == 0) return false;
             const ColorsetIndex* act = split.fold_actives(cv).data();
             const ColorsetIndex* pas = split.fold_passives(cv).data();
@@ -1532,9 +1709,9 @@ class DpEngine {
                 }
               }
               const VertexId u = nbr[j];
-              const double* prow = nullptr;
+              const E* prow = nullptr;
               if constexpr (Table::kContiguousRows) {
-                prow = tp.row_ptr(u);
+                prow = tp.template row_ptr<E>(u);
                 if (prow == nullptr) continue;
               } else {
                 if (!tp.has_vertex(u)) continue;
@@ -1574,7 +1751,7 @@ class DpEngine {
             ws.macs += nu * num_entries;
           }
           if (nu == 0) return false;
-          out.commit_row(v, row);
+          commit(out, v, ws);
           return true;
         });
   }
@@ -1784,6 +1961,15 @@ class DpEngine {
   const std::vector<VertexId>* delta_restrict_ = nullptr;
   std::vector<std::unique_ptr<Table>> tables_;
   std::vector<std::vector<VertexId>> frontiers_;
+  /// Largest entry per computed node, reduced from the per-thread
+  /// maxima after its stage (kUnknownMax when not tracked: reference
+  /// and delta passes).  Survives paging; leaves read as 1 (node_max).
+  static constexpr double kUnknownMax =
+      std::numeric_limits<double>::infinity();
+  std::vector<double> node_max_;
+  /// Δ, the stage bounds' degree factor (the graph is fixed for the
+  /// engine's lifetime).
+  std::uint64_t max_degree_ = 0;
   /// Global <-> rooted translation per table size (index = size).
   std::vector<std::optional<RootedColorsets>> rooted_;
   std::vector<std::optional<SingleActiveSplit>> single_splits_;
@@ -1804,6 +1990,7 @@ class DpEngine {
   /// set): page path per spilled node (empty = resident), resident
   /// bytes per node, consuming stages per node (ascending).
   std::vector<std::string> spilled_to_;
+  std::vector<int> spilled_entry_bytes_;  ///< width a page restores at
   std::vector<std::size_t> node_bytes_;
   std::vector<std::vector<int>> consumers_;
   std::size_t resident_bytes_ = 0;

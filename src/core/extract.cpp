@@ -256,7 +256,7 @@ std::vector<Embedding> sample_embeddings(const Graph& graph,
     const ColorArray colors =
         coloring_for(graph, k, options.sampling.seed + static_cast<std::uint64_t>(attempt));
     const double total =
-        engine.run(colors, /*parallel_inner=*/false, /*keep_tables=*/true);
+        engine.run(colors, /*parallel_inner=*/false, KeepTables::kForReads);
     if (total <= 0.0) continue;
 
     Walker walker(engine, tmpl, colors);
@@ -327,7 +327,7 @@ std::vector<Embedding> enumerate_embeddings(const Graph& graph,
       tmpl, options.execution.partition, /*share_tables=*/false, options.root);
   DpEngine<Table> engine(graph, tmpl, partition, k);
   const ColorArray colors = coloring_for(graph, k, options.sampling.seed);
-  engine.run(colors, /*parallel_inner=*/false, /*keep_tables=*/true);
+  engine.run(colors, /*parallel_inner=*/false, KeepTables::kForReads);
 
   std::vector<Embedding> out;
   // An occurrence (non-induced copy) is a concrete subgraph: the same

@@ -35,20 +35,31 @@
 //   double total() const;
 //   double vertex_total(VertexId v) const;
 //   std::uint32_t num_colorsets() const;
+//   int entry_bytes() const;   // 8 (double) or 4 (int32_t), see below
 //   std::size_t bytes() const;
+//
+// Entry width (DESIGN.md §8, "Exact 32-bit rows"): every entry is an
+// exact integer count.  A table built with TableInit::entry_bytes == 4
+// stores it as int32_t; the DpEngine asks for that only when a tracked
+// bound proves every entry of the stage fits.  The interface stays in
+// doubles either way: commit_row converts in, get/total/vertex_total
+// convert out, and int32 -> double is exact, so a narrow table reads
+// back bit for bit what a wide one would.
 //
 // Row-borrow contract (the vectorized kernels' fast path):
 //
 //   static constexpr bool kContiguousRows;
-//   const double* row_ptr(VertexId v) const;
+//   template <class T = double> const T* row_ptr(VertexId v) const;
 //
-// When kContiguousRows is true, row_ptr(v) returns the vertex's
-// num_colorsets() doubles as one contiguous array (nullptr when the
-// vertex has no row), valid until the next commit to that vertex or
-// table destruction; the DP inner loops then run multiply-accumulates
-// over raw rows instead of per-element get() calls.  A layout without
-// contiguous storage (the hash table) sets the flag false and returns
-// nullptr unconditionally — callers must fall back to get().
+// When kContiguousRows is true, row_ptr<T>(v) returns the vertex's
+// num_colorsets() entries as one contiguous array of T (nullptr when
+// the vertex has no row), valid until the next commit to that vertex
+// or table destruction; T must be the stored type (double for 8-byte
+// tables, std::int32_t for 4-byte ones).  The DP inner loops then run
+// multiply-accumulates over raw rows instead of per-element get()
+// calls.  A layout without contiguous storage (hash, succinct) sets
+// the flag false and returns nullptr unconditionally — callers must
+// fall back to get().
 //
 // In-place patch contract (the incremental delta path's fast path):
 //
@@ -83,7 +94,10 @@
 // naturally satisfied.  All layouts report logical allocations to
 // MemTracker so the Figs. 6-7 benches can compare peaks.
 
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "comb/colorset.hpp"
 #include "graph/graph.hpp"
@@ -110,7 +124,75 @@ namespace fascia {
 /// which is already the right placement.
 struct TableInit {
   int zero_threads = 1;
+  /// Bytes per stored count: 8 (double) or 4 (int32_t).  Only the
+  /// DpEngine picks 4, for stages whose tracked bound fits INT32_MAX.
+  int entry_bytes = 8;
 };
+
+namespace detail {
+
+/// Entry i of an array of `entry_bytes`-wide counts, as a double.
+[[nodiscard]] inline double load_entry(const void* base, std::size_t i,
+                                       int entry_bytes) noexcept {
+  return entry_bytes == 4
+             ? static_cast<double>(static_cast<const std::int32_t*>(base)[i])
+             : static_cast<const double*>(base)[i];
+}
+
+/// Stores `value` as entry i.  A 4-byte store converts an exact count
+/// the stage bound proved to fit; debug builds check the round trip.
+inline void store_entry(void* base, std::size_t i, double value,
+                        int entry_bytes) noexcept {
+  if (entry_bytes == 4) {
+    const auto narrow = static_cast<std::int32_t>(value);
+    assert(static_cast<double>(narrow) == value);
+    static_cast<std::int32_t*>(base)[i] = narrow;
+  } else {
+    static_cast<double*>(base)[i] = value;
+  }
+}
+
+/// Stores row[0..count) as consecutive entries at `base`.
+inline void store_entries(void* base, const double* row, std::size_t count,
+                          int entry_bytes) noexcept {
+  if (entry_bytes == 4) {
+    auto* out = static_cast<std::int32_t*>(base);
+    for (std::size_t i = 0; i < count; ++i) {
+      out[i] = static_cast<std::int32_t>(row[i]);
+      assert(static_cast<double>(out[i]) == row[i]);
+    }
+  } else {
+    std::memcpy(base, row, count * sizeof(double));
+  }
+}
+
+/// Writes `count` consecutive entries at `base` into out[0..count).
+inline void load_entries(const void* base, std::size_t count,
+                         int entry_bytes, double* out) noexcept {
+  if (entry_bytes == 4) {
+    const auto* in = static_cast<const std::int32_t*>(base);
+    for (std::size_t i = 0; i < count; ++i) out[i] = in[i];
+  } else {
+    std::memcpy(out, base, count * sizeof(double));
+  }
+}
+
+/// `sum` plus `count` consecutive entries, added in index order — the
+/// same additions on the same doubles whatever the width.
+[[nodiscard]] inline double sum_entries(const void* base, std::size_t count,
+                                        int entry_bytes,
+                                        double sum = 0.0) noexcept {
+  if (entry_bytes == 4) {
+    const auto* in = static_cast<const std::int32_t*>(base);
+    for (std::size_t i = 0; i < count; ++i) sum += in[i];
+  } else {
+    const auto* in = static_cast<const double*>(base);
+    for (std::size_t i = 0; i < count; ++i) sum += in[i];
+  }
+  return sum;
+}
+
+}  // namespace detail
 
 /// Runtime selector used by CountOptions; maps to the classes above.
 enum class TableKind {

@@ -16,9 +16,11 @@ std::atomic<std::uint64_t> next_arena_id{1};
 
 }  // namespace
 
-RowArena::RowArena()
+RowArena::RowArena(std::size_t max_chunk_bytes)
     : id_(next_arena_id.fetch_add(1, std::memory_order_relaxed)),
-      next_chunk_words_(kFirstChunkBytes / kWordBytes) {}
+      next_chunk_words_(kFirstChunkBytes / kWordBytes),
+      max_chunk_words_(std::max(max_chunk_bytes, kFirstChunkBytes) /
+                       kWordBytes) {}
 
 RowArena::~RowArena() { MemTracker::sub(bytes()); }
 
@@ -28,8 +30,7 @@ std::uint64_t* RowArena::claim_chunk(std::size_t words) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     chunk_words = std::max(words, next_chunk_words_);
-    next_chunk_words_ =
-        std::min(next_chunk_words_ * 2, kMaxChunkBytes / kWordBytes);
+    next_chunk_words_ = std::min(next_chunk_words_ * 2, max_chunk_words_);
     chunks_.push_back(
         std::make_unique_for_overwrite<std::uint64_t[]>(chunk_words));
     chunk = chunks_.back().get();

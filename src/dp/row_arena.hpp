@@ -25,7 +25,9 @@
 //
 // Each thread holds at most one partly filled chunk per arena, so the
 // slack above the rows actually handed out is bounded by
-// threads x kMaxChunkBytes per live table.
+// threads x the arena's largest chunk per live table.  An arena of
+// short rows can cap its chunks lower (the constructor argument) to
+// keep that slack small next to the rows.
 
 #include <atomic>
 #include <cstddef>
@@ -59,7 +61,8 @@ class RowArena {
   static constexpr std::size_t kFirstChunkBytes = std::size_t{4} << 10;
   static constexpr std::size_t kMaxChunkBytes = std::size_t{256} << 10;
 
-  RowArena();
+  /// Chunks double from kFirstChunkBytes up to `max_chunk_bytes`.
+  explicit RowArena(std::size_t max_chunk_bytes = kMaxChunkBytes);
   ~RowArena();
 
   RowArena(const RowArena&) = delete;
@@ -96,6 +99,7 @@ class RowArena {
   std::mutex mutex_;
   std::vector<std::unique_ptr<std::uint64_t[]>> chunks_;  ///< under mutex_
   std::size_t next_chunk_words_;                          ///< under mutex_
+  const std::size_t max_chunk_words_;
   std::atomic<std::size_t> bytes_{0};
 };
 

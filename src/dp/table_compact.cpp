@@ -10,18 +10,32 @@
 
 namespace fascia {
 
+namespace {
+
+/// Arena words per row: the entries rounded up to an even word count,
+/// which keeps every row 16-byte aligned (what a per-row malloc
+/// guaranteed) and leaves room for the free-list link.
+std::size_t row_words(std::uint32_t num_colorsets, int entry_bytes) {
+  const std::size_t words =
+      (static_cast<std::size_t>(num_colorsets) *
+           static_cast<std::size_t>(entry_bytes) +
+       7) /
+      8;
+  return (std::max<std::size_t>(words, 1) + 1) & ~std::size_t{1};
+}
+
+}  // namespace
+
 CompactTable::CompactTable(VertexId n, std::uint32_t num_colorsets,
                            TableInit init)
     : n_(n),
       num_colorsets_(num_colorsets),
-      // Even word counts keep every row 16-byte aligned (what a per-row
-      // malloc guaranteed), and leave room for the free-list link.
-      stride_words_((std::max<std::size_t>(num_colorsets, 1) + 1) &
-                    ~std::size_t{1}) {
+      entry_bytes_(init.entry_bytes),
+      stride_words_(row_words(num_colorsets, init.entry_bytes)) {
   if (fault::fire("dp.alloc")) {
     throw resource_error("injected DP table allocation failure");
   }
-  rows_ = std::make_unique_for_overwrite<double*[]>(
+  rows_ = std::make_unique_for_overwrite<std::uint64_t*[]>(
       static_cast<std::size_t>(n_));
   // The nullptr fill is the pointer array's first touch; rows are
   // first-touched by whichever thread commits them (its arena chunk).
@@ -32,36 +46,38 @@ CompactTable::CompactTable(VertexId n, std::uint32_t num_colorsets,
 
 CompactTable::~CompactTable() { MemTracker::sub(pointer_bytes()); }
 
+std::uint64_t* CompactTable::row_slot(VertexId v, bool reuse) {
+  std::uint64_t*& slot = rows_[static_cast<std::size_t>(v)];
+  if (slot == nullptr) {
+    if (reuse && free_rows_ != nullptr) {
+      slot = free_rows_;
+      std::memcpy(&free_rows_, slot, sizeof(std::uint64_t*));
+    } else {
+      slot = arena_.allocate(stride_words_);
+    }
+  }
+  return slot;
+}
+
 void CompactTable::commit_row(VertexId v, std::span<const double> row) {
   const bool any_nonzero =
       std::any_of(row.begin(), row.end(), [](double x) { return x != 0.0; });
   if (!any_nonzero) return;
-  double*& slot = rows_[static_cast<std::size_t>(v)];
-  if (slot == nullptr) {
-    slot = reinterpret_cast<double*>(arena_.allocate(stride_words_));
-  }
-  std::memcpy(slot, row.data(), num_colorsets_ * sizeof(double));
+  detail::store_entries(row_slot(v, /*reuse=*/false), row.data(),
+                        num_colorsets_, entry_bytes_);
 }
 
 void CompactTable::patch_row(VertexId v, std::span<const double> row) {
-  double*& slot = rows_[static_cast<std::size_t>(v)];
-  if (slot == nullptr) {
-    if (free_rows_ != nullptr) {
-      slot = free_rows_;
-      std::memcpy(&free_rows_, slot, sizeof(double*));
-    } else {
-      slot = reinterpret_cast<double*>(arena_.allocate(stride_words_));
-    }
-  }
-  std::memcpy(slot, row.data(), num_colorsets_ * sizeof(double));
+  detail::store_entries(row_slot(v, /*reuse=*/true), row.data(),
+                        num_colorsets_, entry_bytes_);
 }
 
 void CompactTable::clear_row(VertexId v) noexcept {
-  double*& slot = rows_[static_cast<std::size_t>(v)];
+  std::uint64_t*& slot = rows_[static_cast<std::size_t>(v)];
   if (slot == nullptr) return;
   // Every row has the same width, so the freed row is a drop-in for the
   // next patch_row: link it through its first word.
-  std::memcpy(slot, &free_rows_, sizeof(double*));
+  std::memcpy(slot, &free_rows_, sizeof(std::uint64_t*));
   free_rows_ = slot;
   slot = nullptr;
 }
@@ -69,19 +85,17 @@ void CompactTable::clear_row(VertexId v) noexcept {
 double CompactTable::total() const noexcept {
   double sum = 0.0;
   for (VertexId v = 0; v < n_; ++v) {
-    const double* row = rows_[static_cast<std::size_t>(v)];
+    const std::uint64_t* row = rows_[static_cast<std::size_t>(v)];
     if (row == nullptr) continue;
-    for (std::uint32_t i = 0; i < num_colorsets_; ++i) sum += row[i];
+    sum = detail::sum_entries(row, num_colorsets_, entry_bytes_, sum);
   }
   return sum;
 }
 
 double CompactTable::vertex_total(VertexId v) const noexcept {
-  const double* row = rows_[static_cast<std::size_t>(v)];
+  const std::uint64_t* row = rows_[static_cast<std::size_t>(v)];
   if (row == nullptr) return 0.0;
-  double sum = 0.0;
-  for (std::uint32_t i = 0; i < num_colorsets_; ++i) sum += row[i];
-  return sum;
+  return detail::sum_entries(row, num_colorsets_, entry_bytes_);
 }
 
 VertexId CompactTable::num_active_vertices() const noexcept {

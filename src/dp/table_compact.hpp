@@ -36,14 +36,17 @@ class CompactTable {
   }
 
   [[nodiscard]] double get(VertexId v, ColorsetIndex idx) const noexcept {
-    const double* row = rows_[static_cast<std::size_t>(v)];
-    return row == nullptr ? 0.0 : row[idx];
+    const std::uint64_t* row = rows_[static_cast<std::size_t>(v)];
+    return row == nullptr ? 0.0 : detail::load_entry(row, idx, entry_bytes_);
   }
 
-  /// The vertex's row as num_colorsets() contiguous doubles; nullptr
-  /// when the vertex never committed a nonzero row.
-  [[nodiscard]] const double* row_ptr(VertexId v) const noexcept {
-    return rows_[static_cast<std::size_t>(v)];
+  /// The vertex's row as num_colorsets() contiguous entries of T (the
+  /// stored type); nullptr when the vertex never committed a nonzero
+  /// row.
+  template <class T = double>
+  [[nodiscard]] const T* row_ptr(VertexId v) const noexcept {
+    assert(sizeof(T) == static_cast<std::size_t>(entry_bytes_));
+    return reinterpret_cast<const T*>(rows_[static_cast<std::size_t>(v)]);
   }
 
   /// Two-step prefetch: the row address itself lives behind rows_[v],
@@ -53,7 +56,7 @@ class CompactTable {
     FASCIA_PREFETCH(rows_.get() + static_cast<std::size_t>(v));
   }
   void prefetch_row(VertexId v) const noexcept {
-    const double* row = rows_[static_cast<std::size_t>(v)];
+    const std::uint64_t* row = rows_[static_cast<std::size_t>(v)];
     if (row != nullptr) FASCIA_PREFETCH(row);
   }
 
@@ -80,6 +83,7 @@ class CompactTable {
   [[nodiscard]] std::uint32_t num_colorsets() const noexcept {
     return num_colorsets_;
   }
+  [[nodiscard]] int entry_bytes() const noexcept { return entry_bytes_; }
   /// Pointer array plus every arena chunk (rows freed by clear_row
   /// stay counted until reused or the table dies).
   [[nodiscard]] std::size_t bytes() const noexcept {
@@ -91,18 +95,23 @@ class CompactTable {
 
  private:
   [[nodiscard]] std::size_t pointer_bytes() const noexcept {
-    return static_cast<std::size_t>(n_) * sizeof(double*);
+    return static_cast<std::size_t>(n_) * sizeof(std::uint64_t*);
   }
+
+  /// v's row, allocated (from the free list first when `reuse`) if
+  /// absent.
+  [[nodiscard]] std::uint64_t* row_slot(VertexId v, bool reuse);
 
   VertexId n_;
   std::uint32_t num_colorsets_;
+  int entry_bytes_;
   std::size_t stride_words_;  ///< arena words per row
   // Raw pointer array so the nullptr fill can run under TableInit's
   // first-touch partition; rows themselves are first-touched by the
   // committing thread (its own arena chunk).
-  std::unique_ptr<double*[]> rows_;
+  std::unique_ptr<std::uint64_t*[]> rows_;
   RowArena arena_;
-  double* free_rows_ = nullptr;  ///< rows dropped by clear_row, linked
+  std::uint64_t* free_rows_ = nullptr;  ///< rows dropped by clear_row, linked
 };
 
 }  // namespace fascia

@@ -15,7 +15,7 @@ constexpr double kMaxLoad = 0.7;
 }  // namespace
 
 HashTable::HashTable(VertexId n, std::uint32_t num_colorsets, TableInit init)
-    : n_(n), num_colorsets_(num_colorsets) {
+    : n_(n), num_colorsets_(num_colorsets), entry_bytes_(init.entry_bytes) {
   if (fault::fire("dp.alloc")) {
     throw resource_error("injected DP table allocation failure");
   }
@@ -24,7 +24,7 @@ HashTable::HashTable(VertexId n, std::uint32_t num_colorsets, TableInit init)
   detail::first_touch_zero(occupied_.get(), static_cast<std::size_t>(n),
                            init.zero_threads);
   keys_.assign(kInitialCapacity, kEmpty);
-  values_.assign(kInitialCapacity, 0.0);
+  values_.assign(value_words(kInitialCapacity), 0);
   mask_ = kInitialCapacity - 1;
   MemTracker::add(bytes());
 }
@@ -34,21 +34,23 @@ HashTable::~HashTable() { MemTracker::sub(bytes()); }
 void HashTable::grow_locked() {
   const std::size_t old_capacity = keys_.size();
   std::vector<std::uint64_t> old_keys = std::move(keys_);
-  std::vector<double> old_values = std::move(values_);
+  std::vector<std::uint64_t> old_values = std::move(values_);
 
   const std::size_t new_capacity = old_capacity * 2;
-  MemTracker::add(new_capacity * (sizeof(std::uint64_t) + sizeof(double)));
+  MemTracker::add(new_capacity * slot_bytes());
   keys_.assign(new_capacity, kEmpty);
-  values_.assign(new_capacity, 0.0);
+  values_.assign(value_words(new_capacity), 0);
   mask_ = new_capacity - 1;
   for (std::size_t i = 0; i < old_capacity; ++i) {
     if (old_keys[i] == kEmpty) continue;
     std::size_t slot = probe_start(old_keys[i]);
     while (keys_[slot] != kEmpty) slot = (slot + 1) & mask_;
     keys_[slot] = old_keys[i];
-    values_[slot] = old_values[i];
+    detail::store_entry(values_.data(), slot,
+                        detail::load_entry(old_values.data(), i, entry_bytes_),
+                        entry_bytes_);
   }
-  MemTracker::sub(old_capacity * (sizeof(std::uint64_t) + sizeof(double)));
+  MemTracker::sub(old_capacity * slot_bytes());
 }
 
 void HashTable::insert_locked(std::uint64_t key, double value) {
@@ -64,7 +66,7 @@ void HashTable::insert_locked(std::uint64_t key, double value) {
     keys_[slot] = key;
     ++entries_;
   }
-  values_[slot] = value;
+  detail::store_entry(values_.data(), slot, value, entry_bytes_);
 }
 
 void HashTable::commit_row(VertexId v, std::span<const double> row) {
@@ -89,7 +91,9 @@ void HashTable::commit_row(VertexId v, std::span<const double> row) {
 double HashTable::total() const noexcept {
   double sum = 0.0;
   for (std::size_t i = 0; i < keys_.size(); ++i) {
-    if (keys_[i] != kEmpty) sum += values_[i];
+    if (keys_[i] != kEmpty) {
+      sum += detail::load_entry(values_.data(), i, entry_bytes_);
+    }
   }
   return sum;
 }
@@ -104,7 +108,7 @@ double HashTable::vertex_total(VertexId v) const noexcept {
 }
 
 std::size_t HashTable::bytes() const noexcept {
-  return keys_.size() * (sizeof(std::uint64_t) + sizeof(double)) +
+  return keys_.size() * slot_bytes() +
          static_cast<std::size_t>(n_) * sizeof(std::uint8_t);
 }
 

@@ -6,7 +6,8 @@
 // layouts when a template is highly selective — few (vertex, colorset)
 // cells are ever nonzero relative to n * C(k,h) — which the paper
 // demonstrates on the PA road network with long paths (Fig. 7, up to
-// 90 % saving at U12-1).
+// 90 % saving at U12-1).  Keys are always 64-bit; values are doubles,
+// or int32s in a narrow stage (TableInit::entry_bytes == 4).
 //
 // Concurrency contract: commits take a mutex (amortized rehash happens
 // under it); reads are lock-free and only ever target fully-built
@@ -60,7 +61,9 @@ class HashTable {
     std::size_t slot = probe_start(key);
     while (true) {
       const std::uint64_t found = keys_[slot];
-      if (found == key) return values_[slot];
+      if (found == key) {
+        return detail::load_entry(values_.data(), slot, entry_bytes_);
+      }
       if (found == kEmpty) return 0.0;
       slot = (slot + 1) & mask_;
     }
@@ -74,6 +77,7 @@ class HashTable {
   [[nodiscard]] std::uint32_t num_colorsets() const noexcept {
     return num_colorsets_;
   }
+  [[nodiscard]] int entry_bytes() const noexcept { return entry_bytes_; }
   [[nodiscard]] std::size_t bytes() const noexcept;
   [[nodiscard]] std::size_t num_entries() const noexcept { return entries_; }
 
@@ -92,12 +96,23 @@ class HashTable {
   void insert_locked(std::uint64_t key, double value);
   void grow_locked();
 
+  /// Words of values_ backing `capacity` entries.
+  [[nodiscard]] std::size_t value_words(std::size_t capacity) const noexcept {
+    return (capacity * static_cast<std::size_t>(entry_bytes_) + 7) / 8;
+  }
+  /// Bytes of one probe slot: its key plus its value.
+  [[nodiscard]] std::size_t slot_bytes() const noexcept {
+    return sizeof(std::uint64_t) + static_cast<std::size_t>(entry_bytes_);
+  }
+
   VertexId n_;
   std::uint32_t num_colorsets_;
+  int entry_bytes_;
   std::size_t mask_ = 0;       ///< capacity - 1 (power of two)
   std::size_t entries_ = 0;
   std::vector<std::uint64_t> keys_;
-  std::vector<double> values_;
+  /// capacity entries of entry_bytes_ each, parallel to keys_.
+  std::vector<std::uint64_t> values_;
   // Per-vertex any-entry flags: the only vertex-indexed array here, so
   // the only one whose first touch TableInit spreads (the probe table
   // starts tiny and grows under the commit mutex).

@@ -1,9 +1,10 @@
 #pragma once
-// Dense count table: n x width doubles (width = C(k-1,h-1) rooted
-// slots), all initialized.  This is the
+// Dense count table: n x width entries (width = C(k-1,h-1) rooted
+// slots; doubles, or int32 for narrow stages), all initialized.  This is the
 // paper's naive baseline: no per-vertex existence tracking, so
 // has_vertex() is constant true and the DP cannot skip empty vertices.
 
+#include <cstddef>
 #include <memory>
 #include <span>
 
@@ -33,17 +34,22 @@ class NaiveTable {
   [[nodiscard]] bool has_vertex(VertexId) const noexcept { return true; }
 
   [[nodiscard]] double get(VertexId v, ColorsetIndex idx) const noexcept {
-    return data_[static_cast<std::size_t>(v) * num_colorsets_ + idx];
+    return detail::load_entry(
+        data_.get(), static_cast<std::size_t>(v) * num_colorsets_ + idx,
+        entry_bytes_);
   }
 
-  [[nodiscard]] const double* row_ptr(VertexId v) const noexcept {
-    return data_.get() + static_cast<std::size_t>(v) * num_colorsets_;
+  template <class T = double>
+  [[nodiscard]] const T* row_ptr(VertexId v) const noexcept {
+    assert(sizeof(T) == static_cast<std::size_t>(entry_bytes_));
+    return reinterpret_cast<const T*>(data_.get()) +
+           static_cast<std::size_t>(v) * num_colorsets_;
   }
 
   /// No indirection to warm — rows are addressed arithmetically.
   void prefetch_slot(VertexId) const noexcept {}
   void prefetch_row(VertexId v) const noexcept {
-    FASCIA_PREFETCH(data_.get() + static_cast<std::size_t>(v) * num_colorsets_);
+    FASCIA_PREFETCH(row_bytes(v));
   }
 
   void commit_row(VertexId v, std::span<const double> row) noexcept;
@@ -54,18 +60,25 @@ class NaiveTable {
   [[nodiscard]] std::uint32_t num_colorsets() const noexcept {
     return num_colorsets_;
   }
+  [[nodiscard]] int entry_bytes() const noexcept { return entry_bytes_; }
   [[nodiscard]] std::size_t bytes() const noexcept {
-    return size_ * sizeof(double);
+    return size_ * static_cast<std::size_t>(entry_bytes_);
   }
 
  private:
+  [[nodiscard]] std::byte* row_bytes(VertexId v) const noexcept {
+    return data_.get() + static_cast<std::size_t>(v) * num_colorsets_ *
+                             static_cast<std::size_t>(entry_bytes_);
+  }
+
   VertexId n_;
   std::uint32_t num_colorsets_;
-  std::size_t size_ = 0;
+  int entry_bytes_;
+  std::size_t size_ = 0;  ///< entries
   // Raw uninitialized allocation + explicit zeroing pass: a
   // std::vector would first-touch every page from the constructing
   // thread before TableInit could spread the zeroing.
-  std::unique_ptr<double[]> data_;
+  std::unique_ptr<std::byte[]> data_;
 };
 
 }  // namespace fascia

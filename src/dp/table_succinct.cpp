@@ -14,7 +14,9 @@ SuccinctTable::SuccinctTable(VertexId n, std::uint32_t num_colorsets,
                              TableInit init)
     : n_(n),
       num_colorsets_(num_colorsets),
-      words_(colorset_bitmap_words(num_colorsets)) {
+      entry_bytes_(init.entry_bytes),
+      words_(colorset_bitmap_words(num_colorsets)),
+      arena_(kMaxChunkBytes) {
   if (fault::fire("dp.alloc")) {
     throw resource_error("injected DP table allocation failure");
   }
@@ -60,35 +62,38 @@ void SuccinctTable::commit_row(VertexId v, std::span<const double> row) {
                             ? slot
                             : arena_.allocate(total_words);
   blob[0] = nnz | (bitmap ? (std::uint64_t{1} << 32) : 0);
+  std::uint64_t* values = blob + 1;
   if (bitmap) {
     std::uint64_t* words = blob + 1;
     std::memcpy(words, scratch.data(), words_ * sizeof(std::uint64_t));
     auto* ranks = reinterpret_cast<std::uint32_t*>(words + words_);
-    auto* values =
-        reinterpret_cast<double*>(blob + 1 + words_ + (words_ + 1) / 2);
+    values = blob + 1 + words_ + (words_ + 1) / 2;
+    const auto step = static_cast<std::size_t>(entry_bytes_);
     std::uint32_t out = 0;
     for (std::size_t w = 0; w < words_; ++w) {
       std::uint64_t bits = scratch[w];
       if (bits == ~std::uint64_t{0}) {
-        std::memcpy(values + out, in + w * 64, 64 * sizeof(double));
+        detail::store_entries(reinterpret_cast<std::byte*>(values) + out * step,
+                              in + w * 64, 64, entry_bytes_);
         out += 64;
         continue;
       }
       while (bits != 0) {
-        values[out++] = in[w * 64 + std::countr_zero(bits)];
+        detail::store_entry(values, out++, in[w * 64 + std::countr_zero(bits)],
+                            entry_bytes_);
         bits &= bits - 1;
       }
     }
     colorset_bitmap_build_ranks(words, words_, ranks);
   } else {
-    auto* values = reinterpret_cast<double*>(blob + 1);
-    auto* slots = reinterpret_cast<std::uint32_t*>(blob + 1 + nnz);
+    auto* slots =
+        reinterpret_cast<std::uint32_t*>(values + value_words(nnz));
     std::uint32_t out = 0;
     for (std::size_t w = 0; w < words_; ++w) {
       std::uint64_t bits = scratch[w];
       while (bits != 0) {
         const auto b = static_cast<std::uint32_t>(std::countr_zero(bits));
-        values[out] = in[w * 64 + b];
+        detail::store_entry(values, out, in[w * 64 + b], entry_bytes_);
         slots[out++] = static_cast<std::uint32_t>(w * 64 + b);
         bits &= bits - 1;
       }
@@ -112,15 +117,9 @@ double SuccinctTable::total() const noexcept {
 double SuccinctTable::vertex_total(VertexId v) const noexcept {
   const std::uint64_t* blob = rows_[static_cast<std::size_t>(v)];
   if (blob == nullptr) return 0.0;
-  const auto nnz = static_cast<std::uint32_t>(blob[0]);
-  const auto* values =
-      (blob[0] >> 32) != 0
-          ? reinterpret_cast<const double*>(blob + 1 + words_ +
-                                            (words_ + 1) / 2)
-          : reinterpret_cast<const double*>(blob + 1);
-  double sum = 0.0;
-  for (std::uint32_t i = 0; i < nnz; ++i) sum += values[i];
-  return sum;
+  return detail::sum_entries(succinct_row_values(blob, words_),
+                             static_cast<std::uint32_t>(blob[0]),
+                             entry_bytes_);
 }
 
 VertexId SuccinctTable::num_active_vertices() const noexcept {

@@ -13,17 +13,20 @@
 //     nonzero per 21 colorset slots, where even the bitmap's
 //     1.5 bits/slot overhead exceeds the 4 B/nonzero index list.
 //
-// Whichever is smaller per row is used, so the table is never larger
-// than nnz * 12 B + one header word per active vertex (plus the
-// row-pointer array every lazy layout carries).  Compared to compact's
+// The packed values are doubles, or int32s in a narrow stage
+// (TableInit::entry_bytes == 4).  Whichever addressing is smaller per
+// row is used, so the table is never larger than nnz * 12 B (8 B
+// narrow) + one header word per active vertex (plus the row-pointer
+// array every lazy layout carries).  Compared to compact's
 // C(k-1,h-1) * 8 B per active row this is what makes k = 10-12 tables fit
 // real memory budgets (Fig. 6's regime taken to the k the paper
 // targets); compared to hash it has no empty-slot slack and no key
 // storage.
 //
-// The encoding is LOSSLESS: doubles are stored verbatim, and zero
-// slots read back exactly 0.0, so estimates are bit-identical to the
-// dense layouts per coloring (the PR-3 matrix pins this).  Like the
+// The encoding is LOSSLESS: doubles are stored verbatim (int32 counts
+// convert exactly), and zero slots read back exactly 0.0, so estimates
+// are bit-identical to the dense layouts per coloring (the layout
+// matrices in tests/test_counter.cpp pin this).  Like the
 // hash layout there is no contiguous per-vertex row to borrow —
 // kContiguousRows is false and the vectorized kernels fall back to
 // per-element get() through the same frontier machinery.
@@ -45,9 +48,18 @@
 
 namespace fascia {
 
+/// Words holding `nnz` packed values of `entry_bytes` each.
+inline std::size_t succinct_value_words(std::uint32_t nnz, int entry_bytes) {
+  return (static_cast<std::size_t>(nnz) *
+              static_cast<std::size_t>(entry_bytes) +
+          7) /
+         8;
+}
+
 template <class Emit>
 inline void succinct_row_for_each(const std::uint64_t* blob,
-                                  std::size_t bitmap_words, Emit&& emit);
+                                  std::size_t bitmap_words, int entry_bytes,
+                                  Emit&& emit);
 
 class SuccinctTable {
  public:
@@ -101,7 +113,8 @@ class SuccinctTable {
   void for_each_nonzero(VertexId v, Emit&& emit) const {
     const std::uint64_t* blob = rows_[static_cast<std::size_t>(v)];
     if (blob == nullptr) return;
-    succinct_row_for_each(blob, words_, std::forward<Emit>(emit));
+    succinct_row_for_each(blob, words_, entry_bytes_,
+                          std::forward<Emit>(emit));
   }
 
   void commit_row(VertexId v, std::span<const double> row);
@@ -112,6 +125,7 @@ class SuccinctTable {
   [[nodiscard]] std::uint32_t num_colorsets() const noexcept {
     return num_colorsets_;
   }
+  [[nodiscard]] int entry_bytes() const noexcept { return entry_bytes_; }
   /// Pointer array plus every arena chunk.
   [[nodiscard]] std::size_t bytes() const noexcept {
     return pointer_bytes() + arena_.bytes();
@@ -133,18 +147,24 @@ class SuccinctTable {
     return static_cast<std::size_t>(n_) * sizeof(std::uint64_t*);
   }
 
+  static constexpr std::size_t kMaxChunkBytes = std::size_t{64} << 10;
+
   // Row blob: a u64 array so every region is 8-byte aligned.
   //   word 0          header: nnz in the low 32 bits, mode in the high
-  //   sparse (mode 0) [nnz doubles][nnz u32 sorted slots, padded]
+  //   sparse (mode 0) [nnz values, padded][nnz u32 sorted slots, padded]
   //   bitmap (mode 1) [words_ bitmap words][rank u32s, padded]
-  //                   [nnz doubles]
+  //                   [nnz values, padded]
+  // Values are entry_bytes_ wide (doubles or int32s).
+  [[nodiscard]] std::size_t value_words(std::uint32_t nnz) const noexcept {
+    return succinct_value_words(nnz, entry_bytes_);
+  }
   [[nodiscard]] std::size_t blob_words_sparse(std::uint32_t nnz)
       const noexcept {
-    return 1 + nnz + (static_cast<std::size_t>(nnz) + 1) / 2;
+    return 1 + value_words(nnz) + (static_cast<std::size_t>(nnz) + 1) / 2;
   }
   [[nodiscard]] std::size_t blob_words_bitmap(std::uint32_t nnz)
       const noexcept {
-    return 1 + words_ + (words_ + 1) / 2 + nnz;
+    return 1 + words_ + (words_ + 1) / 2 + value_words(nnz);
   }
 
   [[nodiscard]] std::size_t blob_words(const std::uint64_t* blob)
@@ -156,17 +176,28 @@ class SuccinctTable {
 
   VertexId n_;
   std::uint32_t num_colorsets_;
+  int entry_bytes_;
   std::size_t words_;  ///< bitmap words per row (ceil(colorsets / 64))
   // Raw pointer array so the nullptr fill can run under TableInit's
   // first-touch partition, exactly like the compact layout.
   std::unique_ptr<std::uint64_t*[]> rows_;
   // Blobs are bump-allocated from the committing thread's chunk
-  // (dp/row_arena.hpp): no per-row malloc, no shared atomic.  A
+  // (dp/row_arena.hpp): no per-row malloc, no shared atomic.  Blobs
+  // are short (nonzeros only, int32 values in narrow stages), so each
+  // thread's last partly filled chunk would be a large share of a
+  // table: chunks stop at kMaxChunkBytes, a quarter of the default.  A
   // recommit (the restore path) overwrites the old blob in place when
   // the new one fits and otherwise strands it until the table dies;
   // rows are never recommitted inside a stage.
   RowArena arena_;
 };
+
+// Packed-value region of a row blob, in either mode.
+inline const std::uint64_t* succinct_row_values(const std::uint64_t* blob,
+                                                std::size_t bitmap_words) {
+  return (blob[0] >> 32) != 0 ? blob + 1 + bitmap_words + (bitmap_words + 1) / 2
+                              : blob + 1;
+}
 
 // get() is the kernels' fallback read path (kContiguousRows == false)
 // — it must inline into the templated DP loops, so it lives here.
@@ -175,17 +206,17 @@ inline double SuccinctTable::get(VertexId v,
   const std::uint64_t* blob = rows_[static_cast<std::size_t>(v)];
   if (blob == nullptr) return 0.0;
   const auto nnz = static_cast<std::uint32_t>(blob[0]);
+  const std::uint64_t* values = succinct_row_values(blob, words_);
   if ((blob[0] >> 32) != 0) {  // bitmap mode
     const std::uint64_t* words = blob + 1;
     if (!colorset_bitmap_test(words, idx)) return 0.0;
     const auto* ranks = reinterpret_cast<const std::uint32_t*>(words + words_);
-    const auto* values = reinterpret_cast<const double*>(
-        blob + 1 + words_ + (words_ + 1) / 2);
-    return values[colorset_bitmap_rank(words, ranks, idx)];
+    return detail::load_entry(values, colorset_bitmap_rank(words, ranks, idx),
+                              entry_bytes_);
   }
   // sparse mode: binary search the sorted slot list
-  const auto* values = reinterpret_cast<const double*>(blob + 1);
-  const auto* slots = reinterpret_cast<const std::uint32_t*>(blob + 1 + nnz);
+  const auto* slots =
+      reinterpret_cast<const std::uint32_t*>(values + value_words(nnz));
   std::uint32_t lo = 0;
   std::uint32_t hi = nnz;
   while (lo < hi) {
@@ -196,33 +227,37 @@ inline double SuccinctTable::get(VertexId v,
       hi = mid;
     }
   }
-  return (lo < nnz && slots[lo] == idx) ? values[lo] : 0.0;
+  return (lo < nnz && slots[lo] == idx)
+             ? detail::load_entry(values, lo, entry_bytes_)
+             : 0.0;
 }
 
 // Shared nonzero enumeration: calls emit(slot, value) in ascending slot
 // order (the packed-value order), touching only stored entries.
 template <class Emit>
 inline void succinct_row_for_each(const std::uint64_t* blob,
-                                  std::size_t bitmap_words, Emit&& emit) {
+                                  std::size_t bitmap_words, int entry_bytes,
+                                  Emit&& emit) {
   const auto nnz = static_cast<std::uint32_t>(blob[0]);
+  const std::uint64_t* values = succinct_row_values(blob, bitmap_words);
   if ((blob[0] >> 32) != 0) {  // bitmap mode
     const std::uint64_t* words = blob + 1;
-    const auto* values = reinterpret_cast<const double*>(
-        blob + 1 + bitmap_words + (bitmap_words + 1) / 2);
     std::uint32_t rank = 0;
     for (std::size_t w = 0; w < bitmap_words; ++w) {
       std::uint64_t bits = words[w];
       while (bits != 0) {
         const auto b = static_cast<std::uint32_t>(std::countr_zero(bits));
-        emit(static_cast<ColorsetIndex>(w * 64 + b), values[rank++]);
+        emit(static_cast<ColorsetIndex>(w * 64 + b),
+             detail::load_entry(values, rank++, entry_bytes));
         bits &= bits - 1;
       }
     }
   } else {  // sparse mode
-    const auto* values = reinterpret_cast<const double*>(blob + 1);
-    const auto* slots = reinterpret_cast<const std::uint32_t*>(blob + 1 + nnz);
+    const auto* slots = reinterpret_cast<const std::uint32_t*>(
+        values + succinct_value_words(nnz, entry_bytes));
     for (std::uint32_t i = 0; i < nnz; ++i) {
-      emit(static_cast<ColorsetIndex>(slots[i]), values[i]);
+      emit(static_cast<ColorsetIndex>(slots[i]),
+           detail::load_entry(values, i, entry_bytes));
     }
   }
 }
@@ -235,23 +270,26 @@ inline void SuccinctTable::decode_row(VertexId v,
     std::memset(out, 0, width * sizeof(double));
     return;
   }
-  if ((blob[0] >> 32) != 0) {  // bitmap mode: per-word, full words memcpy
+  if ((blob[0] >> 32) != 0) {  // bitmap mode: per-word, full words copied
     const std::uint64_t* words = blob + 1;
-    const auto* values = reinterpret_cast<const double*>(
-        blob + 1 + words_ + (words_ + 1) / 2);
+    const std::uint64_t* values = succinct_row_values(blob, words_);
+    const auto step = static_cast<std::size_t>(entry_bytes_);
     std::uint32_t rank = 0;
     for (std::size_t w = 0; w < words_; ++w) {
       const std::size_t base = w * 64;
       const std::size_t lim = std::min<std::size_t>(64, width - base);
       std::uint64_t bits = words[w];
       if (bits == ~std::uint64_t{0}) {
-        std::memcpy(out + base, values + rank, 64 * sizeof(double));
+        detail::load_entries(
+            reinterpret_cast<const std::byte*>(values) + rank * step, 64,
+            entry_bytes_, out + base);
         rank += 64;
         continue;
       }
       std::memset(out + base, 0, lim * sizeof(double));
       while (bits != 0) {
-        out[base + std::countr_zero(bits)] = values[rank++];
+        out[base + std::countr_zero(bits)] =
+            detail::load_entry(values, rank++, entry_bytes_);
         bits &= bits - 1;
       }
     }
@@ -259,7 +297,8 @@ inline void SuccinctTable::decode_row(VertexId v,
   }
   std::memset(out, 0, width * sizeof(double));
   succinct_row_for_each(
-      blob, words_, [&](ColorsetIndex idx, double value) { out[idx] = value; });
+      blob, words_, entry_bytes_,
+      [&](ColorsetIndex idx, double value) { out[idx] = value; });
 }
 
 }  // namespace fascia

@@ -123,6 +123,8 @@ Json RunReport::to_json() const {
     e["kernel"] = stage.kernel;
     e["table"] = stage.table;
     e["passes"] = stage.passes;
+    e["narrow_passes"] = stage.narrow_passes;
+    e["max_bound"] = stage.max_bound;
     e["seconds"] = stage.seconds;
     e["candidates"] = stage.candidates;
     e["survivors"] = stage.survivors;
@@ -265,6 +267,8 @@ bool RunReport::from_json(const Json& doc, RunReport* out,
       stage.kernel = e.get_string("kernel");
       stage.table = e.get_string("table");
       stage.passes = static_cast<int>(e.get_int("passes"));
+      stage.narrow_passes = static_cast<int>(e.get_int("narrow_passes"));
+      stage.max_bound = e.get_double("max_bound");
       stage.seconds = e.get_double("seconds");
       stage.candidates = e.get_double("candidates");
       stage.survivors = e.get_double("survivors");

@@ -33,6 +33,8 @@ struct ReportStage {
   std::string kernel;        ///< "pair"/"active"/"passive"/"general"
   std::string table;         ///< table kind the stage wrote
   int passes = 0;            ///< colorings that computed this stage
+  int narrow_passes = 0;     ///< of those, passes stored at 4 bytes/entry
+  double max_bound = 0.0;    ///< largest entry bound any pass computed
   double seconds = 0.0;      ///< summed wall time across passes
   double candidates = 0.0;   ///< summed frontier candidates
   double survivors = 0.0;    ///< summed nonzero output rows

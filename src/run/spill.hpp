@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "dp/count_table.hpp"
 #include "graph/graph.hpp"
 
 namespace fascia::run {
@@ -119,15 +120,19 @@ std::size_t spill_table(const std::string& path, const Table& table,
 }
 
 /// Rebuilds a table from a page written by spill_table.  Rows are
-/// re-committed through the layout's own commit_row, so the restored
-/// table is indistinguishable from the original to every reader.
-/// Returns the table and fills `frontier` with the row vertices (the
-/// original sorted frontier, by construction).
+/// re-committed through the layout's own commit_row at the original
+/// table's `entry_bytes` (pages always hold doubles; a 4-byte table's
+/// counts convert back exactly), so the restored table is
+/// indistinguishable from the original to every reader.  Returns the
+/// table and fills `frontier` with the row vertices (the original
+/// sorted frontier, by construction).
 template <class Table>
 std::unique_ptr<Table> restore_table(const std::string& path, VertexId n,
-                                     std::vector<VertexId>* frontier) {
+                                     std::vector<VertexId>* frontier,
+                                     int entry_bytes = 8) {
   SpillReader reader(path);
-  auto table = std::make_unique<Table>(n, reader.num_colorsets());
+  auto table = std::make_unique<Table>(n, reader.num_colorsets(),
+                                       TableInit{1, entry_bytes});
   if (frontier != nullptr) frontier->clear();
   for (std::uint32_t r = 0; r < reader.num_rows(); ++r) {
     const VertexId v = reader.row_vertex(r);

@@ -523,8 +523,11 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
           engine.run_delta(colors, parallel_inner, *inputs.dirty,
                            drive_out.delta);
         } else {
+          // Retained passes stay 8 bytes wide: recounts patch and copy
+          // their rows (DpEngine::run_delta).
           engine.compute_tables(colors, parallel_inner, &needed,
-                                /*keep_tables=*/store != nullptr);
+                                store != nullptr ? KeepTables::kForRecounts
+                                                 : KeepTables::kNo);
         }
         if (guard.stopped()) {  // aborted mid-pass: discard
           engine.release_all_tables();

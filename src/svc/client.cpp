@@ -209,7 +209,7 @@ Json Client::mutate_graph(const std::string& graph, const Json& delta,
 }
 
 int Client::protocol_version() {
-  capabilities();  // fills the hello cache
+  (void)capabilities();  // fills the hello cache
   return protocol_version_;
 }
 

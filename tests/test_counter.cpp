@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <set>
 
 #include "core/engine.hpp"
 #include "dp/table_compact.hpp"
+#include "dp/table_hash.hpp"
 #include "dp/table_naive.hpp"
+#include "dp/table_succinct.hpp"
 #include "graph/components.hpp"
 #include "graph/generators.hpp"
 #include "graph/labels.hpp"
@@ -234,7 +240,7 @@ TEST(Counter, FoldedGatherBitIdenticalPastTwoToThe53) {
   DpEngineOptions ref_opts;
   ref_opts.reference_kernels = true;
   DpEngine<CompactTable> ref(g, part, k, ref_opts);
-  ref.run(colors, /*parallel_inner=*/false, /*keep_tables=*/true);
+  ref.run(colors, /*parallel_inner=*/false, KeepTables::kForReads);
 
   // The regime is real: a mid-schedule stage holds a count past 2^53.
   double checked_max = 0.0;
@@ -252,13 +258,164 @@ TEST(Counter, FoldedGatherBitIdenticalPastTwoToThe53) {
 
   for (const bool parallel : {false, true}) {
     DpEngine<CompactTable> compact(g, part, k);
-    compact.run(colors, parallel, /*keep_tables=*/true);
+    compact.run(colors, parallel, KeepTables::kForReads);
     expect_tables_equal(compact, ref, part, n,
                         parallel ? "compact inner" : "compact serial");
     DpEngine<NaiveTable> naive(g, part, k);
-    naive.run(colors, parallel, /*keep_tables=*/true);
+    naive.run(colors, parallel, KeepTables::kForReads);
     expect_tables_equal(naive, ref, part, n,
                         parallel ? "naive inner" : "naive serial");
+
+    // One pass holds stages of both widths: the low stages' bounds fit
+    // int32 (4-byte entries), the ones past 2^53 cannot.
+    int narrow = 0;
+    int wide = 0;
+    for (int node = 0; node < part.num_nodes(); ++node) {
+      if (part.node(node).is_leaf()) continue;
+      (compact.table(node)->entry_bytes() == 4 ? narrow : wide) += 1;
+      EXPECT_EQ(naive.table(node)->entry_bytes(),
+                compact.table(node)->entry_bytes());
+    }
+    EXPECT_GT(narrow, 0);
+    EXPECT_GT(wide, 0);
+  }
+}
+
+// ---- exact 32-bit rows.  The width rule as a pure function: each
+// kernel's formula, leaves counting as 1, saturation instead of
+// overflow, and the int32 boundary.
+TEST(StageEntryBound, KernelFormulas) {
+  constexpr std::uint64_t kDelta = 7;
+  EXPECT_EQ(stage_entry_bound(2, 1, kDelta, 1.0, 1.0), kDelta);  // pair
+  EXPECT_EQ(stage_entry_bound(5, 1, kDelta, 1.0, 11.0),
+            kDelta * 11);  // single_active: Δ·M_p
+  EXPECT_EQ(stage_entry_bound(5, 4, kDelta, 13.0, 1.0),
+            kDelta * 13);  // single_passive: Δ·M_a
+  EXPECT_EQ(stage_entry_bound(7, 3, kDelta, 13.0, 11.0),
+            choose(6, 2) * 13 * kDelta * 11);  // general
+  EXPECT_EQ(stage_entry_bound(7, 3, 0, 13.0, 11.0), 0u);  // edgeless
+}
+
+TEST(StageEntryBound, LeavesCountAsOne) {
+  // Whatever is passed for a single-vertex child is ignored.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(stage_entry_bound(2, 1, 7, kInf, DBL_MAX), 7u);
+  EXPECT_EQ(stage_entry_bound(5, 1, 7, kInf, 11.0), 77u);
+  EXPECT_EQ(stage_entry_bound(5, 4, 7, 13.0, 0x1p60), 91u);
+}
+
+TEST(StageEntryBound, SaturatesInsteadOfOverflowing) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double huge : {0x1p60, DBL_MAX, kInf}) {
+    EXPECT_EQ(stage_entry_bound(5, 1, 7, 1.0, huge), kSaturatedBound);
+    EXPECT_EQ(stage_entry_bound(5, 4, 7, huge, 1.0), kSaturatedBound);
+    EXPECT_EQ(stage_entry_bound(7, 3, 7, huge, 11.0), kSaturatedBound);
+    EXPECT_EQ(stage_entry_bound(7, 3, 7, 13.0, huge), kSaturatedBound);
+  }
+  // Exact operands (<= 2^53) whose product passes 2^64.
+  EXPECT_EQ(stage_entry_bound(5, 1, std::uint64_t{1} << 40, 1.0, 0x1p40),
+            kSaturatedBound);
+  EXPECT_EQ(stage_entry_bound(7, 3, 1, 0x1p53, 0x1p53), kSaturatedBound);
+  // Exactly 2^53 still counts as exact.
+  EXPECT_EQ(stage_entry_bound(5, 1, 1, 1.0, 0x1p53), std::uint64_t{1} << 53);
+  EXPECT_EQ(stage_entry_bytes(kSaturatedBound), 8);
+}
+
+TEST(StageEntryBound, Int32Boundary) {
+  constexpr auto kMax =
+      static_cast<std::uint64_t>(std::numeric_limits<std::int32_t>::max());
+  EXPECT_EQ(stage_entry_bytes(0), 4);
+  EXPECT_EQ(stage_entry_bytes(kMax), 4);
+  EXPECT_EQ(stage_entry_bytes(kMax + 1), 8);
+  // Through the formula: Δ·M_p with M_p = 1 lands exactly on Δ.
+  EXPECT_EQ(stage_entry_bytes(stage_entry_bound(3, 1, kMax, 1.0, 1.0)), 4);
+  EXPECT_EQ(stage_entry_bytes(stage_entry_bound(3, 1, kMax + 1, 1.0, 1.0)),
+            8);
+}
+
+// ---- 32-bit tables against a 64-bit oracle.  A pass kept for recounts
+// stores every stage at 8 bytes; a pass of the same coloring kept for
+// reads stores each stage at the width its bound allows.  Every entry of
+// every table must match bit for bit, on every layout.  One-at-a-time
+// and balanced partitions together run all four kernels, and each
+// kernel must meet a 4-byte child (the typed row reads).
+template <class Table>
+void expect_narrow_matches_oracle(const Graph& g, const PartitionTree& part,
+                                  int k, const ColorArray& colors,
+                                  std::set<char>* narrow_reads,
+                                  int* narrow_stages) {
+  DpEngine<Table> oracle(g, part, k);
+  oracle.compute_tables(colors, /*parallel_inner=*/false, nullptr,
+                        KeepTables::kForRecounts);
+  DpEngineOptions opts;
+  opts.collect_stats = true;
+  DpEngine<Table> narrow(g, part, k, opts);
+  narrow.compute_tables(colors, /*parallel_inner=*/false, nullptr,
+                        KeepTables::kForReads);
+  const auto width = [&](int node) {
+    return part.node(node).is_leaf() ? 8 : narrow.table(node)->entry_bytes();
+  };
+  for (const DpStageStats& stat : narrow.stage_stats()) {
+    const Subtemplate& sub = part.node(stat.node);
+    const Table& want = *oracle.table(stat.node);
+    const Table& got = *narrow.table(stat.node);
+    ASSERT_EQ(want.entry_bytes(), 8) << Table::kName;
+    ASSERT_EQ(got.entry_bytes(), stat.entry_bytes);
+    ASSERT_EQ(got.entry_bytes(), stage_entry_bytes(stat.bound));
+    // The bound holds: it is an upper bound on every stored entry.
+    ASSERT_LE(stat.max_entry, static_cast<double>(stat.bound));
+    int mismatches = 0;
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      for (ColorsetIndex c = 0; c < want.num_colorsets(); ++c) {
+        if (got.get(v, c) != want.get(v, c)) ++mismatches;
+      }
+      if (got.vertex_total(v) != want.vertex_total(v)) ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0) << Table::kName << " k=" << k << " node "
+                             << stat.node << " (h = " << sub.size() << ")";
+    EXPECT_EQ(got.total(), want.total());
+    if (got.entry_bytes() == 4) ++*narrow_stages;
+    if (width(sub.active) == 4 || width(sub.passive) == 4) {
+      narrow_reads->insert(stat.kernel);
+    }
+  }
+}
+
+TEST(Counter, NarrowTablesMatchRetainedOracle) {
+  const Graph g = erdos_renyi_gnm(300, 1200, 17);
+  std::set<char> narrow_reads;
+  for (const int k : {5, 7, 10}) {
+    ColorArray colors(static_cast<std::size_t>(g.num_vertices()));
+    Xoshiro256 rng(300 + static_cast<std::uint64_t>(k));
+    for (auto& c : colors) {
+      c = static_cast<std::uint8_t>(
+          rng.bounded(static_cast<std::uint32_t>(k)));
+    }
+    for (const auto strategy :
+         {PartitionStrategy::kOneAtATime, PartitionStrategy::kBalanced}) {
+      for (const TreeTemplate& tree :
+           {TreeTemplate::path(k), TreeTemplate::star(k)}) {
+        const auto part = partition_template(tree, strategy, true);
+        int narrow_stages = 0;
+        expect_narrow_matches_oracle<NaiveTable>(g, part, k, colors,
+                                                 &narrow_reads,
+                                                 &narrow_stages);
+        expect_narrow_matches_oracle<CompactTable>(g, part, k, colors,
+                                                   &narrow_reads,
+                                                   &narrow_stages);
+        expect_narrow_matches_oracle<HashTable>(g, part, k, colors,
+                                                &narrow_reads,
+                                                &narrow_stages);
+        expect_narrow_matches_oracle<SuccinctTable>(g, part, k, colors,
+                                                    &narrow_reads,
+                                                    &narrow_stages);
+        EXPECT_GT(narrow_stages, 0) << tree.describe() << " k=" << k;
+      }
+    }
+  }
+  // Every kernel that reads a child table read a 4-byte one somewhere.
+  for (const char kernel : {'A', 'S', 'G'}) {
+    EXPECT_EQ(narrow_reads.count(kernel), 1u) << dp_kernel_name(kernel);
   }
 }
 

@@ -362,6 +362,18 @@ TEST(Incremental, ReportsLikeEveryOtherRun) {
   EXPECT_FALSE(handle.result().report->stages.empty());
   EXPECT_TRUE(handle.result().report->delta.incremental);
   EXPECT_EQ(handle.result().report->delta.recounts, 0u);
+  // Retained passes keep every stage at 8 bytes (recounts patch and
+  // copy their rows), though a plain count of the same run stores the
+  // stages its bounds admit at 4.
+  for (const obs::ReportStage& stage : handle.result().report->stages) {
+    EXPECT_EQ(stage.narrow_passes, 0) << "node " << stage.node;
+  }
+  const CountResult plain = count_template(g, tmpl, options);
+  int plain_narrow = 0;
+  for (const obs::ReportStage& stage : plain.report->stages) {
+    plain_narrow += stage.narrow_passes;
+  }
+  EXPECT_GT(plain_narrow, 0);
 
   Xoshiro256 rng(5);
   GraphDelta delta = random_delta(g, 2, 1, rng);
@@ -377,6 +389,9 @@ TEST(Incremental, ReportsLikeEveryOtherRun) {
   EXPECT_EQ(recounted.report->delta.graph_version, g.version());
   EXPECT_EQ(recounted.report->delta.applied_edges, 3u);
   EXPECT_EQ(recounted.report->delta.rows_copied, recounted.delta.rows_copied);
+  for (const obs::ReportStage& stage : recounted.report->stages) {
+    EXPECT_EQ(stage.narrow_passes, 0) << "node " << stage.node;
+  }
 }
 
 TEST(Incremental, DeleteOnlyAndInsertOnlyDeltas) {

@@ -18,6 +18,8 @@
 #include "core/incremental.hpp"
 #include "graph/delta.hpp"
 #include "graph/generators.hpp"
+#include "obs/metrics.hpp"
+#include "obs/report.hpp"
 #include "helpers.hpp"
 #include "run/checkpoint.hpp"
 #include "run/controls.hpp"
@@ -674,11 +676,12 @@ TEST(ResilientBatch, PagedRunSpillsAndStaysBitIdentical) {
       false);
   // Well under the floor layout's estimate, so planning arms the spill
   // rung — and under the real resident peak too (the model's slot
-  // density understates this instance), so eviction actually fires.
+  // density understates this instance, and its 8-byte entries overstate
+  // the stages stored as int32), so eviction actually fires.
   const std::string spill_dir = temp_path("fascia_paged_batch");
   std::filesystem::create_directories(spill_dir);
   sched::BatchOptions paged = batch;
-  paged.run.memory_budget_bytes = succinct * 3 / 5;
+  paged.run.memory_budget_bytes = succinct * 2 / 5;
   paged.run.spill_dir = spill_dir;
   const sched::BatchResult spilled = sched::run_batch(g, jobs, paged);
 
@@ -693,6 +696,44 @@ TEST(ResilientBatch, PagedRunSpillsAndStaysBitIdentical) {
         << "job " << j;
     EXPECT_EQ(spilled.jobs[j].estimate, reference.jobs[j].estimate);
   }
+
+  std::error_code ec;
+  std::filesystem::remove_all(spill_dir, ec);
+}
+
+TEST(ResilientCount, PagedNarrowStagesStayBitIdentical) {
+  // The CI paging smoke's 4 MiB budget on a count whose stages store
+  // int32 entries: completed tables must page out (spilled bytes > 0),
+  // come back at their recorded width, and reproduce the unconstrained
+  // estimate bit for bit.
+  struct ObsOff {
+    ~ObsOff() { obs::set_enabled(false); }
+  } off;
+  const Graph g = erdos_renyi_gnm(8000, 40000, 5);
+  const TreeTemplate& tree = catalog_entry("U10-1").tree;
+  CountOptions options = base_options();
+  options.sampling.iterations = 2;
+  options.execution.table = TableKind::kSuccinct;
+  options.observability.enabled = true;
+  const CountResult reference = count_template(g, tree, options);
+  ASSERT_NE(reference.report, nullptr);
+  int narrow = 0;
+  for (const obs::ReportStage& stage : reference.report->stages) {
+    narrow += stage.narrow_passes;
+  }
+  EXPECT_GT(narrow, 0);
+
+  const std::string spill_dir = temp_path("fascia_paged_narrow");
+  std::filesystem::create_directories(spill_dir);
+  CountOptions paged = options;
+  paged.run.memory_budget_bytes = std::size_t{4} << 20;
+  paged.run.spill_dir = spill_dir;
+  const CountResult spilled = count_template(g, tree, paged);
+  EXPECT_EQ(spilled.run.completed_iterations,
+            reference.run.completed_iterations);
+  EXPECT_GT(spilled.run.spilled_bytes, 0u);
+  EXPECT_EQ(spilled.per_iteration, reference.per_iteration);
+  EXPECT_EQ(spilled.estimate, reference.estimate);
 
   std::error_code ec;
   std::filesystem::remove_all(spill_dir, ec);

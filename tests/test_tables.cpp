@@ -160,6 +160,51 @@ TYPED_TEST(TableContract, RowBorrowMatchesGet) {
   }
 }
 
+// ---- entry width (TableInit::entry_bytes) ------------------------------
+// A 4-byte table stores int32 counts and reads back, through every
+// accessor, exactly the doubles an 8-byte table given the same rows
+// does — in fewer bytes.  The rows include INT32_MAX and a run of 64
+// nonzeros (succinct's full-bitmap-word copy path), in both dense and
+// sparse rows.
+
+TYPED_TEST(TableContract, NarrowEntriesReadBackExactly) {
+  constexpr VertexId kN = 200;
+  constexpr std::uint32_t kWidth = 70;
+  TypeParam wide(kN, kWidth);
+  TypeParam narrow(kN, kWidth, TableInit{1, 4});
+  EXPECT_EQ(wide.entry_bytes(), 8);
+  EXPECT_EQ(narrow.entry_bytes(), 4);
+  for (VertexId v = 0; v < kN; v += 3) {
+    std::vector<double> row(kWidth, 0.0);
+    const std::uint32_t filled = v % 2 == 0 ? kWidth : 3;  // dense / sparse
+    for (std::uint32_t c = 0; c < filled; ++c) {
+      row[(c * 11 + static_cast<std::uint32_t>(v)) % kWidth] =
+          static_cast<double>(v * 1000 + c + 1);
+    }
+    row[static_cast<std::size_t>(v) % kWidth] = 2147483647.0;  // INT32_MAX
+    wide.commit_row(v, row);
+    narrow.commit_row(v, row);
+  }
+  for (VertexId v = 0; v < kN; ++v) {
+    ASSERT_EQ(narrow.has_vertex(v), wide.has_vertex(v));
+    for (ColorsetIndex c = 0; c < kWidth; ++c) {
+      ASSERT_EQ(narrow.get(v, c), wide.get(v, c)) << v << " " << c;
+    }
+    EXPECT_EQ(narrow.vertex_total(v), wide.vertex_total(v));
+    if constexpr (TypeParam::kContiguousRows) {
+      const std::int32_t* row = narrow.template row_ptr<std::int32_t>(v);
+      if (narrow.has_vertex(v)) {
+        ASSERT_NE(row, nullptr);
+        for (ColorsetIndex c = 0; c < kWidth; ++c) {
+          EXPECT_EQ(static_cast<double>(row[c]), wide.get(v, c));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(narrow.total(), wide.total());
+  EXPECT_LT(narrow.bytes(), wide.bytes());
+}
+
 TEST(NaiveTable, RowPtrNeverNull) {
   static_assert(NaiveTable::kContiguousRows);
   NaiveTable table(3, 2);
