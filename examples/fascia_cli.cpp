@@ -169,9 +169,9 @@ int main(int argc, char** argv) {
   cli.add_option("mode", "parallel mode: serial|inner|outer|hybrid", "inner");
   cli.add_option("reorder",
                  "vertex reordering: none|degree|bfs|hybrid (estimates "
-                 "are bit-identical while the colorful root sum stays "
-                 "below 2^53 and may differ in the last bits past it; "
-                 "results use original ids)",
+                 "are bit-identical while every DP entry stays at most "
+                 "2^53 and may differ in the last bits past it; results "
+                 "use original ids)",
                  "none");
   cli.add_option("outer-copies",
                  "hybrid mode: force this many outer engine copies "

@@ -88,10 +88,11 @@ struct ExecutionOptions {
   int threads = 0;
 
   /// Locality pass applied to the graph before counting (graph/
-  /// reorder.hpp).  Colorings are keyed on original vertex ids, so
-  /// estimates are bit-identical under any mode while the colorful
-  /// root sum stays below 2^53; past it the root sum, which runs in
-  /// reordered vertex order, may differ in the last bits.  All
+  /// reorder.hpp).  Colorings are keyed on original vertex ids and
+  /// root totals are summed as exact integers, so estimates are
+  /// bit-identical under any mode while every DP entry stays at most
+  /// 2^53; past it, entries summed in reordered neighbor order may
+  /// differ in the last bits.  All
   /// reported per-vertex outputs stay keyed by original ids.  Deliberately
   /// excluded from checkpoint fingerprints: a run may resume under a
   /// different reorder mode.  Honored by count_template,

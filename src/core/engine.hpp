@@ -44,8 +44,9 @@
 // tables and reach the rooted rows through RootedColorsets.  Both
 // paths produce identical estimates (all DP values are exact integer
 // counts in doubles, so the reassociated sums match bit for bit while
-// counts stay below 2^53), which tests/test_counter.cpp pins down and
-// bench/micro_dp measures.
+// counts stay below 2^53, and root totals are summed exactly as
+// integers), which tests/test_counter.cpp pins down and bench/micro_dp
+// measures.
 //
 // Exact 32-bit rows (DESIGN.md §8): before a stage runs, the engine
 // bounds its entries from its children's tracked maxima
@@ -298,6 +299,10 @@ struct DpStageStats {
   int entry_bytes = 8;           ///< stored width: 4 (int32) or 8 (double)
   std::uint64_t bound = 0;       ///< stage_entry_bound the width came from
   double max_entry = 0.0;        ///< largest committed entry (fast path)
+  /// Every entry of the pass is known to be at most 2^53, so exact in
+  /// a double: false for reference-kernel and delta passes, whose
+  /// maxima are not tracked.
+  bool exact = false;
 };
 
 /// Human-readable kernel name for a DpStageStats::kernel tag.
@@ -338,8 +343,10 @@ inline void merge_stage_stats(const std::vector<DpStageStats>& stats,
       slot->table = table_name;
       slot->parent_size = stat.parent_size;
       slot->active_size = stat.active_size;
+      slot->exact = true;
     }
     ++slot->passes;
+    slot->exact = slot->exact && stat.exact;
     if (stat.entry_bytes == 4) ++slot->narrow_passes;
     slot->max_bound = std::max(slot->max_bound, static_cast<double>(stat.bound));
     slot->seconds += stat.seconds;
@@ -556,10 +563,21 @@ class DpEngine {
   }
 
   /// Colorful-embedding total of a computed non-leaf node's table
-  /// (restoring it first if it was paged out).
+  /// (restoring it first if it was paged out): its entries summed as a
+  /// 128-bit integer and rounded once (count_table.hpp's exact root
+  /// reduction), so the total does not depend on vertex order, and a
+  /// template rooted anywhere gives the same double while its entries
+  /// are exact.
   [[nodiscard]] double node_total(int node) {
     ensure_resident(node);
     return tables_[static_cast<std::size_t>(node)]->total();
+  }
+
+  /// Whether every entry of a computed node's table is known to be at
+  /// most 2^53, so exact in a double.  Leaves are exact; reference-
+  /// kernel and delta passes track no maxima and read false.
+  [[nodiscard]] bool node_exact(int node) const noexcept {
+    return node_max(node) <= 0x1p53;
   }
 
   /// Count of graph vertices matching a leaf node's label filter — the
@@ -1099,6 +1117,8 @@ class DpEngine {
     // (so every stage downstream of them stays 8 bytes wide).
     node_max_[static_cast<std::size_t>(index)] =
         opts_.reference_kernels ? kUnknownMax : stat.max_entry;
+    stat.exact = !opts_.reference_kernels && delta_restrict_ == nullptr &&
+                 stat.max_entry <= 0x1p53;
     // The stage metric samples every live table's bytes at once:
     // MemTracker::current(), one O(1) atomic read.
     const std::size_t table_bytes = obs_on ? MemTracker::current() : 0;

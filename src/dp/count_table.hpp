@@ -32,7 +32,7 @@
 //   bool   has_vertex(VertexId v) const;
 //   double get(VertexId v, ColorsetIndex idx) const;   // 0 when absent
 //   void   commit_row(VertexId v, std::span<const double> row);
-//   double total() const;
+//   double total() const;        // exact root reduction, see below
 //   double vertex_total(VertexId v) const;
 //   std::uint32_t num_colorsets() const;
 //   int entry_bytes() const;   // 8 (double) or 4 (int32_t), see below
@@ -45,6 +45,15 @@
 // doubles either way: commit_row converts in, get/total/vertex_total
 // convert out, and int32 -> double is exact, so a narrow table reads
 // back bit for bit what a wide one would.
+//
+// Exact root reduction: total() sums every entry as a 128-bit integer
+// (detail::ExactSum) and converts to double once, so a table's total
+// is the correctly rounded count whatever order its rows are visited
+// in — vertex order under any reorder mode, slot order in the hash
+// layout.  Entries are non-negative integer counts, so this is exact
+// while each is below 2^64; a table holding a larger entry falls back
+// to the double sum in its own visiting order.  vertex_total stays a
+// double sum over one row.
 //
 // Row-borrow contract (the vectorized kernels' fast path):
 //
@@ -191,6 +200,48 @@ inline void load_entries(const void* base, std::size_t count,
   }
   return sum;
 }
+
+__extension__ using Uint128 = unsigned __int128;
+
+/// The exact root reduction: adds non-negative integer counts into an
+/// unsigned 128-bit sum.  fits() turns false once an entry is 2^64 or
+/// more (or not a count at all); value() is then meaningless and the
+/// caller falls back to a double sum.
+class ExactSum {
+ public:
+  /// Adds `count` consecutive `entry_bytes`-wide entries at `base`.
+  void add(const void* base, std::size_t count, int entry_bytes) noexcept {
+    if (entry_bytes == 4) {
+      const auto* in = static_cast<const std::int32_t*>(base);
+      std::int64_t row = 0;  // C(k-1, h-1) * INT32_MAX fits easily
+      for (std::size_t i = 0; i < count; ++i) row += in[i];
+      if (row < 0) fits_ = false;
+      sum_ += static_cast<Uint128>(static_cast<std::uint64_t>(row));
+    } else {
+      const auto* in = static_cast<const double*>(base);
+      for (std::size_t i = 0; i < count; ++i) add(in[i]);
+    }
+  }
+
+  void add(double entry) noexcept {
+    if (!(entry >= 0.0 && entry < 0x1p64)) {
+      fits_ = false;
+      return;
+    }
+    sum_ += static_cast<std::uint64_t>(entry);
+  }
+
+  [[nodiscard]] bool fits() const noexcept { return fits_; }
+
+  /// The sum, rounded to the nearest double once.
+  [[nodiscard]] double value() const noexcept {
+    return static_cast<double>(sum_);
+  }
+
+ private:
+  Uint128 sum_ = 0;
+  bool fits_ = true;
+};
 
 }  // namespace detail
 

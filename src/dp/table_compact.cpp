@@ -83,6 +83,12 @@ void CompactTable::clear_row(VertexId v) noexcept {
 }
 
 double CompactTable::total() const noexcept {
+  detail::ExactSum exact;
+  for (VertexId v = 0; v < n_; ++v) {
+    const std::uint64_t* row = rows_[static_cast<std::size_t>(v)];
+    if (row != nullptr) exact.add(row, num_colorsets_, entry_bytes_);
+  }
+  if (exact.fits()) return exact.value();
   double sum = 0.0;
   for (VertexId v = 0; v < n_; ++v) {
     const std::uint64_t* row = rows_[static_cast<std::size_t>(v)];

@@ -89,6 +89,13 @@ void HashTable::commit_row(VertexId v, std::span<const double> row) {
 }
 
 double HashTable::total() const noexcept {
+  detail::ExactSum exact;
+  for (std::size_t i = 0; i < keys_.size(); ++i) {
+    if (keys_[i] != kEmpty) {
+      exact.add(detail::load_entry(values_.data(), i, entry_bytes_));
+    }
+  }
+  if (exact.fits()) return exact.value();
   double sum = 0.0;
   for (std::size_t i = 0; i < keys_.size(); ++i) {
     if (keys_[i] != kEmpty) {

@@ -31,6 +31,11 @@ void NaiveTable::commit_row(VertexId v, std::span<const double> row) noexcept {
 }
 
 double NaiveTable::total() const noexcept {
+  detail::ExactSum exact;
+  for (VertexId v = 0; v < n_; ++v) {
+    exact.add(row_bytes(v), num_colorsets_, entry_bytes_);
+  }
+  if (exact.fits()) return exact.value();
   return detail::sum_entries(data_.get(), size_, entry_bytes_);
 }
 

@@ -104,9 +104,14 @@ void SuccinctTable::commit_row(VertexId v, std::span<const double> row) {
 }
 
 double SuccinctTable::total() const noexcept {
-  // Packed values are stored in ascending colorset order, so this sums
-  // in the same order as a dense row scan minus exact zeros — and the
-  // values are exact integer counts, so reassociation is exact anyway.
+  detail::ExactSum exact;
+  for (VertexId v = 0; v < n_; ++v) {
+    const std::uint64_t* blob = rows_[static_cast<std::size_t>(v)];
+    if (blob == nullptr) continue;
+    exact.add(succinct_row_values(blob, words_),
+              static_cast<std::uint32_t>(blob[0]), entry_bytes_);
+  }
+  if (exact.fits()) return exact.value();
   double sum = 0.0;
   for (VertexId v = 0; v < n_; ++v) {
     sum += vertex_total(v);

@@ -125,6 +125,7 @@ Json RunReport::to_json() const {
     e["passes"] = stage.passes;
     e["narrow_passes"] = stage.narrow_passes;
     e["max_bound"] = stage.max_bound;
+    e["exact"] = stage.exact;
     e["seconds"] = stage.seconds;
     e["candidates"] = stage.candidates;
     e["survivors"] = stage.survivors;
@@ -269,6 +270,7 @@ bool RunReport::from_json(const Json& doc, RunReport* out,
       stage.passes = static_cast<int>(e.get_int("passes"));
       stage.narrow_passes = static_cast<int>(e.get_int("narrow_passes"));
       stage.max_bound = e.get_double("max_bound");
+      stage.exact = e.get_bool("exact");
       stage.seconds = e.get_double("seconds");
       stage.candidates = e.get_double("candidates");
       stage.survivors = e.get_double("survivors");

@@ -35,6 +35,9 @@ struct ReportStage {
   int passes = 0;            ///< colorings that computed this stage
   int narrow_passes = 0;     ///< of those, passes stored at 4 bytes/entry
   double max_bound = 0.0;    ///< largest entry bound any pass computed
+  /// Every pass's largest entry was tracked and at most 2^53, so every
+  /// count the stage held was exact in a double.
+  bool exact = false;
   double seconds = 0.0;      ///< summed wall time across passes
   double candidates = 0.0;   ///< summed frontier candidates
   double survivors = 0.0;    ///< summed nonzero output rows

@@ -31,10 +31,14 @@
 // caller's root.
 //
 // Determinism: job j's iteration i always uses the coloring derived
-// from (options.seed, i), so fixed-budget estimates are bit-identical
-// to count_template(graph, tmpl, {seed, iterations, num_colors}) by
-// construction — independent of thread count, of the other jobs in the
-// batch, and of whether cross-template reuse is enabled.  Adaptive
+// from (options.seed, i), and its root total is summed as an exact
+// integer, so fixed-budget estimates are bit-identical to
+// count_template(graph, tmpl, {seed, iterations, num_colors}) whenever
+// every DP entry of both runs is at most 2^53 (BatchJobResult::exact)
+// — independent of thread count, of the other jobs in the batch, of
+// whether cross-template reuse is enabled, and of the root the planner
+// picks for the job.  Past 2^53 a re-rooted job sums its entries along
+// other stages and may differ in its last bits.  Adaptive
 // stopping points additionally depend on round_iterations (explicitly
 // set it for cross-machine reproducibility; the default follows the
 // thread count).
@@ -79,9 +83,11 @@ struct BatchOptions {
   bool share_tables = true;
 
   /// Deduplicate rooted-isomorphic subtemplates *across* templates
-  /// into shared stages — the batch engine's main lever.  Disable to
-  /// make the execution structurally identical to the per-template
-  /// path (bit-identical estimates either way; see header comment).
+  /// into shared stages — the batch engine's main lever — and let the
+  /// planner root each template where its subtemplates are already
+  /// planned (plan.hpp).  Disable to make the execution structurally
+  /// identical to the per-template path (bit-identical estimates
+  /// either way while entries are exact; see header comment).
   bool cross_template_reuse = true;
 
   /// kOuterLoop parallelizes over iterations (each spanning all active
@@ -129,7 +135,9 @@ struct BatchOptions {
   /// instead of running partition_template itself, so a host with a
   /// memoization layer (the service's GraphRegistry) can serve cached
   /// trees.  Must return exactly what partition_template(tmpl,
-  /// strategy, share_tables, root) would.  Partition trees are
+  /// strategy, share_tables, root) would.  The planner asks only for
+  /// the roots it keeps (one per job); the root search reads candidate
+  /// shapes it builds itself.  Partition trees are
   /// graph-independent, which is why this cache survives graph
   /// mutations (mutate_graph) that invalidate reorder permutations.
   /// Never serialized: the host injects it at execution time.
@@ -158,6 +166,15 @@ struct BatchJobResult {
   double relative_stderr = 0.0;       ///< at termination
   bool adaptive = false;
   bool converged = true;  ///< adaptive: met target before the cap
+
+  /// Every DP entry behind this job's estimates was at most 2^53, so
+  /// exact in a double: the engine's tracked per-stage maxima, over
+  /// every stage the job reads in every pass.  False when a pass ran
+  /// the reference kernels or a delta recount (neither tracks maxima),
+  /// or when iterations were restored from a checkpoint (their passes
+  /// ran elsewhere).  While it holds, the job's estimates equal
+  /// count_template's bit for bit (see the header comment).
+  bool exact = true;
 
   /// Wall time attributed to this job: each iteration's measured time
   /// split across the jobs active in it, proportionally to their

@@ -1,6 +1,7 @@
 #include "sched/driver.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <string>
 
@@ -294,6 +295,10 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
 
   const auto num_nodes = static_cast<std::size_t>(plan.merged.num_nodes());
   int done = 0;
+  // Set by any pass in which a stage job j reads held an entry past
+  // 2^53 or untracked (BatchJobResult::exact); passes of several
+  // engine copies may set it at once.
+  std::vector<std::atomic<bool>> inexact(num_jobs);
 
   // Greedy cross-template reallocation: the adaptive jobs' remaining
   // budgets pool after warm-up, and each controller checkpoint hands
@@ -393,6 +398,9 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
               state.quota = std::min(state.cap, sim_done + round);
             }
           }
+        }
+        for (std::size_t j = 0; j < num_jobs; ++j) {
+          if (!out.jobs[j].per_iteration.empty()) inexact[j] = true;
         }
         out.run.resumed = true;
         out.run.resumed_iterations = done;
@@ -542,6 +550,12 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
                                  : engine.node_total(plan.job_root[j]);
           out.jobs[j].per_iteration[static_cast<std::size_t>(
               states[j].base + (iter - begin))] = raw * states[j].scale;
+          const auto& nodes = plan.job_nodes[j];
+          if (!std::all_of(nodes.begin(), nodes.end(), [&](int id) {
+                return engine.node_exact(id);
+              })) {
+            inexact[j].store(true, std::memory_order_relaxed);
+          }
         }
         if (store != nullptr) {
           store->slots[static_cast<std::size_t>(iter)] = engine.take_retained();
@@ -741,6 +755,7 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
     BatchJobResult& result = out.jobs[j];
     result.iterations = static_cast<int>(result.per_iteration.size());
     result.estimate = mean(result.per_iteration);
+    result.exact = !inexact[j];
     out.iterations_total += result.iterations;
   }
   if (per_vertex) {

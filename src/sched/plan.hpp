@@ -12,6 +12,20 @@
 // it.  Per-template roots are pinned alive until the end of a pass —
 // with mixed template sizes a whole job can be a shared sub-stage of a
 // bigger one.
+//
+// Sharing-aware planning (DESIGN.md §14): a plan of two or more jobs
+// with cross-template reuse and no caller-pinned root searches every
+// job's root.  Coordinate descent from the default
+// roots moves one job at a time to the root whose partition leaves the
+// fewest distinct non-leaf stages in the plan (ties: fewer modeled
+// MACs, then the smaller root id).  The jobs are then interned in the
+// greedy order that keeps the merged DAG's modeled peak table bytes
+// (run::estimate_peak_bytes) lowest.  The result is kept only when its
+// modeled peak is at most the default plan's; otherwise the plan falls
+// back to the default roots in input order.  Re-rooting a job changes
+// which stages compute it, not its root total: every entry is an exact
+// integer while it is at most 2^53, and root totals are summed exactly
+// (dp/count_table.hpp), so a job's estimates match count_template's.
 
 #include <cstddef>
 #include <vector>
@@ -29,6 +43,10 @@ struct BatchPlan {
 
   /// Merged node id of each job's root stage.
   std::vector<int> job_root;
+
+  /// Template vertex each job's partition was requested at (-1 = the
+  /// partitioner's default): the root handed to partition_provider.
+  std::vector<int> job_partition_root;
 
   /// Merged node ids reachable from each job's root (sorted) — the
   /// stages one iteration of this job demands.  Used to build the
@@ -50,9 +68,21 @@ struct BatchPlan {
 
 /// Builds the merged plan.  Validates per-job template sizes against
 /// the batch's color count and the jobs' iteration budgets.  `root`
-/// is the template vertex every job's partition is rooted at (-1 =
-/// the partitioner's choice); a single-template count passes its own.
+/// is the template vertex every job's partition is rooted at; -1 lets
+/// the planner choose (the root search above for multi-job plans with
+/// cross-template reuse, the partitioner's default otherwise).  A
+/// single-template count passes its own.
 BatchPlan plan_batch(const Graph& graph, const std::vector<BatchJob>& jobs,
                      const BatchOptions& options, int root = -1);
+
+/// The merge step alone, without the search: job j partitioned at
+/// roots[j] (-1 = the partitioner's default, as partition_template
+/// reads it), interned in `order` (a permutation of the job indices).
+/// Partitions come through options.partition_provider when set.  With
+/// default roots in input order this is the plan the search starts
+/// from and falls back to.
+BatchPlan merge_plan(const Graph& graph, const std::vector<BatchJob>& jobs,
+                     const BatchOptions& options, const std::vector<int>& roots,
+                     const std::vector<std::size_t>& order);
 
 }  // namespace fascia::sched

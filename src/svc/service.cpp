@@ -9,6 +9,7 @@
 #include "core/counter.hpp"
 #include "graph/datasets.hpp"
 #include "run/memory.hpp"
+#include "sched/plan.hpp"
 #include "svc/protocol.hpp"
 #include "util/error.hpp"
 
@@ -86,6 +87,14 @@ std::size_t estimate_job_bytes(GraphRegistry& registry,
   bytes += run::estimate_workspace_bytes(*partition, colors) *
            static_cast<std::size_t>(std::max(1, threads));
   return bytes;
+}
+
+/// A planner partition source served from the registry's memo.
+auto registry_partitions(GraphRegistry& registry) {
+  return [&registry](const TreeTemplate& tmpl, PartitionStrategy strategy,
+                     bool share_tables, int root) {
+    return registry.partition_of(tmpl, strategy, share_tables, root);
+  };
 }
 
 int admission_engine_copies(const ExecutionOptions& execution) {
@@ -213,19 +222,28 @@ std::unique_ptr<Service::Record> Service::build_record(JobSpec spec) {
   const VertexId n = record->graph->num_vertices();
   const auto quote = [&](TableKind table) -> std::size_t {
     if (record->spec.kind == JobKind::kBatch) {
-      const sched::BatchOptions& bo = record->spec.batch_options;
+      // Quote the partitions the run will use: the planner picks each
+      // job's root, and its provider leaves exactly those in the
+      // registry for the run to hit.
+      sched::BatchOptions bo = record->spec.batch_options;
+      bo.table = table;
+      bo.partition_provider = registry_partitions(registry_);
+      const std::vector<sched::BatchJob>& jobs = record->spec.batch_jobs;
+      const sched::BatchPlan plan =
+          sched::plan_batch(*record->graph, jobs, bo);
       std::size_t worst = 0;
-      for (const sched::BatchJob& job : record->spec.batch_jobs) {
+      for (std::size_t j = 0; j < jobs.size(); ++j) {
         // Shared stages only shrink the true peak, so the max over
         // per-template estimates is a safe admission bound.
         worst = std::max(
-            worst, estimate_job_bytes(registry_, job.tmpl, n, bo.num_colors,
-                                      table, bo.partition, bo.share_tables,
-                                      /*root=*/-1,
-                                      bo.mode == ParallelMode::kOuterLoop
-                                          ? std::max(1, bo.num_threads)
-                                          : 1,
-                                      std::max(1, bo.num_threads)));
+            worst,
+            estimate_job_bytes(registry_, jobs[j].tmpl, n, bo.num_colors,
+                               table, bo.partition, bo.share_tables,
+                               plan.job_partition_root[j],
+                               bo.mode == ParallelMode::kOuterLoop
+                                   ? std::max(1, bo.num_threads)
+                                   : 1,
+                               std::max(1, bo.num_threads)));
       }
       return worst;
     }
@@ -489,11 +507,7 @@ void Service::execute(Record& record) {
       // already partitioned these templates for the quote, and the
       // trees are graph-independent so the cache stays hot across
       // mutate_graph re-registers.
-      options.partition_provider =
-          [this](const TreeTemplate& tmpl, PartitionStrategy strategy,
-                 bool share_tables, int root) {
-            return registry_.partition_of(tmpl, strategy, share_tables, root);
-          };
+      options.partition_provider = registry_partitions(registry_);
       if (options.run.checkpoint_path.empty() && record.spec.preemptible &&
           record.spec.priority == Priority::kBatch &&
           !config_.work_dir.empty()) {

@@ -1,10 +1,9 @@
 #include "treelet/partition.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
-#include <map>
 #include <sstream>
-#include <stdexcept>
 
 #include "comb/binomial.hpp"
 #include "treelet/canonical.hpp"
@@ -15,137 +14,10 @@ namespace fascia {
 
 namespace {
 
-/// Working view of a subtemplate during recursion.
-struct SubView {
-  std::vector<int> vertices;  // sorted
-  int root;
-};
+using Mask = PartitionShaper::Mask;
 
-bool contains(const std::vector<int>& sorted, int v) {
-  return std::binary_search(sorted.begin(), sorted.end(), v);
-}
-
-/// Vertices reachable from `start` inside `vertices` without crossing
-/// the edge (cut_a, cut_b).
-std::vector<int> side_of_cut(const TreeTemplate& t,
-                             const std::vector<int>& vertices, int start,
-                             int cut_a, int cut_b) {
-  std::vector<int> side;
-  std::vector<int> stack = {start};
-  std::vector<char> seen(static_cast<std::size_t>(t.size()), 0);
-  seen[static_cast<std::size_t>(start)] = 1;
-  while (!stack.empty()) {
-    const int v = stack.back();
-    stack.pop_back();
-    side.push_back(v);
-    for (int u : t.neighbors(v)) {
-      if (!contains(vertices, u)) continue;
-      if ((v == cut_a && u == cut_b) || (v == cut_b && u == cut_a)) continue;
-      if (!seen[static_cast<std::size_t>(u)]) {
-        seen[static_cast<std::size_t>(u)] = 1;
-        stack.push_back(u);
-      }
-    }
-  }
-  std::sort(side.begin(), side.end());
-  return side;
-}
-
-class Builder {
- public:
-  Builder(const TreeTemplate& t, PartitionStrategy strategy, bool share)
-      : t_(t), strategy_(strategy), share_(share) {}
-
-  int build(const SubView& view) {
-    const std::string canon =
-        ahu_rooted_subtree(t_, view.vertices, view.root);
-    if (share_) {
-      if (auto it = memo_.find(canon); it != memo_.end()) return it->second;
-    }
-
-    Subtemplate node;
-    node.vertices = view.vertices;
-    node.root = view.root;
-    node.root_label = t_.has_labels() ? t_.label(view.root) : -1;
-    node.canon = canon;
-
-    if (view.vertices.size() > 1) {
-      const auto [cut_root_side, cut_other] = choose_cut(view);
-      SubView active_view, passive_view;
-      active_view.vertices = side_of_cut(t_, view.vertices, view.root,
-                                         cut_root_side, cut_other);
-      active_view.root = view.root;
-      const int passive_root =
-          contains(active_view.vertices, cut_root_side) ? cut_other
-                                                        : cut_root_side;
-      passive_view.vertices = side_of_cut(t_, view.vertices, passive_root,
-                                          cut_root_side, cut_other);
-      passive_view.root = passive_root;
-
-      // Children first: indices stay topologically ordered.
-      node.active = build(active_view);
-      node.passive = build(passive_view);
-    }
-
-    nodes_.push_back(std::move(node));
-    const int index = static_cast<int>(nodes_.size()) - 1;
-    if (share_) memo_.emplace(nodes_.back().canon, index);
-    return index;
-  }
-
-  std::vector<Subtemplate> take() { return std::move(nodes_); }
-
- private:
-  /// Returns the cut edge (root, w).  The DP recurrence joins the
-  /// passive child's root to the *image of the active root* via a
-  /// graph edge, so only edges adjacent to the current root are legal
-  /// cuts ("a single edge adjacent to the root is cut", §III-A).
-  std::pair<int, int> choose_cut(const SubView& view) const {
-    int best_w = -1;
-    int best_branch = t_.size() + 1;
-    for (int w : t_.neighbors(view.root)) {
-      if (!contains(view.vertices, w)) continue;
-      const auto branch =
-          side_of_cut(t_, view.vertices, w, view.root, w);
-      const int branch_size = static_cast<int>(branch.size());
-      int score;
-      if (strategy_ == PartitionStrategy::kOneAtATime) {
-        // Peel the smallest branch; when the root is a leaf this makes
-        // the active child the single partitioned vertex (§III-D).
-        score = branch_size;
-      } else {
-        // kBalanced: most even split available at this root.
-        score = std::abs(2 * branch_size -
-                         static_cast<int>(view.vertices.size()));
-      }
-      // Ties keep the first candidate, i.e. the smallest w (neighbor
-      // lists are sorted) — deterministic partitions.
-      if (best_w < 0 || score < best_branch) {
-        best_w = w;
-        best_branch = score;
-      }
-    }
-    if (best_w < 0) {
-      throw internal_error("choose_cut: root has no neighbor in subtemplate");
-    }
-    return {view.root, best_w};
-  }
-
-  const TreeTemplate& t_;
-  PartitionStrategy strategy_;
-  bool share_;
-  std::vector<Subtemplate> nodes_;
-  std::map<std::string, int> memo_;
-};
-
-int pick_default_root(const TreeTemplate& t, PartitionStrategy strategy) {
-  if (strategy == PartitionStrategy::kBalanced) return centroids(t)[0];
-  // One-at-a-time: any leaf enables the single-active fast path at the
-  // top level; pick the smallest.
-  for (int v = 0; v < t.size(); ++v) {
-    if (t.degree(v) <= 1) return v;
-  }
-  return 0;  // unreachable for valid trees
+[[nodiscard]] bool has(Mask mask, int v) noexcept {
+  return ((mask >> v) & 1U) != 0;
 }
 
 /// Lifetime analysis: a node's table can be freed after the last node
@@ -163,6 +35,16 @@ void compute_lifetimes(std::vector<Subtemplate>& nodes) {
 }
 
 }  // namespace
+
+int default_root(const TreeTemplate& t, PartitionStrategy strategy) {
+  if (strategy == PartitionStrategy::kBalanced) return centroids(t)[0];
+  // One-at-a-time: any leaf enables the single-active fast path at the
+  // top level; pick the smallest.
+  for (int v = 0; v < t.size(); ++v) {
+    if (t.degree(v) <= 1) return v;
+  }
+  return 0;  // unreachable for valid trees
+}
 
 PartitionTree PartitionTree::from_nodes(std::vector<Subtemplate> nodes,
                                         const std::vector<int>& pinned) {
@@ -201,21 +83,129 @@ PartitionTree partition_template(const TreeTemplate& t,
   if (root < -1 || root >= t.size()) {
     throw usage_error("partition_template: root out of range");
   }
-  if (root == -1) root = pick_default_root(t, strategy);
+  if (root == -1) root = default_root(t, strategy);
 
-  Builder builder(t, strategy, share_tables);
-  SubView top;
-  top.vertices.resize(static_cast<std::size_t>(t.size()));
-  for (int v = 0; v < t.size(); ++v) {
-    top.vertices[static_cast<std::size_t>(v)] = v;
-  }
-  top.root = root;
-  builder.build(top);
-
+  CanonIds ids;
+  PartitionShaper shaper(t, strategy, share_tables, ids);
   PartitionTree tree;
-  tree.nodes_ = builder.take();
+  for (const ShapeNode& shape : shaper.build(root)) {
+    Subtemplate node;
+    for (int v = 0; v < t.size(); ++v) {
+      if (has(shape.vertices, v)) node.vertices.push_back(v);
+    }
+    node.root = shape.root;
+    node.root_label = t.has_labels() ? t.label(shape.root) : -1;
+    node.active = shape.active;
+    node.passive = shape.passive;
+    node.canon = ahu_rooted_subtree(t, node.vertices, shape.root);
+    tree.nodes_.push_back(std::move(node));
+  }
   compute_lifetimes(tree.nodes_);
   return tree;
+}
+
+int CanonIds::intern(int label, std::vector<int>& children) {
+  std::sort(children.begin(), children.end());
+  key_.assign(reinterpret_cast<const char*>(&label), sizeof(label));
+  for (const int child : children) {
+    key_.append(reinterpret_cast<const char*>(&child), sizeof(child));
+  }
+  return ids_.try_emplace(key_, static_cast<int>(ids_.size())).first->second;
+}
+
+PartitionShaper::PartitionShaper(const TreeTemplate& t,
+                                 PartitionStrategy strategy, bool share_tables,
+                                 CanonIds& ids)
+    : t_(t), strategy_(strategy), share_(share_tables), ids_(ids) {}
+
+PartitionShape PartitionShaper::build(int root) {
+  if (root < 0 || root >= t_.size()) {
+    throw usage_error("PartitionShaper: root out of range");
+  }
+  PartitionShape shape;
+  memo_.clear();
+  place((Mask{1} << t_.size()) - 1, root, shape);
+  return shape;
+}
+
+PartitionShaper::Mask PartitionShaper::branch(Mask mask, int start,
+                                              int cut) const {
+  Mask seen = Mask{1} << start;
+  int stack[kMaxTemplateSize];
+  int top = 0;
+  stack[top++] = start;
+  while (top > 0) {
+    const int v = stack[--top];
+    for (const int u : t_.neighbors(v)) {
+      if (u == cut || !has(mask, u) || has(seen, u)) continue;
+      seen |= Mask{1} << u;
+      stack[top++] = u;
+    }
+  }
+  return seen;
+}
+
+int PartitionShaper::canon(Mask mask, int root) {
+  const std::uint64_t key =
+      (std::uint64_t{mask} << 5) | static_cast<std::uint64_t>(root);
+  if (const auto it = canon_.find(key); it != canon_.end()) return it->second;
+  std::vector<int> children;
+  for (const int u : t_.neighbors(root)) {
+    if (has(mask, u)) children.push_back(canon(branch(mask, u, root), u));
+  }
+  const int id = ids_.intern(t_.has_labels() ? t_.label(root) : -1, children);
+  canon_.emplace(key, id);
+  return id;
+}
+
+int PartitionShaper::place(Mask mask, int root, PartitionShape& shape) {
+  ShapeNode node;
+  node.vertices = mask;
+  node.root = root;
+  node.canon = canon(mask, root);
+  if (share_) {
+    if (const auto it = memo_.find(node.canon); it != memo_.end()) {
+      return it->second;
+    }
+  }
+  node.size = std::popcount(mask);
+  if (node.size > 1) {
+    // Only edges adjacent to the root are legal cuts: the DP joins the
+    // passive child's root to the image of the active root through a
+    // graph edge ("a single edge adjacent to the root is cut", §III-A).
+    int best_w = -1;
+    Mask best_branch = 0;
+    int best_score = 0;
+    for (const int w : t_.neighbors(root)) {
+      if (!has(mask, w)) continue;
+      const Mask side = branch(mask, w, root);
+      const int size = std::popcount(side);
+      // kOneAtATime peels the smallest branch: when the root is a leaf
+      // the active child becomes the single partitioned vertex
+      // (§III-D).  kBalanced takes the most even split.
+      const int score = strategy_ == PartitionStrategy::kOneAtATime
+                            ? size
+                            : std::abs(2 * size - node.size);
+      // Ties keep the first candidate, the smallest w (neighbor lists
+      // are sorted): deterministic partitions.
+      if (best_w < 0 || score < best_score) {
+        best_w = w;
+        best_branch = side;
+        best_score = score;
+      }
+    }
+    if (best_w < 0) {
+      throw internal_error(
+          "PartitionShaper: root has no neighbor in subtemplate");
+    }
+    // Children first: indices stay topologically ordered.
+    node.active = place(mask & ~best_branch, root, shape);
+    node.passive = place(best_branch, best_w, shape);
+  }
+  shape.push_back(node);
+  const int index = static_cast<int>(shape.size()) - 1;
+  if (share_) memo_.emplace(node.canon, index);
+  return index;
 }
 
 double PartitionTree::dp_cost(int num_colors) const {

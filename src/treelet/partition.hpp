@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "treelet/tree_template.hpp"
@@ -100,6 +101,70 @@ class PartitionTree {
                                           PartitionStrategy, bool, int);
   std::vector<Subtemplate> nodes_;
 };
+
+/// Rooted canonical forms as integers: a rooted tree's id is the id of
+/// (root label, sorted child-subtree ids), so two ids are equal exactly
+/// when the AHU strings of treelet/canonical are.  One table serves
+/// any number of templates.
+class CanonIds {
+ public:
+  /// Id of the tree whose root has `label` (-1 = unlabeled) and whose
+  /// root subtrees have ids `children` (sorted in place).
+  int intern(int label, std::vector<int>& children);
+  [[nodiscard]] std::size_t size() const noexcept { return ids_.size(); }
+
+ private:
+  std::string key_;
+  std::unordered_map<std::string, int> ids_;
+};
+
+/// One node of a partition shape: a subtemplate as a vertex bitmask,
+/// its root, and its rooted canonical form as a CanonIds id.
+struct ShapeNode {
+  std::uint32_t vertices = 0;  ///< bit v set = template vertex v
+  int root = -1;
+  int canon = 0;
+  int size = 1;
+  int active = -1;   ///< node index of the active child; -1 for leaves
+  int passive = -1;  ///< node index of the passive child; -1 for leaves
+  [[nodiscard]] bool is_leaf() const noexcept { return active < 0; }
+};
+
+/// The nodes of a partition in bottom-up order; back() is the template.
+using PartitionShape = std::vector<ShapeNode>;
+
+/// The partitioner itself: cuts one template at any root and returns
+/// the shape partition_template materializes into Subtemplates.  Each
+/// (vertex set, root) canonical form is computed once across all the
+/// roots one shaper is asked for, which is what lets the batch planner
+/// (sched/plan) try every root of every template cheaply.
+class PartitionShaper {
+ public:
+  using Mask = std::uint32_t;  ///< kMaxTemplateSize <= 32
+
+  PartitionShaper(const TreeTemplate& t, PartitionStrategy strategy,
+                  bool share_tables, CanonIds& ids);
+
+  /// The partition rooted at template vertex `root` (no -1 default).
+  PartitionShape build(int root);
+
+ private:
+  /// Vertices of `mask` reachable from `start` without entering `cut`.
+  [[nodiscard]] Mask branch(Mask mask, int start, int cut) const;
+  int canon(Mask mask, int root);
+  int place(Mask mask, int root, PartitionShape& shape);
+
+  const TreeTemplate& t_;
+  PartitionStrategy strategy_;
+  bool share_;
+  CanonIds& ids_;
+  std::unordered_map<std::uint64_t, int> canon_;  ///< (mask, root) -> id
+  std::unordered_map<int, int> memo_;  ///< canon -> node, within a build
+};
+
+/// The root partition_template picks for root == -1: the smallest-id
+/// leaf for kOneAtATime, the first centroid for kBalanced.
+int default_root(const TreeTemplate& t, PartitionStrategy strategy);
 
 /// Partitions `t`.  `root` fixes the template root (needed for
 /// graphlet-degree runs, where the root must be the orbit vertex);

@@ -17,6 +17,8 @@
 #include "graph/components.hpp"
 #include "graph/generators.hpp"
 #include "graph/labels.hpp"
+#include "graph/reorder.hpp"
+#include "obs/metrics.hpp"
 #include "helpers.hpp"
 #include "treelet/canonical.hpp"
 #include "treelet/catalog.hpp"
@@ -278,6 +280,43 @@ TEST(Counter, FoldedGatherBitIdenticalPastTwoToThe53) {
     }
     EXPECT_GT(narrow, 0);
     EXPECT_GT(wide, 0);
+  }
+}
+
+TEST(Counter, ExactRootSumAgreesAcrossRootsAndReordersPastTwoToThe53) {
+  // Every entry stays below 2^53 while the colorful root total passes
+  // it.  The root sum is then an exact integer, rounded once, however
+  // its rows are visited: rooting the path at an end or in the middle,
+  // and every reorder mode, give the same doubles.
+  struct ObsOff {
+    ~ObsOff() { obs::set_enabled(false); }
+  } off;
+  constexpr int k = 8;
+  const Graph g = erdos_renyi_gnp(800, 0.25, 5);
+  const TreeTemplate path = TreeTemplate::path(k);
+  const auto count = [&](int root, ReorderMode reorder) {
+    CountOptions options;
+    options.sampling.iterations = 1;
+    options.sampling.seed = 17;
+    options.execution.reorder = reorder;
+    options.root = root;
+    options.observability.enabled = true;
+    return count_template(g, path, options);
+  };
+  const CountResult end = count(0, ReorderMode::kNone);
+  const double raw = end.per_iteration.front() * end.colorful_probability *
+                     static_cast<double>(end.automorphisms);
+  ASSERT_GT(raw, 0x1p53);
+  ASSERT_NE(end.report, nullptr);
+  ASSERT_FALSE(end.report->stages.empty());
+  for (const obs::ReportStage& stage : end.report->stages) {
+    EXPECT_TRUE(stage.exact) << "node " << stage.node;
+  }
+  EXPECT_EQ(count(k / 2, ReorderMode::kNone).per_iteration,
+            end.per_iteration);
+  for (const ReorderMode mode : {ReorderMode::kDegree, ReorderMode::kBfs}) {
+    EXPECT_EQ(count(0, mode).per_iteration, end.per_iteration)
+        << reorder_mode_name(mode);
   }
 }
 

@@ -367,6 +367,7 @@ TEST(Incremental, ReportsLikeEveryOtherRun) {
   // stages its bounds admit at 4.
   for (const obs::ReportStage& stage : handle.result().report->stages) {
     EXPECT_EQ(stage.narrow_passes, 0) << "node " << stage.node;
+    EXPECT_TRUE(stage.exact) << "node " << stage.node;
   }
   const CountResult plain = count_template(g, tmpl, options);
   int plain_narrow = 0;
@@ -389,8 +390,10 @@ TEST(Incremental, ReportsLikeEveryOtherRun) {
   EXPECT_EQ(recounted.report->delta.graph_version, g.version());
   EXPECT_EQ(recounted.report->delta.applied_edges, 3u);
   EXPECT_EQ(recounted.report->delta.rows_copied, recounted.delta.rows_copied);
+  // Delta passes track no maxima, so nothing vouches for exactness.
   for (const obs::ReportStage& stage : recounted.report->stages) {
     EXPECT_EQ(stage.narrow_passes, 0) << "node " << stage.node;
+    EXPECT_FALSE(stage.exact) << "node " << stage.node;
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -18,6 +19,7 @@
 #include "exact/backtrack.hpp"
 #include "graph/components.hpp"
 #include "graph/generators.hpp"
+#include "run/memory.hpp"
 #include "sched/plan.hpp"
 #include "treelet/free_trees.hpp"
 #include "treelet/mixed_template.hpp"
@@ -384,6 +386,127 @@ TEST(Sched, MotifProfileBatchFlagMatchesSharedSeedPath) {
     EXPECT_EQ(profile.counts[i], ref.estimate) << "shape " << i;
     EXPECT_EQ(profile.iterations[i], 3);
   }
+}
+
+// ---- sharing-aware planning ----------------------------------------------
+
+Graph power_law_graph() {
+  static const Graph g = largest_component(chung_lu(400, 1600, 2.3, 40, 3));
+  return g;
+}
+
+/// The plan the search starts from: default roots, input order.
+sched::BatchPlan default_plan(const Graph& g,
+                              const std::vector<sched::BatchJob>& jobs,
+                              const sched::BatchOptions& options) {
+  std::vector<std::size_t> order(jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) order[j] = j;
+  return sched::merge_plan(g, jobs, options,
+                           std::vector<int>(jobs.size(), -1), order);
+}
+
+TEST(Sched, RerootedJobsMatchCountTemplateBitForBit) {
+  // The planner roots most motif templates away from their default
+  // leaf; exact root sums keep every job on count_template's bits.
+  const Graph g = power_law_graph();
+  for (const int k : {6, 7, 8}) {
+    const auto jobs = fixed_jobs(k, 2);
+    sched::BatchOptions options;
+    options.seed = 19;
+    options.mode = ParallelMode::kSerial;
+    const sched::BatchPlan plan = sched::plan_batch(g, jobs, options);
+    EXPECT_GT(std::count_if(plan.job_partition_root.begin(),
+                            plan.job_partition_root.end(),
+                            [](int root) { return root >= 0; }),
+              0)
+        << "k=" << k;
+    const sched::BatchResult batch = sched::run_batch(g, jobs, options);
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      const CountResult ref = reference(g, jobs[j].tmpl, 2, 19, k);
+      EXPECT_EQ(batch.jobs[j].per_iteration, ref.per_iteration)
+          << "k=" << k << " job " << j;
+      EXPECT_TRUE(batch.jobs[j].exact) << "k=" << k << " job " << j;
+    }
+  }
+}
+
+TEST(Sched, MotifProfilePlanSharesMoreStages) {
+  const auto jobs = fixed_jobs(7, 1);
+  const sched::BatchOptions options;
+  const sched::BatchPlan chosen =
+      sched::plan_batch(test_graph(), jobs, options);
+  const sched::BatchPlan fallback = default_plan(test_graph(), jobs, options);
+  EXPECT_LE(chosen.unique_stages, 27u);
+  EXPECT_LT(chosen.unique_stages, fallback.unique_stages);
+  EXPECT_LT(chosen.total_stage_instances, fallback.total_stage_instances);
+}
+
+TEST(Sched, PlanIsDeterministicAndJobOrderFree) {
+  const Graph g = power_law_graph();
+  auto jobs = fixed_jobs(7, 2);
+  sched::BatchOptions options;
+  options.seed = 3;
+  const sched::BatchPlan first = sched::plan_batch(g, jobs, options);
+  const sched::BatchPlan second = sched::plan_batch(g, jobs, options);
+  EXPECT_EQ(first.job_root, second.job_root);
+  EXPECT_EQ(first.job_partition_root, second.job_partition_root);
+  ASSERT_EQ(first.merged.num_nodes(), second.merged.num_nodes());
+  for (int i = 0; i < first.merged.num_nodes(); ++i) {
+    EXPECT_EQ(first.merged.node(i).canon, second.merged.node(i).canon);
+  }
+
+  const sched::BatchResult forward = sched::run_batch(g, jobs, options);
+  std::reverse(jobs.begin(), jobs.end());
+  const sched::BatchResult backward = sched::run_batch(g, jobs, options);
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const std::size_t mirror = jobs.size() - 1 - j;
+    EXPECT_EQ(backward.jobs[j].per_iteration,
+              forward.jobs[mirror].per_iteration)
+        << "job " << mirror;
+  }
+}
+
+TEST(Sched, ChosenPlanPeakNeverAboveDefault) {
+  const Graph g = power_law_graph();
+  for (int k = 5; k <= 9; ++k) {
+    const auto jobs = fixed_jobs(k, 1);
+    const sched::BatchOptions options;
+    const auto peak = [&](const sched::BatchPlan& plan) {
+      return run::estimate_peak_bytes(plan.merged, k, g.num_vertices(),
+                                      options.table, false);
+    };
+    EXPECT_LE(peak(sched::plan_batch(g, jobs, options)),
+              peak(default_plan(g, jobs, options)))
+        << "k=" << k;
+  }
+}
+
+TEST(Sched, SearchOnlyRunsOnSharedMultiJobPlans) {
+  const auto jobs = fixed_jobs(7, 1);
+  sched::BatchOptions options;
+  // A caller's root pins every job.
+  EXPECT_EQ(sched::plan_batch(test_graph(), jobs, options, 0)
+                .job_partition_root,
+            std::vector<int>(jobs.size(), 0));
+  // One-job plans keep the partitioner's default.
+  const std::vector<sched::BatchJob> one(jobs.begin(), jobs.begin() + 1);
+  EXPECT_EQ(sched::plan_batch(test_graph(), one, options).job_partition_root,
+            std::vector<int>{-1});
+  // Without cross-template reuse there is nothing to share.
+  options.cross_template_reuse = false;
+  EXPECT_EQ(sched::plan_batch(test_graph(), jobs, options).job_partition_root,
+            std::vector<int>(jobs.size(), -1));
+}
+
+TEST(Sched, ReferenceKernelJobsAreNotExact) {
+  // The reference kernels track no entry maxima, so nothing vouches
+  // for their entries.
+  const auto jobs = fixed_jobs(5, 2);
+  sched::BatchOptions options;
+  options.reference_kernels = true;
+  const sched::BatchResult batch =
+      sched::run_batch(test_graph(), jobs, options);
+  for (const sched::BatchJobResult& job : batch.jobs) EXPECT_FALSE(job.exact);
 }
 
 }  // namespace

@@ -26,7 +26,9 @@
 #include "run/checkpoint.hpp"
 #include "svc/protocol.hpp"
 #include "svc/service.hpp"
+#include "sched/plan.hpp"
 #include "treelet/catalog.hpp"
+#include "treelet/free_trees.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -209,6 +211,52 @@ TEST(SvcService, BatchJobMatchesDirectRunBatch) {
     EXPECT_EQ(got.jobs[j].iterations, expected.jobs[j].iterations) << j;
   }
   EXPECT_EQ(got.estimate, expected.estimate);
+}
+
+TEST(SvcService, BatchRegistryHoldsOnlyChosenPartitions) {
+  // The planner partitions every root of every template while it
+  // searches, but only the roots it picks go through the registry:
+  // one partition per job, whether admission or the run asked first.
+  const Graph graph = erdos_renyi_gnm(300, 1200, 5);
+  std::vector<sched::BatchJob> jobs;
+  for (const TreeTemplate& tree : all_free_trees(7)) {
+    sched::BatchJob job;
+    job.tmpl = tree;
+    job.iterations = 2;
+    jobs.push_back(std::move(job));
+  }
+  ASSERT_EQ(jobs.size(), 11u);
+  sched::BatchOptions options;
+  options.seed = 5;
+  options.mode = ParallelMode::kSerial;
+  const sched::BatchPlan plan = sched::plan_batch(graph, jobs, options);
+  EXPECT_GT(std::count_if(plan.job_partition_root.begin(),
+                          plan.job_partition_root.end(),
+                          [](int root) { return root >= 0; }),
+            0);
+  const sched::BatchResult expected = sched::run_batch(graph, jobs, options);
+
+  svc::Service service({});
+  service.registry().put("g", erdos_renyi_gnm(300, 1200, 5));
+  svc::Session session(service);
+  svc::JobSpec spec;
+  spec.graph = "g";
+  spec.batch_jobs = jobs;
+  spec.batch_options = options;
+  spec.preemptible = false;
+  const sched::BatchResult got = session.run_batch(std::move(spec));
+  ASSERT_EQ(got.jobs.size(), jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    EXPECT_EQ(got.jobs[j].per_iteration, expected.jobs[j].per_iteration) << j;
+  }
+  EXPECT_EQ(service.registry().stats().partitions, jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const std::uint64_t misses = service.registry().stats().misses;
+    service.registry().partition_of(jobs[j].tmpl, options.partition,
+                                    options.share_tables,
+                                    plan.job_partition_root[j]);
+    EXPECT_EQ(service.registry().stats().misses, misses) << "job " << j;
+  }
 }
 
 // ---- service: lifecycle, cancellation, admission ---------------------------
