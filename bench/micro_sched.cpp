@@ -15,8 +15,10 @@
 // Expected: batch >= 1.3x faster than legacy at equal iterations
 // (the merged DAG evaluates ~40% fewer stages per coloring), and
 // adaptive reaches the same error targets with fewer total
-// iterations.  Results are also written as machine-readable JSON
-// (--json, default BENCH_sched.json).
+// iterations.  Each run is warmed up by one untimed pass and timed as
+// the median of three more, so a cold first pass (page faults, thread
+// start-up) does not decide the speedup.  Results are also written as
+// machine-readable JSON (--json, default BENCH_sched.json).
 
 #include <cstdio>
 #include <string>
@@ -52,6 +54,25 @@ Scrape scrape_registry() {
   return out;
 }
 
+constexpr int kTimedPasses = 3;
+
+/// Runs `pass` once untimed, then kTimedPasses times; returns the
+/// median wall time.  The registry is reset before each timed pass, so
+/// `seen` (scraped after the last) describes one pass.
+template <typename Pass>
+double median_seconds(const Pass& pass, Scrape& seen) {
+  pass();
+  std::vector<double> seconds;
+  for (int i = 0; i < kTimedPasses; ++i) {
+    fascia::obs::Registry::global().reset();
+    fascia::WallTimer timer;
+    pass();
+    seconds.push_back(timer.elapsed_s());
+  }
+  seen = scrape_registry();
+  return fascia::median(seconds);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -83,11 +104,10 @@ int main(int argc, char** argv) {
   legacy_options.execution.mode = ParallelMode::kOuterLoop;
   legacy_options.execution.threads = ctx.threads;
 
-  obs::Registry::global().reset();
-  WallTimer legacy_timer;
-  const MotifProfile legacy = count_all_treelets(g, k, legacy_options);
-  const double legacy_seconds = legacy_timer.elapsed_s();
-  const Scrape legacy_obs = scrape_registry();
+  MotifProfile legacy;
+  Scrape legacy_obs;
+  const double legacy_seconds = median_seconds(
+      [&] { legacy = count_all_treelets(g, k, legacy_options); }, legacy_obs);
 
   std::vector<sched::BatchJob> fixed_jobs;
   for (const TreeTemplate& tree : legacy.trees) {
@@ -101,12 +121,11 @@ int main(int argc, char** argv) {
   batch_options.mode = ParallelMode::kOuterLoop;
   batch_options.num_threads = ctx.threads;
 
-  obs::Registry::global().reset();
-  WallTimer batch_timer;
-  const sched::BatchResult fixed = sched::run_batch(g, fixed_jobs,
-                                                    batch_options);
-  const double batch_seconds = batch_timer.elapsed_s();
-  const Scrape fixed_obs = scrape_registry();
+  sched::BatchResult fixed;
+  Scrape fixed_obs;
+  const double batch_seconds = median_seconds(
+      [&] { fixed = sched::run_batch(g, fixed_jobs, batch_options); },
+      fixed_obs);
   const double speedup = legacy_seconds / batch_seconds;
 
   // Adaptive run: ask each job for the relative stderr the fixed
@@ -126,12 +145,11 @@ int main(int argc, char** argv) {
   adaptive_options.min_iterations = 2;
   adaptive_options.round_iterations = 2;
 
-  obs::Registry::global().reset();
-  WallTimer adaptive_timer;
-  const sched::BatchResult adaptive =
-      sched::run_batch(g, adaptive_jobs, adaptive_options);
-  const double adaptive_seconds = adaptive_timer.elapsed_s();
-  const Scrape adaptive_obs = scrape_registry();
+  sched::BatchResult adaptive;
+  Scrape adaptive_obs;
+  const double adaptive_seconds = median_seconds(
+      [&] { adaptive = sched::run_batch(g, adaptive_jobs, adaptive_options); },
+      adaptive_obs);
   const long long fixed_total = fixed.iterations_total;
   int adaptive_converged = 0;
   for (const sched::BatchJobResult& job : adaptive.jobs) {

@@ -2,7 +2,7 @@
 // any graph with every FASCIA option exposed.
 //
 //   build/examples/fascia_cli --dataset enron --template U7-2
-//       --iterations 100 --table compact --partition oaat --mode inner
+//       --iterations 100 --table compact --partition planned --mode inner
 //   build/examples/fascia_cli --graph my.edges --template-file my_tree.txt
 //   build/examples/fascia_cli --dataset ecoli --template U5-2 --enumerate 5
 //   build/examples/fascia_cli --dataset ecoli --template U5-2
@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -75,10 +76,12 @@ fascia::TableKind parse_table(const std::string& name) {
   throw std::invalid_argument("--table must be naive|compact|hash|succinct");
 }
 
-fascia::PartitionStrategy parse_partition(const std::string& name) {
+std::optional<fascia::PartitionStrategy> parse_partition(
+    const std::string& name) {
+  if (name == "planned") return std::nullopt;
   if (name == "oaat") return fascia::PartitionStrategy::kOneAtATime;
   if (name == "balanced") return fascia::PartitionStrategy::kBalanced;
-  throw std::invalid_argument("--partition must be oaat|balanced");
+  throw std::invalid_argument("--partition must be planned|oaat|balanced");
 }
 
 fascia::ParallelMode parse_mode(const std::string& name) {
@@ -165,7 +168,12 @@ int main(int argc, char** argv) {
   cli.add_option("colors", "number of colors (0 = template size)", "0");
   cli.add_option("table", "DP table layout: naive|compact|hash|succinct",
                  "compact");
-  cli.add_option("partition", "partitioning: oaat|balanced", "oaat");
+  cli.add_option("partition",
+                 "partitioning: planned (the strategy and root with the "
+                 "fewest DP stages whose modeled table peak is at most "
+                 "oaat's; the report's choices.partition says which) | "
+                 "oaat | balanced (pinned, at the strategy's default root)",
+                 "planned");
   cli.add_option("mode", "parallel mode: serial|inner|outer|hybrid", "inner");
   cli.add_option("reorder",
                  "vertex reordering: none|degree|bfs|hybrid (estimates "

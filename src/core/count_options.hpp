@@ -20,6 +20,7 @@
 // clamping.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -77,7 +78,16 @@ struct SamplingOptions {
 /// scheduling, locality.
 struct ExecutionOptions {
   TableKind table = TableKind::kCompact;
-  PartitionStrategy partition = PartitionStrategy::kOneAtATime;
+
+  /// Unset (the default) means planned, as root = -1 means a planned
+  /// root: the tree counters take the strategy and root with the
+  /// fewest DP stages whose modeled table peak is at most the
+  /// one-at-a-time default's (sched/plan.hpp; the RunReport's
+  /// choices.partition says what was picked).  Set, it pins the
+  /// strategy at its default root (or options.root), as the paper's
+  /// §III-D comparison needs.  Extraction and mixed templates
+  /// partition one-at-a-time when it is unset.
+  std::optional<PartitionStrategy> partition;
 
   /// Share DP tables between rooted-isomorphic subtemplates (§III-C).
   bool share_tables = true;
@@ -163,12 +173,15 @@ struct CountOptions {
   /// poking the fields directly.
   RunControls run;
 
-  /// Template root override (-1 = strategy default).  Graphlet-degree
-  /// runs root the template at the orbit vertex.
+  /// Template root override (-1 = planned; see
+  /// ExecutionOptions::partition).  Graphlet-degree runs root the
+  /// template at the orbit vertex.
   int root = -1;
 
   /// Collect per-vertex rooted counts (graphlet degrees at the orbit
-  /// of the root), averaged across iterations.
+  /// of the root), averaged across iterations.  Without a root, the
+  /// count keeps the requested strategy's default root (one-at-a-time
+  /// when unset), so the counts stay keyed by the same role.
   bool per_vertex = false;
 
   /// Rejects incoherent combinations with Error(kUsage):

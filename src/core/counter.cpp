@@ -86,11 +86,17 @@ CountResult count(const Graph& graph, const TreeTemplate& tmpl,
 namespace detail {
 
 sched::BatchPlan plan_tree_count(const Graph& graph, const TreeTemplate& tmpl,
-                                 const CountOptions& options) {
-  return sched::plan_batch(
-      graph, one_job(tmpl, options),
-      one_job_options(options, effective_colors(tmpl, options)),
-      options.root);
+                                 const CountOptions& options,
+                                 const PartitionProvider& partitions) {
+  sched::BatchOptions batch =
+      one_job_options(options, effective_colors(tmpl, options));
+  batch.partition_provider = partitions;
+  // Per-vertex counts are keyed by the root's role, so one without a
+  // root keeps the root it always had: one-at-a-time's default leaf.
+  if (options.per_vertex && options.root < 0 && !batch.partition) {
+    batch.partition = PartitionStrategy::kOneAtATime;
+  }
+  return sched::plan_batch(graph, one_job(tmpl, options), batch, options.root);
 }
 
 CountResult run_tree_count(const Graph& graph, const TreeTemplate& tmpl,
@@ -108,7 +114,13 @@ CountResult run_tree_count(const Graph& graph, const TreeTemplate& tmpl,
   // from a different configuration is rejected instead of silently
   // blended.  The effective (post-ladder) table kind participates:
   // layouts sum in different orders, so mixing them would break the
-  // bit-identical-resume guarantee.
+  // bit-identical-resume guarantee.  The partition is the planned one
+  // (strategy, and root as handed to the partitioner: -1 for the
+  // strategy's default), so a checkpoint never resumes under another
+  // plan, while one written when the caller named that same partition
+  // still resumes.
+  const int partition_root = plan.job_partition_root.front();
+  const PartitionStrategy strategy = plan.job_partition_strategy.front();
   inputs.fingerprint = [&](TableKind table) {
     std::uint64_t fp = run::kFingerprintSeed;
     fp = run::fingerprint_mix(fp, std::uint64_t{run::Checkpoint::kKindCount});
@@ -120,9 +132,8 @@ CountResult run_tree_count(const Graph& graph, const TreeTemplate& tmpl,
     fp = run::fingerprint_mix(fp, options.sampling.seed);
     fp = run::fingerprint_mix(fp, static_cast<std::uint64_t>(k));
     fp = run::fingerprint_mix(fp,
-                              static_cast<std::uint64_t>(options.root + 1));
-    fp = run::fingerprint_mix(
-        fp, static_cast<std::uint64_t>(options.execution.partition));
+                              static_cast<std::uint64_t>(partition_root + 1));
+    fp = run::fingerprint_mix(fp, static_cast<std::uint64_t>(strategy));
     fp = run::fingerprint_mix(
         fp, static_cast<std::uint64_t>(options.execution.share_tables));
     fp = run::fingerprint_mix(fp,
@@ -181,9 +192,7 @@ CountResult run_tree_count(const Graph& graph, const TreeTemplate& tmpl,
       {"sampling.seed", std::to_string(options.sampling.seed)},
       {"execution.table", table_kind_name(options.execution.table)},
       {"execution.partition",
-       options.execution.partition == PartitionStrategy::kOneAtATime
-           ? "one_at_a_time"
-           : "balanced"},
+       partition_strategy_name(options.execution.partition)},
       {"execution.share_tables", format_bool(options.execution.share_tables)},
       {"execution.mode", parallel_mode_name(options.execution.mode)},
       {"execution.threads", std::to_string(options.execution.threads)},
@@ -210,8 +219,20 @@ CountResult run_tree_count(const Graph& graph, const TreeTemplate& tmpl,
     report->options.emplace_back("execution.incremental", "true");
   }
   report->tmpl.vertices = tmpl.size();
-  report->tmpl.root = options.root;
+  report->tmpl.root = partition.template_root();
   report->tmpl.subtemplates = result.num_subtemplates;
+  if (const auto& choice = plan.partition_choice) {
+    obs::RunReport::Choices::Partition& chosen =
+        report->choices.partition.emplace();
+    chosen.strategy = partition_strategy_name(choice->strategy);
+    chosen.root = choice->root;
+    chosen.stages = static_cast<int>(choice->stages);
+    chosen.modeled_peak_bytes = choice->modeled_peak_bytes;
+    chosen.default_stages = static_cast<int>(choice->default_stages);
+    chosen.default_modeled_peak_bytes = choice->default_modeled_peak_bytes;
+    if (choice->strategy_pinned) chosen.pinned.emplace_back("strategy");
+    if (choice->root_pinned) chosen.pinned.emplace_back("root");
+  }
   report->sampling.estimate = result.estimate;
   report->sampling.relative_stderr = result.relative_stderr;
   report->sampling.colorful_probability = result.colorful_probability;

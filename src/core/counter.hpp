@@ -53,11 +53,15 @@ namespace detail {
 void validate_tree_count(const Graph& graph, const TreeTemplate& tmpl,
                          const CountOptions& options, const char* caller);
 
-/// The one-job plan a tree count runs: cross-template reuse off and
-/// options.root, so its stage DAG is exactly partition_template(tmpl,
-/// partition, share_tables, root).
-sched::BatchPlan plan_tree_count(const Graph& graph, const TreeTemplate& tmpl,
-                                 const CountOptions& options);
+/// The one-job plan a tree count runs: cross-template reuse off, the
+/// strategy and root planned unless options pin them (sched/plan.hpp),
+/// so its stage DAG is exactly partition_template(tmpl,
+/// plan.job_partition_strategy[0], share_tables,
+/// plan.job_partition_root[0]).  `partitions`, when set, serves that
+/// tree (BatchOptions::partition_provider).
+sched::BatchPlan plan_tree_count(
+    const Graph& graph, const TreeTemplate& tmpl, const CountOptions& options,
+    const PartitionProvider& partitions = {});
 
 /// Alg. 1 for one tree template: runs `plan` (from plan_tree_count) on
 /// the iteration driver and scales its totals into a CountResult with

@@ -246,7 +246,8 @@ std::vector<Embedding> sample_embeddings(const Graph& graph,
   // walker needs each occurrence's true template vertices, so the
   // extractor always partitions without sharing.
   const PartitionTree partition = partition_template(
-      tmpl, options.execution.partition, /*share_tables=*/false, options.root);
+      tmpl, options.execution.partition.value_or(PartitionStrategy::kOneAtATime),
+      /*share_tables=*/false, options.root);
   DpEngine<Table> engine(graph, tmpl, partition, k);
   Xoshiro256 rng(options.sampling.seed ^ 0xabcdef12345678ULL);
 
@@ -324,7 +325,8 @@ std::vector<Embedding> enumerate_embeddings(const Graph& graph,
   const int k = effective_colors(tmpl, options);
   // No table sharing: see sample_embeddings.
   const PartitionTree partition = partition_template(
-      tmpl, options.execution.partition, /*share_tables=*/false, options.root);
+      tmpl, options.execution.partition.value_or(PartitionStrategy::kOneAtATime),
+      /*share_tables=*/false, options.root);
   DpEngine<Table> engine(graph, tmpl, partition, k);
   const ColorArray colors = coloring_for(graph, k, options.sampling.seed);
   engine.run(colors, /*parallel_inner=*/false, KeepTables::kForReads);

@@ -116,6 +116,21 @@ Json RunReport::to_json() const {
     doc["delta"] = std::move(d);
   }
 
+  if (choices.partition) {
+    const Choices::Partition& chosen = *choices.partition;
+    Json part = Json::object();
+    part["strategy"] = chosen.strategy;
+    part["root"] = chosen.root;
+    part["stages"] = chosen.stages;
+    part["modeled_peak_bytes"] = chosen.modeled_peak_bytes;
+    part["default_stages"] = chosen.default_stages;
+    part["default_modeled_peak_bytes"] = chosen.default_modeled_peak_bytes;
+    part["pinned"] = strings_array(chosen.pinned);
+    Json c = Json::object();
+    c["partition"] = std::move(part);
+    doc["choices"] = std::move(c);
+  }
+
   Json stage_arr = Json::array();
   for (const ReportStage& stage : stages) {
     Json e = Json::object();
@@ -260,6 +275,20 @@ bool RunReport::from_json(const Json& doc, RunReport* out,
     rep.delta.rows_recomputed = rows_re ? rows_re->as_uint() : 0;
     const Json* rows_cp = d->find("rows_copied");
     rep.delta.rows_copied = rows_cp ? rows_cp->as_uint() : 0;
+  }
+  if (const Json* c = doc.find("choices")) {
+    if (const Json* part = c->find("partition")) {
+      Choices::Partition& chosen = rep.choices.partition.emplace();
+      chosen.strategy = part->get_string("strategy");
+      chosen.root = static_cast<int>(part->get_int("root", -1));
+      chosen.stages = static_cast<int>(part->get_int("stages"));
+      const Json* peak = part->find("modeled_peak_bytes");
+      chosen.modeled_peak_bytes = peak ? peak->as_uint() : 0;
+      chosen.default_stages = static_cast<int>(part->get_int("default_stages"));
+      const Json* base = part->find("default_modeled_peak_bytes");
+      chosen.default_modeled_peak_bytes = base ? base->as_uint() : 0;
+      chosen.pinned = strings_from(part->find("pinned"));
+    }
   }
   if (const Json* arr = doc.find("stages"); arr && arr->is_array()) {
     for (const Json& e : arr->elements()) {

@@ -18,6 +18,7 @@
 // (including util) can attach reports without layering cycles.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -134,6 +135,22 @@ struct RunReport {
     std::uint64_t rows_recomputed = 0;
     std::uint64_t rows_copied = 0;     ///< clean rows spliced verbatim
   } delta;
+
+  /// Knobs the planner picked for this run, each with the figures
+  /// that decided it.  A choice is emitted only when one was made.
+  struct Choices {
+    /// One-job runs: the partition (sched/plan.hpp's one-job rule).
+    struct Partition {
+      std::string strategy;  ///< "one_at_a_time" / "balanced"
+      int root = -1;         ///< template vertex the DP is rooted at
+      int stages = 0;        ///< non-leaf DP stages
+      std::uint64_t modeled_peak_bytes = 0;
+      int default_stages = 0;  ///< one-at-a-time at the default root
+      std::uint64_t default_modeled_peak_bytes = 0;
+      std::vector<std::string> pinned;  ///< "strategy", "root": caller-set
+    };
+    std::optional<Partition> partition;
+  } choices;
 
   std::vector<ReportStage> stages;
   std::vector<ReportJob> jobs;  ///< batch / motif-profile runs only

@@ -27,8 +27,8 @@
 //
 // The plan runs on the library's one iteration driver (driver.hpp).
 // A single-template count_template is a one-job, fixed-budget plan on
-// that same driver, built with cross-template reuse off and the
-// caller's root.
+// that same driver, built with cross-template reuse off; the planner
+// picks its partition strategy and root unless the caller pins them.
 //
 // Determinism: job j's iteration i always uses the coloring derived
 // from (options.seed, i), and its root total is summed as an exact
@@ -47,6 +47,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/count_options.hpp"
@@ -76,7 +77,12 @@ struct BatchOptions {
   int num_colors = 0;
 
   TableKind table = TableKind::kCompact;
-  PartitionStrategy partition = PartitionStrategy::kOneAtATime;
+
+  /// Unset (the default): a one-job plan picks the strategy and root
+  /// with the fewest stages whose modeled table peak is at most the
+  /// one-at-a-time default's (plan.hpp); a multi-job plan partitions
+  /// one-at-a-time.  Set: every job uses this strategy.
+  std::optional<PartitionStrategy> partition;
 
   /// Share DP tables between rooted-isomorphic subtemplates within one
   /// template (§III-C), as in CountOptions.
@@ -136,15 +142,12 @@ struct BatchOptions {
   /// memoization layer (the service's GraphRegistry) can serve cached
   /// trees.  Must return exactly what partition_template(tmpl,
   /// strategy, share_tables, root) would.  The planner asks only for
-  /// the roots it keeps (one per job); the root search reads candidate
-  /// shapes it builds itself.  Partition trees are
+  /// the strategy and root it keeps (one per job); the searches read
+  /// candidate shapes they build themselves.  Partition trees are
   /// graph-independent, which is why this cache survives graph
   /// mutations (mutate_graph) that invalidate reorder permutations.
   /// Never serialized: the host injects it at execution time.
-  std::function<std::shared_ptr<const PartitionTree>(
-      const TreeTemplate& tmpl, PartitionStrategy strategy, bool share_tables,
-      int root)>
-      partition_provider;
+  PartitionProvider partition_provider;
 
   /// Resilience controls (deadline, memory budget, cancellation,
   /// checkpoint/resume).  Inert by default; see run/controls.hpp.

@@ -6,6 +6,7 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -67,13 +68,15 @@ void validate(const Graph& graph, const std::vector<BatchJob>& jobs,
   }
 }
 
-/// Partitions job j at roots[j] (through options.partition_provider
-/// when set) and merges the partitions, interned in `order`, into one
-/// plan.  With cross-template reuse, a job's node whose rooted
-/// canonical form is already a stage IS that stage, and the job's
-/// nodes below it are not added: the stage's own children compute it.
-/// Without reuse, every partition is appended verbatim.
+/// Partitions job j with strategies[j] at roots[j] (through
+/// options.partition_provider when set) and merges the partitions,
+/// interned in `order`, into one plan.  With cross-template reuse, a
+/// job's node whose rooted canonical form is already a stage IS that
+/// stage, and the job's nodes below it are not added: the stage's own
+/// children compute it.  Without reuse, every partition is appended
+/// verbatim.
 BatchPlan merge(const std::vector<BatchJob>& jobs, const BatchOptions& options,
+                const std::vector<PartitionStrategy>& strategies,
                 const std::vector<int>& roots,
                 const std::vector<std::size_t>& order, int k) {
   BatchPlan plan;
@@ -81,6 +84,7 @@ BatchPlan merge(const std::vector<BatchJob>& jobs, const BatchOptions& options,
   const std::size_t num_jobs = jobs.size();
   plan.job_root.assign(num_jobs, -1);
   plan.job_partition_root = roots;
+  plan.job_partition_strategy = strategies;
   plan.job_dp_cost.assign(num_jobs, 0.0);
 
   // The canon key is the rooted canonical form (labels included), so
@@ -94,12 +98,12 @@ BatchPlan merge(const std::vector<BatchJob>& jobs, const BatchOptions& options,
   for (const std::size_t j : order) {
     std::shared_ptr<const PartitionTree> held;
     if (options.partition_provider) {
-      held = options.partition_provider(jobs[j].tmpl, options.partition,
+      held = options.partition_provider(jobs[j].tmpl, strategies[j],
                                         options.share_tables, roots[j]);
     }
     if (held == nullptr) {
       held = std::make_shared<const PartitionTree>(partition_template(
-          jobs[j].tmpl, options.partition, options.share_tables, roots[j]));
+          jobs[j].tmpl, strategies[j], options.share_tables, roots[j]));
     }
     const PartitionTree& part = *held;
     plan.job_dp_cost[j] = part.dp_cost(k);
@@ -174,6 +178,136 @@ BatchPlan merge(const std::vector<BatchJob>& jobs, const BatchOptions& options,
     plan.total_stage_instances += plan.job_stage_demand[j];
   }
   return plan;
+}
+
+/// Modeled bytes of one table of each size h = 2..k, at [h - 2].
+std::vector<std::size_t> modeled_table_bytes(int k, VertexId n, TableKind kind,
+                                             bool labeled) {
+  std::vector<std::size_t> bytes;
+  for (int h = 2; h <= k; ++h) {
+    bytes.push_back(run::estimate_table_bytes(kind, n,
+                                              num_rooted_colorsets(k, h),
+                                              labeled));
+  }
+  return bytes;
+}
+
+/// PartitionTree::dp_cost of a shape.
+double shape_cost(const PartitionShape& shape, int k) {
+  double cost = 0.0;
+  for (const ShapeNode& node : shape) {
+    if (node.is_leaf()) continue;
+    const int a = shape[static_cast<std::size_t>(node.active)].size;
+    cost += static_cast<double>(choose(k, node.size)) *
+            static_cast<double>(choose(node.size, a));
+  }
+  return cost;
+}
+
+// ---- one-job plans ---------------------------------------------------------
+
+/// A one-job candidate: its shape's non-leaf stages, modeled peak
+/// (run::estimate_peak_bytes of the tree it materializes) and dp_cost.
+struct Shaped {
+  PartitionStrategy strategy = PartitionStrategy::kOneAtATime;
+  int root = 0;
+  std::size_t stages = 0;
+  std::size_t peak = 0;
+  double cost = 0.0;
+};
+
+Shaped measure(const PartitionShape& shape, PartitionStrategy strategy,
+               int root, const std::vector<std::size_t>& table_bytes, int k) {
+  Shaped out;
+  out.strategy = strategy;
+  out.root = root;
+  out.cost = shape_cost(shape, k);
+  // A table lives from its node through its last consumer; the root's
+  // to the end of the pass.
+  std::vector<std::size_t> freed(shape.size(), 0);
+  std::vector<int> last(shape.size(), -1);
+  for (std::size_t i = 0; i < shape.size(); ++i) {
+    if (shape[i].is_leaf()) continue;
+    ++out.stages;
+    for (const int child : {shape[i].active, shape[i].passive}) {
+      last[static_cast<std::size_t>(child)] = static_cast<int>(i);
+    }
+  }
+  const auto bytes = [&](const ShapeNode& node) {
+    return node.is_leaf()
+               ? std::size_t{0}
+               : table_bytes[static_cast<std::size_t>(node.size - 2)];
+  };
+  for (std::size_t i = 0; i < shape.size(); ++i) {
+    if (last[i] >= 0) {
+      freed[static_cast<std::size_t>(last[i])] += bytes(shape[i]);
+    }
+  }
+  std::size_t current = 0;
+  for (std::size_t i = 0; i < shape.size(); ++i) {
+    current += bytes(shape[i]);
+    out.peak = std::max(out.peak, current);
+    current -= freed[i];
+  }
+  return out;
+}
+
+/// The one-job rule (header comment): the admissible candidate with
+/// the fewest stages, ties broken by peak, dp_cost, strategy order and
+/// root id.  `root` is the caller's (-1 = every root).
+PartitionChoice choose_partition(const TreeTemplate& tmpl,
+                                 const BatchOptions& options, int root, int k,
+                                 VertexId n, bool labeled) {
+  const std::vector<std::size_t> table_bytes =
+      modeled_table_bytes(k, n, options.table, labeled);
+  // One job with cross-template reuse interns equal canons, which is
+  // what sharing tables within the template does.
+  const bool share = options.share_tables || options.cross_template_reuse;
+  // The default shape: the requested strategy (one-at-a-time when
+  // unset) at the caller's root or that strategy's default root.  A
+  // pinned strategy is planned exactly so; otherwise every candidate
+  // root of both strategies competes with it.
+  const PartitionStrategy base_strategy =
+      options.partition.value_or(PartitionStrategy::kOneAtATime);
+  const int base_root = root >= 0 ? root : default_root(tmpl, base_strategy);
+  const bool one_root = root >= 0 || options.partition.has_value();
+
+  CanonIds ids;
+  std::vector<Shaped> shapes;
+  const auto add_candidates = [&](PartitionStrategy strategy) {
+    PartitionShaper shaper(tmpl, strategy, share, ids);
+    for (int r = one_root ? base_root : 0;
+         r <= (one_root ? base_root : tmpl.size() - 1); ++r) {
+      shapes.push_back(measure(shaper.build(r), strategy, r, table_bytes, k));
+    }
+  };
+  add_candidates(base_strategy);
+  if (!options.partition) add_candidates(PartitionStrategy::kBalanced);
+  const Shaped base = *std::find_if(
+      shapes.begin(), shapes.end(), [&](const Shaped& shape) {
+        return shape.root == base_root && shape.strategy == base_strategy;
+      });
+  const Shaped* best = &base;
+  for (const Shaped& shape : shapes) {
+    if (shape.peak > base.peak) continue;
+    // Candidates come one-at-a-time first, roots ascending, so a strict
+    // comparison leaves ties to the earlier one.
+    if (std::tie(shape.stages, shape.peak, shape.cost) <
+        std::tie(best->stages, best->peak, best->cost)) {
+      best = &shape;
+    }
+  }
+
+  PartitionChoice choice;
+  choice.strategy = best->strategy;
+  choice.root = best->root;
+  choice.stages = best->stages;
+  choice.modeled_peak_bytes = best->peak;
+  choice.default_stages = base.stages;
+  choice.default_modeled_peak_bytes = base.peak;
+  choice.strategy_pinned = options.partition.has_value();
+  choice.root_pinned = root >= 0;
+  return choice;
 }
 
 // ---- root search ----------------------------------------------------------
@@ -252,12 +386,8 @@ class PeakModel {
  public:
   PeakModel(std::size_t num_canons, int k, VertexId n, TableKind kind,
             bool labeled)
-      : position_(num_canons, -1) {
-    for (int h = 2; h <= k; ++h) {
-      table_bytes_.push_back(run::estimate_table_bytes(
-          kind, n, num_rooted_colorsets(k, h), labeled));
-    }
-  }
+      : table_bytes_(modeled_table_bytes(k, n, kind, labeled)),
+        position_(num_canons, -1) {}
 
   /// Modeled peak of the plan with `shape` appended.
   [[nodiscard]] std::size_t peak_with(const PartitionShape& shape) {
@@ -485,7 +615,11 @@ BatchPlan merge_plan(const Graph& graph, const std::vector<BatchJob>& jobs,
     }
     seen[j] = 1;
   }
-  return merge(jobs, options, roots, order, k);
+  return merge(jobs, options,
+               std::vector<PartitionStrategy>(
+                   jobs.size(),
+                   options.partition.value_or(PartitionStrategy::kOneAtATime)),
+               roots, order, k);
 }
 
 BatchPlan plan_batch(const Graph& graph, const std::vector<BatchJob>& jobs,
@@ -494,36 +628,44 @@ BatchPlan plan_batch(const Graph& graph, const std::vector<BatchJob>& jobs,
   const int k = resolve_colors(jobs, options);
   validate(graph, jobs, options, k);
   const std::size_t num_jobs = jobs.size();
+  const PartitionStrategy requested =
+      options.partition.value_or(PartitionStrategy::kOneAtATime);
+  std::vector<PartitionStrategy> strategies(num_jobs, requested);
   std::vector<int> roots(num_jobs, root);
   std::vector<std::size_t> order(num_jobs);
   std::iota(order.begin(), order.end(), std::size_t{0});
 
-  if (num_jobs >= 2 && options.cross_template_reuse && root < 0) {
+  std::optional<PartitionChoice> choice;
+  if (num_jobs == 1) {
+    const TreeTemplate& tmpl = jobs.front().tmpl;
+    choice = choose_partition(tmpl, options, root, k, graph.num_vertices(),
+                              graph.has_labels());
+    strategies[0] = choice->strategy;
+    // An unpinned root that is the chosen strategy's default stays -1,
+    // as partition_template reads it.
+    if (root < 0 && choice->root != default_root(tmpl, choice->strategy)) {
+      roots[0] = choice->root;
+    }
+  } else if (options.cross_template_reuse && root < 0) {
     // Every job's partition shape at every root.
     CanonIds ids;
     std::vector<Candidates> cands(num_jobs);
     for (std::size_t j = 0; j < num_jobs; ++j) {
       const TreeTemplate& tmpl = jobs[j].tmpl;
       Candidates& job = cands[j];
-      PartitionShaper shaper(tmpl, options.partition, options.share_tables,
-                             ids);
+      PartitionShaper shaper(tmpl, requested, options.share_tables, ids);
       for (int r = 0; r < tmpl.size(); ++r) {
         const PartitionShape& shape = job.shapes.emplace_back(shaper.build(r));
         std::vector<int> stages;
-        double cost = 0.0;  // PartitionTree::dp_cost of this shape
         for (const ShapeNode& node : shape) {
-          if (node.is_leaf()) continue;
-          stages.push_back(node.canon);
-          const int a = shape[static_cast<std::size_t>(node.active)].size;
-          cost += static_cast<double>(choose(k, node.size)) *
-                  static_cast<double>(choose(node.size, a));
+          if (!node.is_leaf()) stages.push_back(node.canon);
         }
         std::sort(stages.begin(), stages.end());
         stages.erase(std::unique(stages.begin(), stages.end()), stages.end());
         job.stages.push_back(std::move(stages));
-        job.cost.push_back(cost);
+        job.cost.push_back(shape_cost(shape, k));
       }
-      job.default_root = default_root(tmpl, options.partition);
+      job.default_root = default_root(tmpl, requested);
     }
     const std::vector<int> chosen = search_roots(cands, ids.size());
     const auto shape = [&](std::size_t j, int r) -> const PartitionShape& {
@@ -571,9 +713,11 @@ BatchPlan plan_batch(const Graph& graph, const std::vector<BatchJob>& jobs,
     }
   }
 
-  // Only the chosen roots are partitioned (through the provider when
-  // set), so a host cache holds one partition per job, no candidates.
-  BatchPlan plan = merge(jobs, options, roots, order, k);
+  // Only the chosen partitions are materialized (through the provider
+  // when set), so a host cache holds one partition per job, no
+  // candidates.
+  BatchPlan plan = merge(jobs, options, strategies, roots, order, k);
+  plan.partition_choice = choice;
   plan.seconds = timer.elapsed_s();
   return plan;
 }

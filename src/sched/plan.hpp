@@ -26,14 +26,43 @@
 // which stages compute it, not its root total: every entry is an exact
 // integer while it is at most 2^53, and root totals are summed exactly
 // (dp/count_table.hpp), so a job's estimates match count_template's.
+// These plans partition every job with the requested strategy, or
+// one-at-a-time when it is unset.
+//
+// One-job plans (every count_template, graphlet_degrees and
+// incremental count) are planned too.  The candidates are the
+// partition shapes of both strategies at every template root, or only
+// at the caller's root when it pins one; a pinned strategy pins the
+// plan to that strategy at its default (or the pinned) root, as
+// before.  Admissible are the candidates whose modeled peak
+// (run::estimate_peak_bytes) is at most the default shape's —
+// one-at-a-time at default_root, or at the pinned root.  Among them
+// the plan takes the fewest non-leaf stages; ties go to the lower
+// modeled peak, then the lower dp_cost, then one-at-a-time before
+// balanced, then the smaller root.  So the planned modeled peak never
+// rises above the default's.
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "sched/batch.hpp"
 #include "treelet/partition.hpp"
 
 namespace fascia::sched {
+
+/// What a one-job plan chose, against the default shape it had to
+/// beat: the RunReport's choices.partition.
+struct PartitionChoice {
+  PartitionStrategy strategy = PartitionStrategy::kOneAtATime;
+  int root = 0;                         ///< template vertex, never -1
+  std::size_t stages = 0;               ///< non-leaf stages
+  std::size_t modeled_peak_bytes = 0;   ///< run::estimate_peak_bytes
+  std::size_t default_stages = 0;
+  std::size_t default_modeled_peak_bytes = 0;
+  bool strategy_pinned = false;  ///< the caller set the strategy
+  bool root_pinned = false;      ///< the caller set the root
+};
 
 struct BatchPlan {
   int num_colors = 0;
@@ -47,6 +76,14 @@ struct BatchPlan {
   /// Template vertex each job's partition was requested at (-1 = the
   /// partitioner's default): the root handed to partition_provider.
   std::vector<int> job_partition_root;
+
+  /// Strategy each job's partition was requested with: the planner's
+  /// pick for a one-job plan, the requested one (one-at-a-time when
+  /// unset) otherwise.
+  std::vector<PartitionStrategy> job_partition_strategy;
+
+  /// One-job plans only: the choice and the default it was held to.
+  std::optional<PartitionChoice> partition_choice;
 
   /// Merged node ids reachable from each job's root (sorted) — the
   /// stages one iteration of this job demands.  Used to build the
@@ -69,15 +106,16 @@ struct BatchPlan {
 /// Builds the merged plan.  Validates per-job template sizes against
 /// the batch's color count and the jobs' iteration budgets.  `root`
 /// is the template vertex every job's partition is rooted at; -1 lets
-/// the planner choose (the root search above for multi-job plans with
-/// cross-template reuse, the partitioner's default otherwise).  A
-/// single-template count passes its own.
+/// the planner choose (the one-job rule or the multi-job root search
+/// above; the partitioner's default for multi-job plans without
+/// cross-template reuse).  A single-template count passes its own.
 BatchPlan plan_batch(const Graph& graph, const std::vector<BatchJob>& jobs,
                      const BatchOptions& options, int root = -1);
 
-/// The merge step alone, without the search: job j partitioned at
-/// roots[j] (-1 = the partitioner's default, as partition_template
-/// reads it), interned in `order` (a permutation of the job indices).
+/// The merge step alone, without the search: job j partitioned with
+/// the requested strategy (one-at-a-time when unset) at roots[j]
+/// (-1 = the partitioner's default, as partition_template reads it),
+/// interned in `order` (a permutation of the job indices).
 /// Partitions come through options.partition_provider when set.  With
 /// default roots in input order this is the plan the search starts
 /// from and falls back to.

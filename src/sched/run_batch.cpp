@@ -59,9 +59,7 @@ BatchResult run_batch(const Graph& graph, const std::vector<BatchJob>& jobs,
       {"num_colors", std::to_string(plan.num_colors)},
       {"seed", std::to_string(options.seed)},
       {"table", table_kind_name(options.table)},
-      {"partition", options.partition == PartitionStrategy::kOneAtATime
-                        ? "one_at_a_time"
-                        : "balanced"},
+      {"partition", partition_strategy_name(options.partition)},
       {"share_tables", options.share_tables ? "true" : "false"},
       {"cross_template_reuse",
        options.cross_template_reuse ? "true" : "false"},

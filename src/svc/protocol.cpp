@@ -178,7 +178,9 @@ Json count_options_to_json(const CountOptions& options) {
   out["colors"] = options.sampling.num_colors;
   out["seed"] = options.sampling.seed;
   out["table"] = table_kind_name(options.execution.table);
-  out["partition"] = partition_to_name(options.execution.partition);
+  if (options.execution.partition) {  // unset: the planner picks
+    out["partition"] = partition_to_name(*options.execution.partition);
+  }
   out["mode"] = mode_to_name(options.execution.mode);
   out["threads"] = options.execution.threads;
   out["reorder"] = reorder_mode_name(options.execution.reorder);
@@ -265,7 +267,7 @@ Json batch_options_to_json(const sched::BatchOptions& options) {
   out["colors"] = options.num_colors;
   out["seed"] = options.seed;
   out["table"] = table_kind_name(options.table);
-  out["partition"] = partition_to_name(options.partition);
+  if (options.partition) out["partition"] = partition_to_name(*options.partition);
   out["mode"] = mode_to_name(options.mode);
   out["threads"] = options.num_threads;
   out["cross_template_reuse"] = options.cross_template_reuse;

@@ -71,20 +71,15 @@ struct Service::Record {
 
 namespace {
 
-/// Modeled peak bytes for one template under the given execution
+/// Modeled peak bytes of a plan's stage DAG under the given execution
 /// config — the admission-control figure, not an allocation.
-std::size_t estimate_job_bytes(GraphRegistry& registry,
-                               const TreeTemplate& tmpl, VertexId n,
-                               int num_colors, TableKind table,
-                               PartitionStrategy strategy, bool share_tables,
-                               int root, int engine_copies, int threads) {
-  const auto partition =
-      registry.partition_of(tmpl, strategy, share_tables, root);
-  const int colors = num_colors > 0 ? num_colors : tmpl.size();
-  std::size_t bytes = run::estimate_peak_bytes(*partition, colors, n, table,
-                                               tmpl.has_labels());
+std::size_t estimate_plan_bytes(const sched::BatchPlan& plan, VertexId n,
+                                TableKind table, bool labeled,
+                                int engine_copies, int threads) {
+  std::size_t bytes = run::estimate_peak_bytes(plan.merged, plan.num_colors,
+                                               n, table, labeled);
   bytes *= static_cast<std::size_t>(std::max(1, engine_copies));
-  bytes += run::estimate_workspace_bytes(*partition, colors) *
+  bytes += run::estimate_workspace_bytes(plan.merged, plan.num_colors) *
            static_cast<std::size_t>(std::max(1, threads));
   return bytes;
 }
@@ -219,52 +214,45 @@ std::unique_ptr<Service::Record> Service::build_record(JobSpec spec) {
     return record;
   }
 
-  const VertexId n = record->graph->num_vertices();
+  const Graph& graph = *record->graph;
+  const VertexId n = graph.num_vertices();
+  if (record->spec.kind != JobKind::kBatch) {
+    // The run's own checks, before planning the quote trips over the
+    // same input with the batch planner's wording.
+    detail::validate_tree_count(graph, record->spec.tmpl,
+                                record->spec.options, "count job");
+  }
+  // Quote the plan the run will use: the planner picks the partitions
+  // (for the table being quoted), and its provider leaves exactly
+  // those in the registry, one per job.
   const auto quote = [&](TableKind table) -> std::size_t {
     if (record->spec.kind == JobKind::kBatch) {
-      // Quote the partitions the run will use: the planner picks each
-      // job's root, and its provider leaves exactly those in the
-      // registry for the run to hit.
       sched::BatchOptions bo = record->spec.batch_options;
       bo.table = table;
       bo.partition_provider = registry_partitions(registry_);
-      const std::vector<sched::BatchJob>& jobs = record->spec.batch_jobs;
       const sched::BatchPlan plan =
-          sched::plan_batch(*record->graph, jobs, bo);
-      std::size_t worst = 0;
-      for (std::size_t j = 0; j < jobs.size(); ++j) {
-        // Shared stages only shrink the true peak, so the max over
-        // per-template estimates is a safe admission bound.
-        worst = std::max(
-            worst,
-            estimate_job_bytes(registry_, jobs[j].tmpl, n, bo.num_colors,
-                               table, bo.partition, bo.share_tables,
-                               plan.job_partition_root[j],
-                               bo.mode == ParallelMode::kOuterLoop
-                                   ? std::max(1, bo.num_threads)
-                                   : 1,
-                               std::max(1, bo.num_threads)));
-      }
-      return worst;
+          sched::plan_batch(graph, record->spec.batch_jobs, bo);
+      // The merged DAG, with its shared stages and pinned job roots.
+      return estimate_plan_bytes(
+          plan, n, table, graph.has_labels(),
+          bo.mode == ParallelMode::kOuterLoop ? std::max(1, bo.num_threads)
+                                              : 1,
+          std::max(1, bo.num_threads));
     }
-    const CountOptions& co = record->spec.options;
-    std::size_t bytes = estimate_job_bytes(
-        registry_, record->spec.tmpl, n, co.sampling.num_colors, table,
-        co.execution.partition, co.execution.share_tables, co.root,
+    CountOptions co = record->spec.options;
+    co.execution.table = table;
+    const sched::BatchPlan plan = detail::plan_tree_count(
+        graph, record->spec.tmpl, co, registry_partitions(registry_));
+    std::size_t bytes = estimate_plan_bytes(
+        plan, n, table, graph.has_labels(),
         admission_engine_copies(co.execution),
         std::max(1, co.execution.threads));
     if (co.execution.incremental) {
       // Incremental counts keep every iteration's non-leaf tables
       // alive past the run — price the retention, not just the pass.
-      const auto partition = registry_.partition_of(
-          record->spec.tmpl, co.execution.partition,
-          co.execution.share_tables, co.root);
-      const int colors = co.sampling.num_colors > 0
-                             ? co.sampling.num_colors
-                             : record->spec.tmpl.size();
-      bytes += run::estimate_retained_bytes(
-          *partition, colors, n, table, record->spec.tmpl.has_labels(),
-          co.sampling.iterations);
+      bytes += run::estimate_retained_bytes(plan.merged, plan.num_colors, n,
+                                            table, graph.has_labels(),
+                                            co.sampling.iterations);
     }
     return bytes;
   };

@@ -36,6 +36,16 @@ void compute_lifetimes(std::vector<Subtemplate>& nodes) {
 
 }  // namespace
 
+const char* partition_strategy_name(PartitionStrategy strategy) {
+  return strategy == PartitionStrategy::kBalanced ? "balanced"
+                                                  : "one_at_a_time";
+}
+
+const char* partition_strategy_name(
+    std::optional<PartitionStrategy> strategy) {
+  return strategy ? partition_strategy_name(*strategy) : "planned";
+}
+
 int default_root(const TreeTemplate& t, PartitionStrategy strategy) {
   if (strategy == PartitionStrategy::kBalanced) return centroids(t)[0];
   // One-at-a-time: any leaf enables the single-active fast path at the

@@ -19,6 +19,9 @@
 //   * kBalanced — cut the root edge that splits the subtemplate most
 //     evenly, approximating the classical cost-minimizing split
 //     Σ C(k,Sn)·C(Sn,an).
+// Counting options may leave the strategy unset (std::nullopt): the
+// planner (sched/plan.hpp) then picks the strategy and root per
+// template from both strategies' shapes.
 //
 // Independently, `share_tables` merges subtemplates with identical
 // rooted canonical form (the paper's rooted-automorphism memory
@@ -28,6 +31,9 @@
 // `max_live_tables()` lets benches verify.
 
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -40,6 +46,10 @@ enum class PartitionStrategy {
   kOneAtATime,
   kBalanced,
 };
+
+/// "one_at_a_time" or "balanced"; an unset strategy is "planned".
+const char* partition_strategy_name(PartitionStrategy strategy);
+const char* partition_strategy_name(std::optional<PartitionStrategy> strategy);
 
 struct Subtemplate {
   std::vector<int> vertices;  ///< sorted template vertex ids
@@ -165,6 +175,13 @@ class PartitionShaper {
 /// The root partition_template picks for root == -1: the smallest-id
 /// leaf for kOneAtATime, the first centroid for kBalanced.
 int default_root(const TreeTemplate& t, PartitionStrategy strategy);
+
+/// A partition-tree source: must return exactly what
+/// partition_template(tmpl, strategy, share_tables, root) would, so a
+/// host can serve memoized trees (sched::BatchOptions).
+using PartitionProvider = std::function<std::shared_ptr<const PartitionTree>(
+    const TreeTemplate& tmpl, PartitionStrategy strategy, bool share_tables,
+    int root)>;
 
 /// Partitions `t`.  `root` fixes the template root (needed for
 /// graphlet-degree runs, where the root must be the orbit vertex);

@@ -19,6 +19,7 @@
 #include "graph/labels.hpp"
 #include "graph/reorder.hpp"
 #include "obs/metrics.hpp"
+#include "obs/report.hpp"
 #include "helpers.hpp"
 #include "treelet/canonical.hpp"
 #include "treelet/catalog.hpp"
@@ -318,6 +319,115 @@ TEST(Counter, ExactRootSumAgreesAcrossRootsAndReordersPastTwoToThe53) {
     EXPECT_EQ(count(0, mode).per_iteration, end.per_iteration)
         << reorder_mode_name(mode);
   }
+}
+
+TEST(Counter, PlannedCountsMatchPinnedDefaultWhereExact) {
+  // The planner may cut a template elsewhere than the one-at-a-time
+  // default; the root total is an exact integer either way, so every
+  // catalog count (unlabeled and labeled) keeps the pinned default's
+  // bits whenever both reports say every entry was exact.
+  struct ObsOff {
+    ~ObsOff() { obs::set_enabled(false); }
+  } off;
+  const Graph unlabeled = largest_component(chung_lu(300, 1500, 2.3, 40, 4));
+  Graph labeled = unlabeled;
+  assign_random_labels(labeled, 3, 13);
+  const auto all_exact = [](const CountResult& result) {
+    return std::all_of(result.report->stages.begin(),
+                       result.report->stages.end(),
+                       [](const obs::ReportStage& stage) { return stage.exact; });
+  };
+  int compared = 0;
+  int replanned = 0;
+  for (const bool with_labels : {false, true}) {
+    const Graph& g = with_labels ? labeled : unlabeled;
+    for (const CatalogEntry& entry : template_catalog()) {
+      if (entry.is_triangle) continue;
+      TreeTemplate tree = entry.tree;
+      if (with_labels) {
+        std::vector<std::uint8_t> labels;
+        for (int v = 0; v < tree.size(); ++v) {
+          labels.push_back(static_cast<std::uint8_t>(v % 3));
+        }
+        tree.set_labels(labels);
+      }
+      CountOptions planned;
+      planned.sampling.iterations = 2;
+      planned.sampling.seed = 23;
+      planned.execution.mode = ParallelMode::kSerial;
+      planned.observability.enabled = true;
+      CountOptions pinned = planned;
+      pinned.execution.partition = PartitionStrategy::kOneAtATime;
+      const CountResult got = count_template(g, tree, planned);
+      const CountResult want = count_template(g, tree, pinned);
+      ASSERT_TRUE(got.report->choices.partition.has_value());
+      const auto& choice = *got.report->choices.partition;
+      EXPECT_TRUE(choice.pinned.empty());
+      EXPECT_EQ(choice.stages,
+                static_cast<int>(got.report->stages.size()))
+          << entry.name;
+      if (choice.strategy != "one_at_a_time" ||
+          choice.root != want.report->tmpl.root) {
+        ++replanned;
+      }
+      if (!all_exact(got) || !all_exact(want)) continue;
+      ++compared;
+      EXPECT_EQ(got.per_iteration, want.per_iteration)
+          << entry.name << " labeled=" << with_labels;
+    }
+  }
+  EXPECT_GT(compared, 10);
+  EXPECT_GT(replanned, 0);
+}
+
+TEST(Counter, ReportSaysWhichPartitionWasChosen) {
+  CountOptions options;
+  options.sampling.iterations = 1;
+  options.execution.mode = ParallelMode::kSerial;
+  const TreeTemplate& u10 = catalog_entry("U10-1").tree;
+  const auto option = [](const CountResult& result, const std::string& key) {
+    for (const auto& [name, value] : result.report->options) {
+      if (name == key) return value;
+    }
+    return std::string();
+  };
+  const Graph g = erdos_renyi_gnm(200, 800, 3);
+  const CountResult planned = count_template(g, u10, options);
+  EXPECT_EQ(option(planned, "execution.partition"), "planned");
+  ASSERT_TRUE(planned.report->choices.partition.has_value());
+  const auto& chosen = *planned.report->choices.partition;
+  EXPECT_EQ(chosen.strategy, "balanced");
+  EXPECT_EQ(chosen.stages, 5);
+  EXPECT_EQ(chosen.default_stages, 9);
+  EXPECT_LE(chosen.modeled_peak_bytes, chosen.default_modeled_peak_bytes);
+  EXPECT_EQ(planned.report->tmpl.root, chosen.root);
+  EXPECT_EQ(planned.num_subtemplates, planned.report->tmpl.subtemplates);
+  // CountResult describes the planned partition.
+  const PartitionTree tree = partition_template(
+      u10, PartitionStrategy::kBalanced, true, chosen.root);
+  EXPECT_EQ(planned.num_subtemplates, tree.num_nodes());
+  EXPECT_EQ(planned.dp_cost, tree.dp_cost(10));
+  EXPECT_EQ(planned.max_live_tables, tree.max_live_tables());
+
+  // The section survives the JSON round trip.
+  obs::RunReport parsed;
+  ASSERT_TRUE(obs::RunReport::from_json_string(
+      planned.report->to_json_string(), &parsed));
+  ASSERT_TRUE(parsed.choices.partition.has_value());
+  EXPECT_EQ(parsed.choices.partition->strategy, chosen.strategy);
+  EXPECT_EQ(parsed.choices.partition->modeled_peak_bytes,
+            chosen.modeled_peak_bytes);
+  EXPECT_EQ(parsed.to_json_string(), planned.report->to_json_string());
+
+  options.execution.partition = PartitionStrategy::kOneAtATime;
+  options.root = 3;
+  const CountResult pinned = count_template(g, u10, options);
+  EXPECT_EQ(option(pinned, "execution.partition"), "one_at_a_time");
+  EXPECT_EQ(pinned.report->choices.partition->pinned,
+            (std::vector<std::string>{"strategy", "root"}));
+  EXPECT_EQ(pinned.report->choices.partition->stages,
+            pinned.report->choices.partition->default_stages);
+  EXPECT_EQ(pinned.report->tmpl.root, 3);
 }
 
 // ---- exact 32-bit rows.  The width rule as a pure function: each

@@ -178,6 +178,41 @@ TEST(Partition, DescribeListsAllNodes) {
   EXPECT_NE(text.find("free_after"), std::string::npos);
 }
 
+TEST(Partition, BalancedCentreCutOfU10OneSharesItsHalves) {
+  // The planner's pick for U10-1 (sched/plan.hpp): cut at the centre,
+  // both halves are the same rooted 5-path, so sharing leaves 5 DP
+  // stages against one-at-a-time's 9.
+  const TreeTemplate& u10 = catalog_entry("U10-1").tree;
+  const auto stages = [](const PartitionShape& shape) {
+    return std::count_if(shape.begin(), shape.end(),
+                         [](const ShapeNode& node) { return !node.is_leaf(); });
+  };
+  CanonIds ids;
+  PartitionShaper balanced(u10, PartitionStrategy::kBalanced, true, ids);
+  PartitionShaper oaat(u10, PartitionStrategy::kOneAtATime, true, ids);
+  const PartitionShape centre = balanced.build(4);
+  EXPECT_EQ(stages(centre), 5);
+  const ShapeNode& top = centre.back();
+  EXPECT_EQ(centre[static_cast<std::size_t>(top.active)].canon,
+            centre[static_cast<std::size_t>(top.passive)].canon);
+  EXPECT_EQ(
+      stages(oaat.build(default_root(u10, PartitionStrategy::kOneAtATime))),
+      9);
+  // The shape is what partition_template materializes.
+  const PartitionTree tree =
+      partition_template(u10, PartitionStrategy::kBalanced, true, 4);
+  EXPECT_EQ(tree.num_nodes(), static_cast<int>(centre.size()));
+  EXPECT_EQ(tree.template_root(), 4);
+}
+
+TEST(Partition, UnsetStrategyIsNamedPlanned) {
+  EXPECT_STREQ(partition_strategy_name(std::nullopt), "planned");
+  EXPECT_STREQ(partition_strategy_name(PartitionStrategy::kOneAtATime),
+               "one_at_a_time");
+  EXPECT_STREQ(partition_strategy_name(PartitionStrategy::kBalanced),
+               "balanced");
+}
+
 TEST(Partition, SingleVertexTemplate) {
   const TreeTemplate single = TreeTemplate::from_edges(1, {});
   const auto part =

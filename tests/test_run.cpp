@@ -769,6 +769,45 @@ TEST(ResilientCount, MismatchedCheckpointRejectedNotBlended) {
   std::remove(path.c_str());
 }
 
+TEST(ResilientCount, CheckpointFromAnotherPlanIsRejected) {
+  // The fingerprint keys the partition a count runs, not the options
+  // it was asked with: a checkpoint of the pinned one-at-a-time plan
+  // does not resume under the planned (balanced) one, and does resume
+  // under the same pin.
+  const Graph g = erdos_renyi_gnm(120, 400, 4);
+  const TreeTemplate& tree = catalog_entry("U10-1").tree;
+  const std::string path = temp_path("fascia_resume_other_plan.bin");
+  std::remove(path.c_str());
+
+  CountOptions pinned = base_options();
+  pinned.sampling.iterations = 2;
+  pinned.execution.partition = PartitionStrategy::kOneAtATime;
+  pinned.run.checkpoint_path = path;
+  pinned.run.checkpoint_every = 1;
+  count_template(g, tree, pinned);
+
+  CountOptions planned = pinned;
+  planned.execution.partition.reset();
+  planned.sampling.iterations = 4;
+  planned.run.resume = true;
+  const CountResult other = count_template(g, tree, planned);
+  EXPECT_NE(other.report->choices.partition->strategy, "one_at_a_time");
+  EXPECT_FALSE(other.run.resumed);
+  EXPECT_EQ(other.run.resume_rejected, "checkpoint fingerprint mismatch");
+
+  // The planned run overwrote the file with its own plan's prefix;
+  // write the pinned one again and resume it under the same pin.
+  std::remove(path.c_str());
+  count_template(g, tree, pinned);
+  CountOptions same = pinned;
+  same.sampling.iterations = 4;
+  same.run.resume = true;
+  const CountResult resumed = count_template(g, tree, same);
+  EXPECT_TRUE(resumed.run.resumed) << resumed.run.resume_rejected;
+  EXPECT_EQ(resumed.run.resumed_iterations, 2);
+  std::remove(path.c_str());
+}
+
 TEST(ResilientCount, ResumesCheckpointWrittenByPreviousRelease) {
   // A kKindCount checkpoint exactly as the previous release wrote it:
   // count_template with per_vertex, reorder=degree and 2 iterations on

@@ -19,8 +19,11 @@
 #include "exact/backtrack.hpp"
 #include "graph/components.hpp"
 #include "graph/generators.hpp"
+#include "graph/labels.hpp"
+#include "obs/report.hpp"
 #include "run/memory.hpp"
 #include "sched/plan.hpp"
+#include "treelet/catalog.hpp"
 #include "treelet/free_trees.hpp"
 #include "treelet/mixed_template.hpp"
 #include "util/stats.hpp"
@@ -488,14 +491,143 @@ TEST(Sched, SearchOnlyRunsOnSharedMultiJobPlans) {
   EXPECT_EQ(sched::plan_batch(test_graph(), jobs, options, 0)
                 .job_partition_root,
             std::vector<int>(jobs.size(), 0));
-  // One-job plans keep the partitioner's default.
+  // One-job plans with a pinned strategy keep the partitioner's
+  // default (unpinned ones follow the one-job rule, tested below).
   const std::vector<sched::BatchJob> one(jobs.begin(), jobs.begin() + 1);
+  options.partition = PartitionStrategy::kOneAtATime;
   EXPECT_EQ(sched::plan_batch(test_graph(), one, options).job_partition_root,
             std::vector<int>{-1});
+  options.partition.reset();
   // Without cross-template reuse there is nothing to share.
   options.cross_template_reuse = false;
   EXPECT_EQ(sched::plan_batch(test_graph(), jobs, options).job_partition_root,
             std::vector<int>(jobs.size(), -1));
+}
+
+// ---- one-job plans ---------------------------------------------------------
+
+/// The one-job plan count_template builds for `tree`.
+sched::BatchPlan tree_count_plan(const Graph& g, const TreeTemplate& tree,
+                                 const CountOptions& options = {}) {
+  return detail::plan_tree_count(g, tree, options);
+}
+
+/// run::estimate_peak_bytes of one partition on `g`.
+std::size_t modeled_peak(const Graph& g, const PartitionTree& partition,
+                         int k) {
+  return run::estimate_peak_bytes(partition, k, g.num_vertices(),
+                                  TableKind::kCompact, g.has_labels());
+}
+
+TEST(Sched, OneJobPlanCutsU10OneAtItsCentre) {
+  // Both halves of a balanced cut at the centre are the same rooted
+  // 5-path, so table sharing leaves 5 stages instead of 9.
+  const Graph g = power_law_graph();
+  const sched::BatchPlan plan =
+      tree_count_plan(g, catalog_entry("U10-1").tree);
+  ASSERT_TRUE(plan.partition_choice.has_value());
+  const sched::PartitionChoice& choice = *plan.partition_choice;
+  EXPECT_EQ(choice.strategy, PartitionStrategy::kBalanced);
+  EXPECT_TRUE(choice.root == 4 || choice.root == 5) << choice.root;
+  EXPECT_EQ(choice.stages, 5u);
+  EXPECT_EQ(choice.default_stages, 9u);
+  EXPECT_LT(choice.modeled_peak_bytes, choice.default_modeled_peak_bytes);
+  EXPECT_EQ(plan.job_partition_strategy,
+            std::vector<PartitionStrategy>{PartitionStrategy::kBalanced});
+  EXPECT_EQ(plan.unique_stages, 5u);
+  EXPECT_EQ(plan.merged.template_root(), choice.root);
+  EXPECT_FALSE(choice.strategy_pinned);
+  EXPECT_FALSE(choice.root_pinned);
+}
+
+TEST(Sched, OneJobPlanPeakNeverAboveDefault) {
+  // Every catalog tree and every free tree up to k = 10, unlabeled and
+  // labeled: the choice's figures are those of the tree it
+  // materializes, and its modeled peak is at most the default's.
+  std::vector<TreeTemplate> trees;
+  for (const CatalogEntry& entry : template_catalog()) {
+    if (!entry.is_triangle) trees.push_back(entry.tree);
+  }
+  for (int k = 2; k <= 10; ++k) {
+    for (TreeTemplate& tree : all_free_trees(k)) trees.push_back(tree);
+  }
+  const Graph unlabeled = power_law_graph();
+  Graph labeled = unlabeled;
+  assign_random_labels(labeled, 3, 9);
+  for (const bool with_labels : {false, true}) {
+    const Graph& g = with_labels ? labeled : unlabeled;
+    std::size_t improved = 0;
+    for (TreeTemplate tree : trees) {
+      if (with_labels) {
+        std::vector<std::uint8_t> labels;
+        for (int v = 0; v < tree.size(); ++v) {
+          labels.push_back(static_cast<std::uint8_t>(v % 3));
+        }
+        tree.set_labels(labels);
+      }
+      const int k = tree.size();
+      const sched::BatchPlan plan = tree_count_plan(g, tree);
+      ASSERT_TRUE(plan.partition_choice.has_value());
+      const sched::PartitionChoice& choice = *plan.partition_choice;
+      const PartitionTree fallback =
+          partition_template(tree, PartitionStrategy::kOneAtATime);
+      const std::size_t planned = modeled_peak(g, plan.merged, k);
+      const std::size_t base = modeled_peak(g, fallback, k);
+      EXPECT_LE(planned, base) << tree.describe();
+      EXPECT_EQ(choice.modeled_peak_bytes, planned) << tree.describe();
+      EXPECT_EQ(choice.default_modeled_peak_bytes, base) << tree.describe();
+      EXPECT_EQ(choice.stages, plan.unique_stages) << tree.describe();
+      EXPECT_LE(choice.stages, choice.default_stages) << tree.describe();
+      EXPECT_EQ(plan.merged.template_root(), choice.root) << tree.describe();
+      if (choice.stages < choice.default_stages) ++improved;
+    }
+    EXPECT_GT(improved, 0u) << "labeled=" << with_labels;
+  }
+}
+
+TEST(Sched, PinnedStrategyOrRootIsHonoured) {
+  const Graph g = power_law_graph();
+  const TreeTemplate& u10 = catalog_entry("U10-1").tree;
+
+  // A pinned strategy is today's plan: that strategy at its default.
+  CountOptions oaat;
+  oaat.execution.partition = PartitionStrategy::kOneAtATime;
+  const sched::BatchPlan pinned = tree_count_plan(g, u10, oaat);
+  EXPECT_EQ(pinned.job_partition_strategy.front(),
+            PartitionStrategy::kOneAtATime);
+  EXPECT_EQ(pinned.job_partition_root.front(), -1);
+  EXPECT_EQ(pinned.merged.template_root(),
+            default_root(u10, PartitionStrategy::kOneAtATime));
+  EXPECT_EQ(pinned.unique_stages, 9u);
+  EXPECT_TRUE(pinned.partition_choice->strategy_pinned);
+
+  // A pinned root: both strategies, at that root only.
+  CountOptions rooted;
+  rooted.root = 2;
+  const sched::BatchPlan at_two = tree_count_plan(g, u10, rooted);
+  EXPECT_EQ(at_two.merged.template_root(), 2);
+  EXPECT_EQ(at_two.job_partition_root.front(), 2);
+  EXPECT_TRUE(at_two.partition_choice->root_pinned);
+  EXPECT_FALSE(at_two.partition_choice->strategy_pinned);
+
+  // Graphlet degrees root the template at the orbit vertex.
+  const TreeTemplate& u52 = catalog_entry("U5-2").tree;
+  const int orbit = u52_central_vertex();
+  CountOptions gdd;
+  gdd.sampling.iterations = 1;
+  gdd.execution.mode = ParallelMode::kSerial;
+  const CountResult degrees = graphlet_degrees(g, u52, orbit, gdd);
+  ASSERT_TRUE(degrees.report->choices.partition.has_value());
+  EXPECT_EQ(degrees.report->choices.partition->root, orbit);
+  EXPECT_EQ(degrees.report->tmpl.root, orbit);
+  EXPECT_EQ(degrees.report->choices.partition->pinned,
+            std::vector<std::string>{"root"});
+
+  // Per-vertex counts without a root keep the default root's role.
+  CountOptions per_vertex;
+  per_vertex.per_vertex = true;
+  EXPECT_EQ(tree_count_plan(g, u10, per_vertex).merged.template_root(),
+            default_root(u10, PartitionStrategy::kOneAtATime));
 }
 
 TEST(Sched, ReferenceKernelJobsAreNotExact) {

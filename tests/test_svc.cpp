@@ -24,6 +24,7 @@
 #include "graph/generators.hpp"
 #include "obs/metrics.hpp"
 #include "run/checkpoint.hpp"
+#include "run/memory.hpp"
 #include "svc/protocol.hpp"
 #include "svc/service.hpp"
 #include "sched/plan.hpp"
@@ -252,7 +253,8 @@ TEST(SvcService, BatchRegistryHoldsOnlyChosenPartitions) {
   EXPECT_EQ(service.registry().stats().partitions, jobs.size());
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     const std::uint64_t misses = service.registry().stats().misses;
-    service.registry().partition_of(jobs[j].tmpl, options.partition,
+    service.registry().partition_of(jobs[j].tmpl,
+                                    plan.job_partition_strategy[j],
                                     options.share_tables,
                                     plan.job_partition_root[j]);
     EXPECT_EQ(service.registry().stats().misses, misses) << "job " << j;
@@ -270,6 +272,18 @@ TEST(SvcService, SubmitRejectsUnknownGraphAndBadSpecs) {
   svc::JobSpec gdd = count_spec("g", TreeTemplate::path(4), 1);
   gdd.kind = svc::JobKind::kGdd;  // missing orbit root
   EXPECT_THROW(service.submit(std::move(gdd)), Error);
+
+  // Checked before the quote plans the count, in the count's words.
+  TreeTemplate labeled = TreeTemplate::path(4);
+  labeled.set_labels({0, 1, 0, 1});
+  try {
+    service.submit(count_spec("g", labeled, 1));
+    ADD_FAILURE() << "a labeled template on an unlabeled graph was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("count job: template and graph"),
+              std::string::npos)
+        << e.what();
+  }
 
   svc::JobSpec batch;
   batch.kind = svc::JobKind::kBatch;
@@ -361,6 +375,107 @@ TEST(SvcService, AdmissionRequotesSuccinctInsteadOfRejecting) {
     EXPECT_EQ(got.per_iteration[i], expected.per_iteration[i]) << i;
   }
   EXPECT_EQ(got.estimate, expected.estimate);
+}
+
+TEST(SvcService, BatchQuoteCoversTheMergedPlan) {
+  // The merged DAG pins every job's root and keeps shared stages
+  // alive, so its modeled peak is above any one template's; the quote
+  // is that peak (times engine copies, plus workspaces).
+  const Graph graph = erdos_renyi_gnm(2000, 8000, 5);
+  std::vector<sched::BatchJob> jobs;
+  for (const TreeTemplate& tree : all_free_trees(7)) {
+    sched::BatchJob job;
+    job.tmpl = tree;
+    job.iterations = 1;
+    jobs.push_back(std::move(job));
+  }
+  ASSERT_EQ(jobs.size(), 11u);
+  sched::BatchOptions options;
+  options.mode = ParallelMode::kSerial;
+  const sched::BatchPlan plan = sched::plan_batch(graph, jobs, options);
+  const std::size_t merged = run::estimate_peak_bytes(
+      plan.merged, plan.num_colors, graph.num_vertices(), options.table,
+      false);
+  std::size_t largest_single = 0;
+  for (const sched::BatchJob& job : jobs) {
+    largest_single = std::max(
+        largest_single,
+        run::estimate_peak_bytes(
+            partition_template(job.tmpl, PartitionStrategy::kOneAtATime),
+            plan.num_colors, graph.num_vertices(), options.table, false));
+  }
+  EXPECT_GT(merged, largest_single);
+
+  svc::Service service({});
+  service.registry().put("g", erdos_renyi_gnm(2000, 8000, 5));
+  svc::JobSpec spec;
+  spec.kind = svc::JobKind::kBatch;
+  spec.graph = "g";
+  spec.batch_jobs = jobs;
+  spec.batch_options = options;
+  spec.preemptible = false;
+  const svc::JobId id = service.submit(std::move(spec));
+  EXPECT_GE(service.info(id).estimated_peak_bytes, merged);
+  EXPECT_EQ(service.wait(id).state, svc::JobState::kCompleted);
+}
+
+TEST(SvcService, CountQuotePricesThePlannedPartition) {
+  // A planned U10-1 count is quoted on the partition the planner
+  // picks (balanced at the centre), which is the one the registry
+  // then holds — and so is the retention of an incremental count.
+  const Graph graph = erdos_renyi_gnm(3000, 12000, 2);
+  const TreeTemplate& tmpl = catalog_entry("U10-1").tree;
+  const sched::BatchPlan plan =
+      detail::plan_tree_count(graph, tmpl, count_spec("g", tmpl, 2).options);
+  ASSERT_EQ(plan.job_partition_strategy.front(), PartitionStrategy::kBalanced);
+  const PartitionTree chosen = partition_template(
+      tmpl, PartitionStrategy::kBalanced, true, plan.job_partition_root.front());
+  const std::size_t peak = run::estimate_peak_bytes(
+      chosen, 10, graph.num_vertices(), TableKind::kCompact, false);
+  const std::size_t workspace = run::estimate_workspace_bytes(chosen, 10);
+
+  svc::Service service({});
+  service.registry().put("g", erdos_renyi_gnm(3000, 12000, 2));
+  const svc::JobId id = service.submit(count_spec("g", tmpl, 2));
+  EXPECT_EQ(service.info(id).estimated_peak_bytes, peak + workspace);
+  EXPECT_EQ(service.registry().stats().partitions, 1u);
+  EXPECT_EQ(service.wait(id).state, svc::JobState::kCompleted);
+
+  svc::JobSpec incremental = count_spec("g", tmpl, 2);
+  incremental.options.execution.incremental = true;
+  const svc::JobId kept = service.submit(std::move(incremental));
+  EXPECT_EQ(service.info(kept).estimated_peak_bytes,
+            peak + workspace +
+                run::estimate_retained_bytes(chosen, 10, graph.num_vertices(),
+                                             TableKind::kCompact, false, 2));
+  EXPECT_EQ(service.wait(kept).state, svc::JobState::kCompleted);
+  EXPECT_EQ(service.registry().stats().partitions, 1u);
+}
+
+// An unset partition strategy (planned) is not written; older clients
+// and journals name one, which still parses and pins it.
+TEST(SvcProtocol, UnsetPartitionIsOmittedAndNamedOnesStillParse) {
+  const obs::Json count = svc::count_options_to_json(CountOptions{});
+  EXPECT_EQ(count.find("partition"), nullptr);
+  EXPECT_FALSE(svc::count_options_from_json(count).execution.partition);
+  const obs::Json batch = svc::batch_options_to_json(sched::BatchOptions{});
+  EXPECT_EQ(batch.find("partition"), nullptr);
+  EXPECT_FALSE(svc::batch_options_from_json(batch).partition);
+
+  for (const auto& [name, strategy] :
+       {std::pair{"one", PartitionStrategy::kOneAtATime},
+        std::pair{"balanced", PartitionStrategy::kBalanced}}) {
+    obs::Json pinned = count;
+    pinned["partition"] = name;
+    const CountOptions parsed = svc::count_options_from_json(pinned);
+    EXPECT_EQ(parsed.execution.partition, strategy) << name;
+    EXPECT_EQ(svc::count_options_to_json(parsed).get_string("partition"),
+              name);
+    obs::Json pinned_batch = batch;
+    pinned_batch["partition"] = name;
+    EXPECT_EQ(svc::batch_options_from_json(pinned_batch).partition, strategy)
+        << name;
+  }
 }
 
 // ---- wire compatibility: "kernel_family" --------------------------------
