@@ -5,7 +5,9 @@
 // template shares one graph and the batch engine's cross-template
 // stage reuse pays.  Three runs:
 //
-//   legacy    count_all_treelets, one count_template call per tree
+//   legacy    one count_template call per tree, each with its own
+//             decorrelated seed stream (the loop count_all_treelets
+//             ran before it became one batch workload)
 //   batch     sched::run_batch, fixed budget, shared colorings +
 //             deduplicated stages (same estimator variance)
 //   adaptive  sched::run_batch with per-job relative-stderr targets
@@ -25,9 +27,10 @@
 #include <vector>
 
 #include "common.hpp"
-#include "core/motifs.hpp"
+#include "core/counter.hpp"
 #include "obs/metrics.hpp"
 #include "sched/batch.hpp"
+#include "treelet/free_trees.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
 
@@ -104,13 +107,20 @@ int main(int argc, char** argv) {
   legacy_options.execution.mode = ParallelMode::kOuterLoop;
   legacy_options.execution.threads = ctx.threads;
 
-  MotifProfile legacy;
+  const std::vector<TreeTemplate> trees = all_free_trees(k);
   Scrape legacy_obs;
   const double legacy_seconds = median_seconds(
-      [&] { legacy = count_all_treelets(g, k, legacy_options); }, legacy_obs);
+      [&] {
+        for (std::size_t i = 0; i < trees.size(); ++i) {
+          CountOptions per_tree = legacy_options;
+          per_tree.sampling.seed = ctx.seed + 0x9e3779b9u * (i + 1);
+          (void)count_template(g, trees[i], per_tree);
+        }
+      },
+      legacy_obs);
 
   std::vector<sched::BatchJob> fixed_jobs;
-  for (const TreeTemplate& tree : legacy.trees) {
+  for (const TreeTemplate& tree : trees) {
     sched::BatchJob job;
     job.tmpl = tree;
     job.iterations = iters;
@@ -134,7 +144,7 @@ int main(int argc, char** argv) {
   std::vector<sched::BatchJob> adaptive_jobs;
   for (std::size_t j = 0; j < fixed.jobs.size(); ++j) {
     sched::BatchJob job;
-    job.tmpl = legacy.trees[j];
+    job.tmpl = trees[j];
     job.target_relative_stderr =
         relative_mean_stderr(fixed.jobs[j].per_iteration);
     if (job.target_relative_stderr <= 0.0) job.target_relative_stderr = 1e-9;
@@ -168,7 +178,7 @@ int main(int argc, char** argv) {
                    TablePrinter::num(seen.stage_passes),
                    TablePrinter::num(hit, 3)});
   };
-  add("legacy loop", static_cast<long long>(legacy.trees.size()) * iters,
+  add("legacy loop", static_cast<long long>(trees.size()) * iters,
       legacy_obs, legacy_seconds, 0.0);
   add("batch fixed", fixed.iterations_total, fixed_obs, batch_seconds,
       fixed.cache_hit_rate());
@@ -195,7 +205,7 @@ int main(int argc, char** argv) {
   std::fprintf(json, "{\n");
   std::fprintf(json, "  \"bench\": \"micro_sched\",\n");
   std::fprintf(json, "  \"k\": %d,\n", k);
-  std::fprintf(json, "  \"templates\": %zu,\n", legacy.trees.size());
+  std::fprintf(json, "  \"templates\": %zu,\n", trees.size());
   std::fprintf(json, "  \"graph_vertices\": %d,\n", g.num_vertices());
   std::fprintf(json, "  \"graph_edges\": %lld,\n",
                static_cast<long long>(g.num_edges()));

@@ -24,6 +24,7 @@
 #include "core/extract.hpp"
 #include "graph/delta.hpp"
 #include "core/mixed_counter.hpp"
+#include "core/mixed_extract.hpp"
 #include "core/triangle.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -309,29 +310,25 @@ int main(int argc, char** argv) {
     // catalog holds the paper's named trees plus U3-2 (the triangle).
     CountResult result;
     TreeTemplate tmpl = TreeTemplate::path(3);
+    std::optional<MixedTemplate> mixed;
     bool is_tree = true;
     if (!cli.str("template-file").empty()) {
-      const MixedTemplate mixed =
-          MixedTemplate::load(cli.str("template-file"));
-      std::printf("template: %s\n\n", mixed.describe().c_str());
-      if (mixed.is_tree()) {
-        tmpl = mixed.as_tree();
+      mixed = MixedTemplate::load(cli.str("template-file"));
+      std::printf("template: %s\n\n", mixed->describe().c_str());
+      if (mixed->is_tree()) {
+        tmpl = mixed->as_tree();
         result = run_tree_count(tmpl);
       } else {
         is_tree = false;
-        // Mixed counting runs several tree sub-counts internally; a
-        // shared checkpoint file would be overwritten by each one, so
-        // only deadline/budget/cancel controls pass through.
-        options.run.checkpoint_path.clear();
-        options.run.resume = false;
-        result = count_mixed_template(graph, mixed, options);
+        // A one-job plan on the iteration driver, like a tree count:
+        // every run control (deadline, budget, cancel, checkpoint and
+        // resume) passes through; reorder is rejected.
+        result = count_mixed_template(graph, *mixed, options);
       }
     } else {
       const auto& entry = catalog_entry(cli.str("template"));
       if (entry.is_triangle) {
         is_tree = false;
-        options.run.checkpoint_path.clear();
-        options.run.resume = false;
         std::printf("template: triangle (U3-2)\n\n");
         result = count_triangles(graph, options);
       } else {
@@ -352,32 +349,30 @@ int main(int argc, char** argv) {
                    TablePrinter::num(static_cast<long long>(
                        result.automorphisms))});
     table.add_row({"total time (s)", TablePrinter::num(result.seconds_total, 3)});
-    if (is_tree) {
-      table.add_row({"peak table memory",
-                     TablePrinter::bytes(result.peak_table_bytes)});
-      table.add_row({"subtemplates",
-                     TablePrinter::num(static_cast<long long>(
-                         result.num_subtemplates))});
-      table.add_row({"DP cost model", TablePrinter::sci(result.dp_cost, 3)});
-      table.add_row({"thread layout",
-                     TablePrinter::num(static_cast<long long>(
-                         result.layout.outer_copies)) +
-                         " outer x " +
-                         TablePrinter::num(static_cast<long long>(
-                             result.layout.inner_threads)) +
-                         " inner"});
-      if (cli.flag("verbose") && options.execution.reorder != ReorderMode::kNone) {
-        table.add_row({"reorder mode",
-                       reorder_mode_name(options.execution.reorder)});
-        table.add_row({"avg neighbor-id gap",
-                       TablePrinter::num(result.reorder_gap_before, 1) +
-                           " -> " +
-                           TablePrinter::num(result.reorder_gap_after, 1)});
-        table.add_row({"reorder time (s)",
-                       TablePrinter::num(result.reorder_seconds, 3)});
-      }
+    table.add_row({"peak table memory",
+                   TablePrinter::bytes(result.peak_table_bytes)});
+    table.add_row({"subtemplates",
+                   TablePrinter::num(static_cast<long long>(
+                       result.num_subtemplates))});
+    table.add_row({"DP cost model", TablePrinter::sci(result.dp_cost, 3)});
+    table.add_row({"thread layout",
+                   TablePrinter::num(static_cast<long long>(
+                       result.layout.outer_copies)) +
+                       " outer x " +
+                       TablePrinter::num(static_cast<long long>(
+                           result.layout.inner_threads)) +
+                       " inner"});
+    if (cli.flag("verbose") && options.execution.reorder != ReorderMode::kNone) {
+      table.add_row({"reorder mode",
+                     reorder_mode_name(options.execution.reorder)});
+      table.add_row({"avg neighbor-id gap",
+                     TablePrinter::num(result.reorder_gap_before, 1) +
+                         " -> " +
+                         TablePrinter::num(result.reorder_gap_after, 1)});
+      table.add_row({"reorder time (s)",
+                     TablePrinter::num(result.reorder_seconds, 3)});
     }
-    if (is_tree) add_run_report_rows(table, result.run);
+    add_run_report_rows(table, result.run);
     table.print();
 
     if (!report_path.empty() && result.report) {
@@ -452,14 +447,15 @@ int main(int argc, char** argv) {
     }
 
     const auto how_many = static_cast<std::size_t>(cli.integer("enumerate"));
-    if (how_many > 0 && is_tree) {
+    if (how_many > 0 && (is_tree || mixed)) {
       std::printf("\nsampled embeddings:\n");
-      for (const auto& embedding :
-           sample_embeddings(graph, tmpl, how_many, options)) {
+      const std::vector<Embedding> embeddings =
+          is_tree ? sample_embeddings(graph, tmpl, how_many, options)
+                  : sample_mixed_embeddings(graph, *mixed, how_many, options);
+      for (const auto& embedding : embeddings) {
         std::printf(" ");
-        for (int tv = 0; tv < tmpl.size(); ++tv) {
-          std::printf(" %d->%d", tv,
-                      embedding.vertices[static_cast<std::size_t>(tv)]);
+        for (std::size_t tv = 0; tv < embedding.vertices.size(); ++tv) {
+          std::printf(" %zu->%d", tv, embedding.vertices[tv]);
         }
         std::printf("\n");
       }

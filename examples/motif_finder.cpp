@@ -24,8 +24,6 @@ int main(int argc, char** argv) {
   cli.add_common();
   cli.add_option("k", "motif size (3..10 practical here)", "5");
   cli.add_option("iterations", "color-coding iterations", "200");
-  cli.add_flag("batch", "count the whole profile through the sched batch "
-                        "engine (shared colorings, cross-template reuse)");
   if (!cli.parse(argc, argv)) return 0;
 
   const int k = static_cast<int>(cli.integer("k"));
@@ -46,7 +44,6 @@ int main(int argc, char** argv) {
   CountOptions options;
   options.sampling.iterations = static_cast<int>(cli.integer("iterations"));
   options.sampling.seed = seed;
-  options.execution.batch_engine = cli.flag("batch");
   const MotifProfile real = count_all_treelets(network, k, options);
   const MotifProfile null_model = count_all_treelets(random_graph, k, options);
 

@@ -36,11 +36,9 @@ struct MotifSignificance {
 /// in options.seed.  `swaps_per_edge` controls rewiring thoroughness
 /// (>= 3 is customary).
 ///
-/// The pipeline runs ensemble_size + 1 full motif profiles; set
-/// options.batch_engine to execute each profile through
-/// sched::run_batch (one shared coloring per iteration, subtemplate
-/// stages deduplicated across the k-tree set), which cuts per-profile
-/// DP work substantially at k >= 7.
+/// The pipeline runs ensemble_size + 1 full motif profiles, each one
+/// sched::run_batch workload (one shared coloring per iteration,
+/// subtemplate stages deduplicated across the k-tree set).
 MotifSignificance motif_significance(const Graph& graph, int k,
                                      int ensemble_size,
                                      const CountOptions& options,

@@ -23,10 +23,11 @@
 // and address rooted slots directly — no kernel reads or writes a
 // structural zero.  SingleActiveSplit carries the lists for stages with
 // a single-vertex child, keyed by the (v, neighbor) color pair;
-// RootedSplit carries the general (a > 1, p > 1) lists.  The global
-// per-parent views (SplitTable, SingleActiveSplit::entries) stay for
-// the reference kernels and the mixed-template engine, which address
-// rows by global colorset index.
+// RootedSplit carries the general (a > 1, p > 1) lists, and both
+// splits of a triangle join (whose children may be single vertices).
+// The global per-parent views (SplitTable, SingleActiveSplit::entries)
+// stay for the reference kernels, which address rows by global
+// colorset index.
 
 #include <cstdint>
 #include <span>

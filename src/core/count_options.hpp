@@ -106,9 +106,9 @@ struct ExecutionOptions {
   /// reported per-vertex outputs stay keyed by original ids.  Deliberately
   /// excluded from checkpoint fingerprints: a run may resume under a
   /// different reorder mode.  Honored by count_template,
-  /// graphlet_degrees, and the extraction routines; count_triangles
-  /// and non-tree count_mixed_template reject a non-default value
-  /// with a usage error (they never reorder — see validate()).
+  /// graphlet_degrees, and the extraction routines; count_triangles,
+  /// non-tree count_mixed_template and count_all_treelets reject a
+  /// non-default value with a usage error (they never reorder).
   ReorderMode reorder = ReorderMode::kNone;
 
   /// Hybrid mode only: force this many outer engine copies instead of
@@ -116,14 +116,6 @@ struct ExecutionOptions {
   /// rejects a nonzero value under any other mode, and values outside
   /// [1, threads] when threads is pinned.
   int outer_copies = 0;
-
-  /// Route count_all_treelets through the sched batch engine
-  /// (sched::run_batch): every template of the profile shares one
-  /// coloring per iteration and deduplicated subtemplate stages are
-  /// computed once per coloring instead of once per template.
-  /// Estimates stay unbiased but differ numerically from the legacy
-  /// loop, which decorrelates templates with per-template seeds.
-  bool batch_engine = false;
 
   /// Run the pre-frontier scalar DP kernels instead of the vectorized
   /// frontier/SoA path (DESIGN.md §8).  Estimates are identical either
@@ -238,10 +230,6 @@ class CountOptions::Builder {
     opts_.execution.outer_copies = n;
     return *this;
   }
-  Builder& batch_engine(bool on) {
-    opts_.execution.batch_engine = on;
-    return *this;
-  }
   Builder& reference_kernels(bool on) {
     opts_.execution.reference_kernels = on;
     return *this;
@@ -318,7 +306,8 @@ class CountOptions::Builder {
 inline CountOptions::Builder CountOptions::builder() { return Builder(); }
 
 /// Reject a reorder request on an entry point that never reorders
-/// (count_triangles, non-tree count_mixed_template) with Error(kUsage).
+/// (count_triangles, non-tree count_mixed_template, count_all_treelets)
+/// with Error(kUsage).
 void reject_unsupported_reorder(const CountOptions& options, const char* api);
 
 struct CountResult : RunOutcome {

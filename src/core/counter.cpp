@@ -104,8 +104,19 @@ CountResult run_tree_count(const Graph& graph, const TreeTemplate& tmpl,
                            const sched::BatchPlan& plan, const char* kind,
                            sched::DriverInputs inputs,
                            double reorder_seconds) {
-  const int k = effective_colors(tmpl, options);
-  FASCIA_TRACE("count.run", tmpl.size(), k,
+  const CountSubject subject{
+      tmpl.describe(), tmpl.size(),
+      vertex_stabilizer(tmpl, plan.merged.template_root())};
+  return run_count(graph, subject, options, plan, kind, std::move(inputs),
+                   reorder_seconds);
+}
+
+CountResult run_count(const Graph& graph, const CountSubject& subject,
+                      const CountOptions& options,
+                      const sched::BatchPlan& plan, const char* kind,
+                      sched::DriverInputs inputs, double reorder_seconds) {
+  const int k = plan.num_colors;
+  FASCIA_TRACE("count.run", subject.size, k,
                table_kind_name(options.execution.table));
   const PartitionTree& partition = plan.merged;
 
@@ -124,7 +135,7 @@ CountResult run_tree_count(const Graph& graph, const TreeTemplate& tmpl,
   inputs.fingerprint = [&](TableKind table) {
     std::uint64_t fp = run::kFingerprintSeed;
     fp = run::fingerprint_mix(fp, std::uint64_t{run::Checkpoint::kKindCount});
-    fp = run::fingerprint_mix(fp, tmpl.describe());
+    fp = run::fingerprint_mix(fp, subject.describe);
     fp = run::fingerprint_mix(
         fp, static_cast<std::uint64_t>(graph.num_vertices()));
     fp = run::fingerprint_mix(fp,
@@ -143,9 +154,10 @@ CountResult run_tree_count(const Graph& graph, const TreeTemplate& tmpl,
   };
   inputs.per_vertex = options.per_vertex;
   inputs.forced_outer_copies = options.execution.outer_copies;
+  std::vector<sched::BatchJob> jobs(1);
+  jobs[0].iterations = options.sampling.iterations;
   sched::DriverOutput driven =
-      sched::drive(graph, one_job(tmpl, options), one_job_options(options, k),
-                   plan, inputs);
+      sched::drive(graph, jobs, one_job_options(options, k), plan, inputs);
   sched::BatchJobResult& job = driven.batch.jobs.front();
 
   CountResult result;
@@ -157,7 +169,7 @@ CountResult run_tree_count(const Graph& graph, const TreeTemplate& tmpl,
   result.layout = driven.batch.layout;
   result.colorful_probability = job.colorful_probability;
   result.automorphisms = job.automorphisms;
-  result.root_stabilizer = vertex_stabilizer(tmpl, partition.template_root());
+  result.root_stabilizer = subject.root_stabilizer;
   result.dp_cost = partition.dp_cost(k);
   result.max_live_tables = partition.max_live_tables();
   result.num_subtemplates = partition.num_nodes();
@@ -218,7 +230,7 @@ CountResult run_tree_count(const Graph& graph, const TreeTemplate& tmpl,
   if (options.execution.incremental) {
     report->options.emplace_back("execution.incremental", "true");
   }
-  report->tmpl.vertices = tmpl.size();
+  report->tmpl.vertices = subject.size;
   report->tmpl.root = partition.template_root();
   report->tmpl.subtemplates = result.num_subtemplates;
   if (const auto& choice = plan.partition_choice) {

@@ -13,6 +13,9 @@
 // because iteration i always uses the coloring derived from
 // (seed, i).  Tests pin this property.
 
+#include <cstdint>
+#include <string>
+
 #include "core/count_options.hpp"
 #include "graph/graph.hpp"
 #include "treelet/tree_template.hpp"
@@ -62,6 +65,24 @@ void validate_tree_count(const Graph& graph, const TreeTemplate& tmpl,
 sched::BatchPlan plan_tree_count(
     const Graph& graph, const TreeTemplate& tmpl, const CountOptions& options,
     const PartitionProvider& partitions = {});
+
+/// What a one-job count counts, beyond its plan: the description its
+/// checkpoints are fingerprinted with, its size and its root's
+/// stabilizer (the per-vertex scale).
+struct CountSubject {
+  std::string describe;
+  int size = 0;
+  std::uint64_t root_stabilizer = 0;
+};
+
+/// Alg. 1 for one template: runs `plan` on the iteration driver and
+/// scales its totals into a CountResult with a report of kind `kind`;
+/// run_tree_count below, count_mixed_template and count_triangles are
+/// its callers.  `inputs` as for run_tree_count.
+CountResult run_count(const Graph& graph, const CountSubject& subject,
+                      const CountOptions& options,
+                      const sched::BatchPlan& plan, const char* kind,
+                      sched::DriverInputs inputs, double reorder_seconds);
 
 /// Alg. 1 for one tree template: runs `plan` (from plan_tree_count) on
 /// the iteration driver and scales its totals into a CountResult with

@@ -26,6 +26,11 @@
 //                       rooted slot pairs (§III-D).
 //   * p == 1          — mirrored fast path keyed by the neighbor color.
 //   * otherwise       — general split kernel (Alg. 2 lines 7-15).
+// A triangle join (Subtemplate::passive2 set; treelet/mixed_partition)
+// runs the triangle kernel whatever its sizes: over the adjacent
+// neighbor pairs (u, w) of v it sums T_a[v] · T_x[u] · T_y[w] across
+// the three-way colorset splits.  The edge joins of such a partition
+// are ordinary stages — the kernels above dispatch on sizes only.
 //
 // The default kernels are the *vectorizable* rebuild (DESIGN.md §8):
 //
@@ -291,7 +296,9 @@ struct DpStageStats {
   int node = 0;
   int parent_size = 0;
   int active_size = 0;
-  char kernel = '?';             ///< 'P'air, 'A'=single-active, 'S'=single-passive, 'G'eneral
+  /// 'P'air, 'A'=single-active, 'S'=single-passive, 'G'eneral,
+  /// 'T'riangle join
+  char kernel = '?';
   double seconds = 0.0;
   std::uint64_t candidates = 0;  ///< vertices iterated by the pass
   std::uint64_t survivors = 0;   ///< nonzero rows committed (frontier out)
@@ -316,6 +323,8 @@ inline const char* dp_kernel_name(char kernel) noexcept {
       return "single_passive";
     case 'G':
       return "general";
+    case 'T':
+      return "triangle";
   }
   return "unknown";
 }
@@ -372,6 +381,7 @@ inline void record_stage_metrics(char kernel, double seconds,
   static const Metric passive("dp.stage.single_passive",
                               InstrumentKind::kCounter);
   static const Metric general("dp.stage.general", InstrumentKind::kCounter);
+  static const Metric triangle("dp.stage.triangle", InstrumentKind::kCounter);
   static const Metric stage_seconds("dp.stage.seconds",
                                     InstrumentKind::kTimeHistogram);
   static const Metric occupancy("dp.frontier.occupancy",
@@ -386,6 +396,9 @@ inline void record_stage_metrics(char kernel, double seconds,
       break;
     case 'S':
       passive.add();
+      break;
+    case 'T':
+      triangle.add();
       break;
     default:
       general.add();
@@ -461,18 +474,40 @@ class DpEngine {
         // next_use() can scan for the first entry past a stage.
         consumers_[static_cast<std::size_t>(node.active)].push_back(i);
         consumers_[static_cast<std::size_t>(node.passive)].push_back(i);
+        if (node.is_triangle_join()) {
+          consumers_[static_cast<std::size_t>(node.passive2)].push_back(i);
+        }
       }
     }
     rooted_.resize(static_cast<std::size_t>(k_) + 1);
     single_splits_.resize(static_cast<std::size_t>(k_) + 1);
     node_single_.assign(static_cast<std::size_t>(num_nodes), nullptr);
     node_general_.assign(static_cast<std::size_t>(num_nodes), nullptr);
+    node_rest_.assign(static_cast<std::size_t>(num_nodes), nullptr);
     node_active_bound_.assign(static_cast<std::size_t>(num_nodes), 0);
     for (int i = 0; i < num_nodes; ++i) {
       const Subtemplate& node = partition_.node(i);
       if (node.is_leaf()) continue;
       const int h = node.size();
       const int a = partition_.node(node.active).size();
+      if (node.is_triangle_join()) {
+        // S = A ⊎ R at the root, R = X ⊎ Y across the triangle: both
+        // through fold views, with R and Y addressed globally.
+        const int r = h - a;
+        const int sx = partition_.node(node.passive).size();
+        for (const int size : {h, a, r, r - sx}) {
+          if (!rooted_[static_cast<std::size_t>(size)]) {
+            rooted_[static_cast<std::size_t>(size)].emplace(k_, size);
+          }
+        }
+        node_general_[static_cast<std::size_t>(i)] =
+            &general_splits_.try_emplace(std::make_pair(h, a), k_, h, a)
+                 .first->second;
+        node_rest_[static_cast<std::size_t>(i)] =
+            &general_splits_.try_emplace(std::make_pair(r, sx), k_, r, sx)
+                 .first->second;
+        continue;
+      }
       for (const int size : {h, a, h - a}) {
         if (size >= 2 && !rooted_[static_cast<std::size_t>(size)]) {
           rooted_[static_cast<std::size_t>(size)].emplace(k_, size);
@@ -544,6 +579,7 @@ class DpEngine {
           // kernels read them directly, so restore before the pass.
           ensure_resident(node.active);
           ensure_resident(node.passive);
+          if (node.is_triangle_join()) ensure_resident(node.passive2);
         }
         compute_node(i, colors, parallel_inner,
                      /*narrow_ok=*/keep != KeepTables::kForRecounts);
@@ -1041,13 +1077,22 @@ class DpEngine {
     const int a = active.size();
     const int p = passive.size();
 
+    const bool triangle = node.is_triangle_join();
     DpStageStats stat;
     stat.node = index;
     stat.parent_size = h;
     stat.active_size = a;
-    stat.kernel = h == 2 ? 'P' : a == 1 ? 'A' : p == 1 ? 'S' : 'G';
-    stat.bound = stage_entry_bound(h, a, max_degree_, node_max(node.active),
-                                   node_max(node.passive));
+    stat.kernel = triangle ? 'T'
+                  : h == 2 ? 'P'
+                  : a == 1 ? 'A'
+                  : p == 1 ? 'S'
+                           : 'G';
+    // A triangle stage takes no width bound: it stores doubles, and its
+    // tracked maximum still bounds the stages above it.
+    stat.bound = triangle ? kSaturatedBound
+                          : stage_entry_bound(h, a, max_degree_,
+                                              node_max(node.active),
+                                              node_max(node.passive));
     stat.entry_bytes = narrow_ok ? stage_entry_bytes(stat.bound) : 8;
     // First-touch: zero the table with the same thread partition the
     // parallel sweep below uses (count_table.hpp TableInit).
@@ -1074,7 +1119,10 @@ class DpEngine {
     std::vector<VertexId>* frontier_sink =
         opts_.reference_kernels ? nullptr : &frontier_out;
 
-    if (h == 2) {
+    if (triangle) {
+      kernel_triangle(*table, index, node, colors, parallel, frontier_sink,
+                      stat);
+    } else if (h == 2) {
       if (opts_.reference_kernels) {
         kernel_pair_reference(*table, node, colors, parallel);
       } else {
@@ -1175,6 +1223,13 @@ class DpEngine {
     std::vector<double> gather;  ///< row materialized via get() (hash)
     /// Hoisted nonzero active-row colorset indices (general kernel).
     std::vector<ColorsetIndex> nz_active;
+    // Triangle kernel: x's and y's rows as doubles, the globally
+    // indexed sum of y's rows over the common neighbors of v and u,
+    // and the marks of N(v) (one byte per vertex, zero between calls).
+    std::vector<double> xrow;
+    std::vector<double> yrow;
+    std::vector<double> ysum;
+    std::vector<std::uint8_t> mark;
     std::uint64_t macs = 0;  ///< multiply-accumulate tally
     double max_entry = 0.0;  ///< largest entry this thread committed
   };
@@ -1776,6 +1831,146 @@ class DpEngine {
         });
   }
 
+  /// v's row of child `node` as doubles, for the triangle kernel: a
+  /// leaf child is a 1-wide rooted row ({1} when v matches its label);
+  /// a table row is borrowed when it stores contiguous doubles, else
+  /// widened or decoded into `scratch`.  nullptr when v has no row.
+  [[nodiscard]] const double* child_row(int node, VertexId v,
+                                        std::vector<double>& scratch) const {
+    static constexpr double kLeafRow[1] = {1.0};
+    const Subtemplate& child = partition_.node(node);
+    if (child.is_leaf()) return leaf_matches(child, v) ? kLeafRow : nullptr;
+    const Table& table = *tables_[static_cast<std::size_t>(node)];
+    if constexpr (Table::kContiguousRows) {
+      if (table.entry_bytes() == 8) return table.row_ptr(v);
+      const std::int32_t* narrow = table.template row_ptr<std::int32_t>(v);
+      if (narrow == nullptr) return nullptr;
+      scratch.assign(narrow, narrow + table.num_colorsets());
+    } else {
+      if (!table.has_vertex(v)) return nullptr;
+      scratch.resize(table.num_colorsets());
+      if constexpr (DecodableRowTable<Table>) {
+        table.decode_row(v, scratch.data());
+      } else {
+        for (std::uint32_t c = 0; c < table.num_colorsets(); ++c) {
+          scratch[c] = table.get(v, c);
+        }
+      }
+    }
+    return scratch.data();
+  }
+
+  /// The triangle join (treelet/mixed_partition.hpp): count[v][S] sums,
+  /// over ordered pairs (u, w) of adjacent neighbors of v, the products
+  /// T_a[v][A] · T_x[u][X] · T_y[w][Y] over S = A ⊎ X ⊎ Y with c(v) ∈ A,
+  /// c(u) ∈ X, c(w) ∈ Y.  Per vertex: mark N(v); for each u with an x
+  /// row, scan N(u) for marked w (the per-edge marking of Galois's
+  /// motif_adhoc) and sum their y rows into one globally indexed row,
+  /// then fold it with u's x row into rest[R], R = X ⊎ Y; finally fold
+  /// rest with v's active row.  Colorfulness keeps the three images
+  /// distinct.  Every sum adds exact integer counts, so any order gives
+  /// the same doubles while entries stay at most 2^53.
+  void kernel_triangle(Table& out, int index, const Subtemplate& node,
+                       const ColorArray& colors, bool parallel,
+                       std::vector<VertexId>* frontier_out,
+                       DpStageStats& stat) {
+    const Subtemplate& active = partition_.node(node.active);
+    const RootedSplit& top = *node_general_[static_cast<std::size_t>(index)];
+    const RootedSplit& rest_split =
+        *node_rest_[static_cast<std::size_t>(index)];
+    const int r = node.size() - active.size();
+    const RootedColorsets& rest_sets = *rooted_[static_cast<std::size_t>(r)];
+    const RootedColorsets& y_sets = *rooted_[static_cast<std::size_t>(
+        partition_.node(node.passive2).size())];
+    const std::uint32_t rest_width = num_colorsets(k_, r);
+    const std::uint32_t y_width = num_colorsets(k_, y_sets.set_size());
+    const std::uint32_t num_parents = out.num_colorsets();
+    const std::uint32_t rest_parents = rest_split.num_parents();
+    const std::uint32_t rest_per_parent = rest_split.splits_per_parent();
+    const std::uint32_t top_per_parent = top.splits_per_parent();
+    // Candidates: a leaf root's label list, else the active child's
+    // frontier (reference passes keep none: every vertex is tried).
+    const std::vector<VertexId>* candidates =
+        delta_restrict_ != nullptr ? delta_restrict_
+        : active.is_leaf()         ? leaf_frontier(active)
+        : opts_.reference_kernels  ? nullptr
+                                   : &frontiers_[static_cast<std::size_t>(
+                                         node.active)];
+    const VertexId n = graph_.num_vertices();
+    for_frontier(
+        parallel, {candidates, n}, num_parents, rest_width, 0, frontier_out,
+        stat, [&](VertexId v, Workspace& ws) {
+          const double* arow = child_row(node.active, v, ws.gather);
+          if (arow == nullptr) return false;
+          if (ws.mark.size() < static_cast<std::size_t>(n)) {
+            ws.mark.assign(static_cast<std::size_t>(n), 0);
+          }
+          ws.ysum.resize(y_width);
+          double* rest = ws.psum.data();
+          std::fill(rest, rest + rest_width, 0.0);
+          const auto neighbors = graph_.neighbors(v);
+          for (const VertexId u : neighbors) {
+            ws.mark[static_cast<std::size_t>(u)] = 1;
+          }
+          bool any = false;
+          for (const VertexId u : neighbors) {
+            const double* xrow = child_row(node.passive, u, ws.xrow);
+            if (xrow == nullptr) continue;
+            double* ys = ws.ysum.data();
+            std::fill(ys, ys + y_width, 0.0);
+            std::size_t nw = 0;
+            for (const VertexId w : graph_.neighbors(u)) {
+              if (ws.mark[static_cast<std::size_t>(w)] == 0) continue;
+              const double* yrow = child_row(node.passive2, w, ws.yrow);
+              if (yrow == nullptr) continue;
+              ++nw;
+              const ColorsetIndex* to =
+                  y_sets.globals(colors[static_cast<std::size_t>(w)]).data();
+              for (std::uint32_t c = 0; c < y_sets.width(); ++c) {
+                ys[to[c]] += yrow[c];
+              }
+            }
+            if (nw == 0) continue;
+            any = true;
+            // R ∋ c(u) as X ⊎ Y with c(u) ∈ X: the fold view at c(u).
+            const int cu = colors[static_cast<std::size_t>(u)];
+            const ColorsetIndex* act = rest_split.fold_actives(cu).data();
+            const ColorsetIndex* pas = rest_split.fold_passives(cu).data();
+            const ColorsetIndex* global = rest_sets.globals(cu).data();
+            for (std::uint32_t parent = 0; parent < rest_parents;
+                 ++parent, act += rest_per_parent, pas += rest_per_parent) {
+              double acc = 0.0;
+              for (std::uint32_t s = 0; s < rest_per_parent; ++s) {
+                acc += xrow[act[s]] * ys[pas[s]];
+              }
+              rest[global[parent]] += acc;
+            }
+            ws.macs += nw * y_sets.width() +
+                       static_cast<std::size_t>(rest_parents) * rest_per_parent;
+          }
+          for (const VertexId u : neighbors) {
+            ws.mark[static_cast<std::size_t>(u)] = 0;
+          }
+          if (!any) return false;
+          // S ∋ c(v) as A ⊎ R with c(v) ∈ A: the fold view at c(v).
+          const int cv = colors[static_cast<std::size_t>(v)];
+          const ColorsetIndex* act = top.fold_actives(cv).data();
+          const ColorsetIndex* pas = top.fold_passives(cv).data();
+          double* row = ws.row.data();
+          for (std::uint32_t parent = 0; parent < num_parents;
+               ++parent, act += top_per_parent, pas += top_per_parent) {
+            double acc = 0.0;
+            for (std::uint32_t s = 0; s < top_per_parent; ++s) {
+              acc += arow[act[s]] * rest[pas[s]];
+            }
+            row[parent] = acc;
+          }
+          ws.macs += static_cast<std::size_t>(num_parents) * top_per_parent;
+          commit(out, v, ws);
+          return true;
+        });
+  }
+
   // ---- reference kernels (pre-frontier scalar path) ---------------------
   // The seed implementation, kept behind
   // DpEngineOptions::reference_kernels: full-n scans, per-element
@@ -2000,6 +2195,8 @@ class DpEngine {
   /// never hit the optional/map lookups on the hot path.
   std::vector<const SingleActiveSplit*> node_single_;
   std::vector<const RootedSplit*> node_general_;
+  /// Triangle joins: node_general_ splits S = A ⊎ R, this R = X ⊎ Y.
+  std::vector<const RootedSplit*> node_rest_;
   std::vector<std::size_t> node_active_bound_;
   std::vector<DpStageStats> stats_;
   /// Per-thread scratch, persistent across stages and iterations.

@@ -6,7 +6,9 @@
 
 #include "core/counter.hpp"
 #include "core/engine.hpp"
+#include "core/mixed_extract.hpp"
 #include "dp/table_compact.hpp"
+#include "treelet/mixed_partition.hpp"
 #include "util/rng.hpp"
 
 namespace fascia {
@@ -27,12 +29,20 @@ ColorArray coloring_for(const Graph& graph, int k, std::uint64_t seed) {
   return colors;
 }
 
-/// Shared walk state over a completed keep-tables DP run.
+/// Shared walk state over a completed keep-tables DP run.  Leaf label
+/// filters come from the partition nodes, so tree and mixed partitions
+/// walk alike; a triangle join picks a pair of adjacent neighbors.
 class Walker {
  public:
-  Walker(DpEngine<Table>& engine, const TreeTemplate& tmpl,
-         const ColorArray& colors)
-      : engine_(engine), tmpl_(tmpl), colors_(colors) {}
+  Walker(DpEngine<Table>& engine, const ColorArray& colors)
+      : engine_(engine), colors_(colors) {}
+
+  /// One way to build node's embedding at v: its children's colorsets
+  /// and the neighbors their roots map to (w for a triangle join only).
+  struct Choice {
+    VertexId u, w;
+    ColorsetIndex ca, cp, cp2;
+  };
 
   /// Samples one embedding from node `index` rooted at graph vertex v
   /// holding colorset `cset`; fills out[template_vertex].
@@ -44,7 +54,7 @@ class Walker {
       return;
     }
     // Enumerate (u, split) choices with their weights; sample one.
-    std::vector<std::tuple<VertexId, ColorsetIndex, ColorsetIndex>> choices;
+    std::vector<Choice> choices;
     std::vector<double> weights;
     collect_choices(index, v, cset, choices, weights);
     double total = 0.0;
@@ -61,9 +71,12 @@ class Walker {
       }
       pick -= weights[i];
     }
-    const auto [u, ca, cp] = choices[chosen];
-    sample_node(node.active, v, ca, out, rng);
-    sample_node(node.passive, u, cp, out, rng);
+    const Choice& choice = choices[chosen];
+    sample_node(node.active, v, choice.ca, out, rng);
+    sample_node(node.passive, choice.u, choice.cp, out, rng);
+    if (node.is_triangle_join()) {
+      sample_node(node.passive2, choice.w, choice.cp2, out, rng);
+    }
   }
 
   /// Work item: a subtemplate still to be expanded, anchored at a
@@ -90,15 +103,18 @@ class Walker {
       out[static_cast<std::size_t>(node.root)] = frame.vertex;
       keep_going = expand(work, out, sink);
     } else {
-      std::vector<std::tuple<VertexId, ColorsetIndex, ColorsetIndex>> choices;
+      std::vector<Choice> choices;
       std::vector<double> weights;
       collect_choices(frame.node, frame.vertex, frame.cset, choices, weights);
-      for (const auto& [u, ca, cp] : choices) {
-        work.push_back({node.active, frame.vertex, ca});
-        work.push_back({node.passive, u, cp});
+      const std::size_t depth = work.size();
+      for (const Choice& choice : choices) {
+        work.push_back({node.active, frame.vertex, choice.ca});
+        work.push_back({node.passive, choice.u, choice.cp});
+        if (node.is_triangle_join()) {
+          work.push_back({node.passive2, choice.w, choice.cp2});
+        }
         keep_going = expand(work, out, sink);
-        work.pop_back();
-        work.pop_back();
+        work.resize(depth);
         if (!keep_going) break;
       }
     }
@@ -107,44 +123,75 @@ class Walker {
   }
 
  private:
-  /// Weight of subtree choices at (node, v, cset): for each neighbor u
-  /// and split (ca, cp), weight = T_active[v][ca] * T_passive[u][cp].
-  void collect_choices(
-      int index, VertexId v, ColorsetIndex cset,
-      std::vector<std::tuple<VertexId, ColorsetIndex, ColorsetIndex>>& choices,
-      std::vector<double>& weights) {
+  /// Weight of subtree choices at (node, v, cset): for each split
+  /// (ca, cp) and neighbor u, T_active[v][ca] * T_passive[u][cp]; for a
+  /// triangle join, each split (ca, cp, cp2) and adjacent neighbor pair
+  /// (u, w), T_active[v][ca] * T_passive[u][cp] * T_passive2[w][cp2].
+  void collect_choices(int index, VertexId v, ColorsetIndex cset,
+                       std::vector<Choice>& choices,
+                       std::vector<double>& weights) {
     const Subtemplate& node = engine_.partition().node(index);
-    const Subtemplate& active = engine_.partition().node(node.active);
     const int h = node.size();
-    const int a = active.size();
+    const int a = engine_.partition().node(node.active).size();
+    const Graph& graph = engine_.graph();
+    // Enumerate every split of cset's colors directly (extraction is
+    // cold; clarity wins).
+    const std::vector<int> colors_of_set = colorset_colors(cset, h);
+    for_each_split(colors_of_set, a, [&](ColorsetIndex ca,
+                                         const std::vector<int>& rest) {
+      const double weight_a = node_value(node.active, v, ca);
+      if (weight_a == 0.0) return;
+      if (!node.is_triangle_join()) {
+        const ColorsetIndex cp = colorset_index(rest);
+        for (VertexId u : graph.neighbors(v)) {
+          const double weight_p = node_value(node.passive, u, cp);
+          if (weight_p == 0.0) continue;
+          choices.push_back({u, -1, ca, cp, 0});
+          weights.push_back(weight_a * weight_p);
+        }
+        return;
+      }
+      const int sx = engine_.partition().node(node.passive).size();
+      for_each_split(rest, sx, [&](ColorsetIndex cp,
+                                   const std::vector<int>& y_colors) {
+        const ColorsetIndex cp2 = colorset_index(y_colors);
+        for (VertexId u : graph.neighbors(v)) {
+          const double weight_x = node_value(node.passive, u, cp);
+          if (weight_x == 0.0) continue;
+          for (VertexId w : graph.neighbors(v)) {
+            if (w == u || !graph.has_edge(u, w)) continue;
+            const double weight_y = node_value(node.passive2, w, cp2);
+            if (weight_y == 0.0) continue;
+            choices.push_back({u, w, ca, cp, cp2});
+            weights.push_back(weight_a * weight_x * weight_y);
+          }
+        }
+      });
+    });
+  }
 
-    // Expand cset into member colors, then enumerate all (a, h-a)
-    // color splits directly (extraction is cold; clarity wins).
-    std::vector<int> colors_of_set = colorset_colors(cset, h);
+  /// Calls body(index of the size-`a` part, colors of the rest) for
+  /// every way to split the sorted `colors` into a size-`a` part and
+  /// the rest.
+  template <class Body>
+  static void for_each_split(const std::vector<int>& colors, int a,
+                             Body&& body) {
+    const int h = static_cast<int>(colors.size());
     std::vector<int> positions(static_cast<std::size_t>(a));
     for (int i = 0; i < a; ++i) positions[static_cast<std::size_t>(i)] = i;
-    std::vector<int> act_colors(static_cast<std::size_t>(a));
-    std::vector<int> pas_colors(static_cast<std::size_t>(h - a));
+    std::vector<int> part(static_cast<std::size_t>(a));
+    std::vector<int> rest(static_cast<std::size_t>(h - a));
     do {
-      std::size_t ai = 0, pi = 0, next = 0;
+      std::size_t ai = 0, ri = 0, next = 0;
       for (int i = 0; i < h; ++i) {
         if (next < positions.size() && positions[next] == i) {
-          act_colors[ai++] = colors_of_set[static_cast<std::size_t>(i)];
+          part[ai++] = colors[static_cast<std::size_t>(i)];
           ++next;
         } else {
-          pas_colors[pi++] = colors_of_set[static_cast<std::size_t>(i)];
+          rest[ri++] = colors[static_cast<std::size_t>(i)];
         }
       }
-      const ColorsetIndex ca = colorset_index(act_colors);
-      const ColorsetIndex cp = colorset_index(pas_colors);
-      const double weight_a = node_value(node.active, v, ca);
-      if (weight_a == 0.0) continue;
-      for (VertexId u : engine_.graph().neighbors(v)) {
-        const double weight_p = node_value(node.passive, u, cp);
-        if (weight_p == 0.0) continue;
-        choices.emplace_back(u, ca, cp);
-        weights.push_back(weight_a * weight_p);
-      }
+      body(colorset_index(part), rest);
     } while (next_colorset(positions, h));
   }
 
@@ -155,8 +202,8 @@ class Walker {
     if (node.is_leaf()) {
       const int cv = colors_[static_cast<std::size_t>(v)];
       if (cset != static_cast<ColorsetIndex>(cv)) return 0.0;
-      if (tmpl_.has_labels() && engine_.graph().has_labels() &&
-          tmpl_.label(node.root) != engine_.graph().label(v)) {
+      if (node.root_label >= 0 && engine_.graph().has_labels() &&
+          node.root_label != static_cast<int>(engine_.graph().label(v))) {
         return 0.0;
       }
       return 1.0;
@@ -171,14 +218,17 @@ class Walker {
   }
 
   DpEngine<Table>& engine_;
-  const TreeTemplate& tmpl_;
   const ColorArray& colors_;
 };
 
 }  // namespace
 
-bool is_valid_embedding(const Graph& graph, const TreeTemplate& tmpl,
-                        const Embedding& embedding) {
+namespace {
+
+/// Distinct vertices, every template edge present, labels matching.
+template <class Template>
+bool valid_embedding(const Graph& graph, const Template& tmpl,
+                     const Embedding& embedding) {
   if (static_cast<int>(embedding.vertices.size()) != tmpl.size()) return false;
   std::set<VertexId> distinct(embedding.vertices.begin(),
                               embedding.vertices.end());
@@ -201,6 +251,87 @@ bool is_valid_embedding(const Graph& graph, const TreeTemplate& tmpl,
     }
   }
   return true;
+}
+
+/// Draws up to `how_many` embeddings of a `size`-vertex template from
+/// the DP tables of `partition` (unshared: the walker needs each
+/// node's own template vertices), re-coloring up to `attempts` times.
+std::vector<Embedding> sample_partition(const Graph& graph,
+                                        const PartitionTree& partition,
+                                        int k, int size, std::size_t how_many,
+                                        std::uint64_t seed, int attempts) {
+  DpEngine<Table> engine(graph, partition, k);
+  Xoshiro256 rng(seed ^ 0xabcdef12345678ULL);
+
+  std::vector<Embedding> out;
+  for (int attempt = 0; attempt < attempts && out.size() < how_many;
+       ++attempt) {
+    const ColorArray colors =
+        coloring_for(graph, k, seed + static_cast<std::uint64_t>(attempt));
+    const double total =
+        engine.run(colors, /*parallel_inner=*/false, KeepTables::kForReads);
+    if (total <= 0.0) continue;
+
+    Walker walker(engine, colors);
+    const int root = partition.root_node();
+    const Table* root_table = engine.table(root);
+    if (root_table == nullptr) break;  // size-1 template: no table
+    const RootedColorsets& root_sets =
+        engine.rooted_colorsets(partition.node(root).size());
+    // Build the (v, cset) marginal once per coloring.
+    std::vector<std::pair<VertexId, double>> vertex_weights;
+    for (VertexId v = 0; v < graph.num_vertices(); ++v) {
+      const double w = root_table->vertex_total(v);
+      if (w > 0.0) vertex_weights.emplace_back(v, w);
+    }
+    while (out.size() < how_many) {
+      double pick = rng.uniform() * total;
+      VertexId v = vertex_weights.back().first;
+      for (const auto& [candidate, weight] : vertex_weights) {
+        if (pick < weight) {
+          v = candidate;
+          break;
+        }
+        pick -= weight;
+      }
+      // Then a colorset within v (rows hold rooted slots; the walker
+      // takes global colorsets).
+      const auto num_slots = root_table->num_colorsets();
+      double pick_set = rng.uniform() * root_table->vertex_total(v);
+      ColorsetIndex slot = 0;
+      for (ColorsetIndex c = 0; c < num_slots; ++c) {
+        const double w = root_table->get(v, c);
+        if (pick_set < w) {
+          slot = c;
+          break;
+        }
+        pick_set -= w;
+      }
+      const ColorsetIndex cset = root_sets.global(
+          colors[static_cast<std::size_t>(v)], slot);
+      Embedding embedding;
+      embedding.vertices.assign(static_cast<std::size_t>(size), -1);
+      walker.sample_node(root, v, cset, embedding.vertices, rng);
+      out.push_back(std::move(embedding));
+      // Spread samples across colorings: draw at most ~how_many/4 per
+      // coloring so rare embeddings under one coloring do not dominate.
+      if (out.size() % std::max<std::size_t>(1, how_many / 4) == 0) break;
+    }
+    engine.release_all_tables();
+  }
+  return out;
+}
+
+}  // namespace
+
+bool is_valid_embedding(const Graph& graph, const TreeTemplate& tmpl,
+                        const Embedding& embedding) {
+  return valid_embedding(graph, tmpl, embedding);
+}
+
+bool is_valid_mixed_embedding(const Graph& graph, const MixedTemplate& tmpl,
+                              const Embedding& embedding) {
+  return valid_embedding(graph, tmpl, embedding);
 }
 
 namespace {
@@ -240,7 +371,6 @@ std::vector<Embedding> sample_embeddings(const Graph& graph,
                                                    max_coloring_attempts);
                         });
   }
-  const int k = effective_colors(tmpl, options);
   // Table sharing merges isomorphic subtemplates into one node, whose
   // recorded root/vertex ids belong to a single representative — the
   // walker needs each occurrence's true template vertices, so the
@@ -248,66 +378,25 @@ std::vector<Embedding> sample_embeddings(const Graph& graph,
   const PartitionTree partition = partition_template(
       tmpl, options.execution.partition.value_or(PartitionStrategy::kOneAtATime),
       /*share_tables=*/false, options.root);
-  DpEngine<Table> engine(graph, tmpl, partition, k);
-  Xoshiro256 rng(options.sampling.seed ^ 0xabcdef12345678ULL);
+  return sample_partition(graph, partition, effective_colors(tmpl, options),
+                          tmpl.size(), how_many, options.sampling.seed,
+                          max_coloring_attempts);
+}
 
-  std::vector<Embedding> out;
-  for (int attempt = 0;
-       attempt < max_coloring_attempts && out.size() < how_many; ++attempt) {
-    const ColorArray colors =
-        coloring_for(graph, k, options.sampling.seed + static_cast<std::uint64_t>(attempt));
-    const double total =
-        engine.run(colors, /*parallel_inner=*/false, KeepTables::kForReads);
-    if (total <= 0.0) continue;
-
-    Walker walker(engine, tmpl, colors);
-    const int root = partition.root_node();
-    const Table* root_table = engine.table(root);
-    if (root_table == nullptr) break;  // size-1 template: no table
-    const RootedColorsets& root_sets =
-        engine.rooted_colorsets(partition.node(root).size());
-    // Build the (v, cset) marginal once per coloring.
-    std::vector<std::pair<VertexId, double>> vertex_weights;
-    for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-      const double w = root_table->vertex_total(v);
-      if (w > 0.0) vertex_weights.emplace_back(v, w);
-    }
-    while (out.size() < how_many) {
-      double pick = rng.uniform() * total;
-      VertexId v = vertex_weights.back().first;
-      for (const auto& [candidate, weight] : vertex_weights) {
-        if (pick < weight) {
-          v = candidate;
-          break;
-        }
-        pick -= weight;
-      }
-      // Then a colorset within v (rows hold rooted slots; the walker
-      // takes global colorsets).
-      const auto num_slots = root_table->num_colorsets();
-      double pick_set = rng.uniform() * root_table->vertex_total(v);
-      ColorsetIndex slot = 0;
-      for (ColorsetIndex c = 0; c < num_slots; ++c) {
-        const double w = root_table->get(v, c);
-        if (pick_set < w) {
-          slot = c;
-          break;
-        }
-        pick_set -= w;
-      }
-      const ColorsetIndex cset = root_sets.global(
-          colors[static_cast<std::size_t>(v)], slot);
-      Embedding embedding;
-      embedding.vertices.assign(static_cast<std::size_t>(tmpl.size()), -1);
-      walker.sample_node(root, v, cset, embedding.vertices, rng);
-      out.push_back(std::move(embedding));
-      // Spread samples across colorings: draw at most ~how_many/4 per
-      // coloring so rare embeddings under one coloring do not dominate.
-      if (out.size() % std::max<std::size_t>(1, how_many / 4) == 0) break;
-    }
-    engine.release_all_tables();
+std::vector<Embedding> sample_mixed_embeddings(const Graph& graph,
+                                               const MixedTemplate& tmpl,
+                                               std::size_t how_many,
+                                               const CountOptions& options,
+                                               int max_coloring_attempts) {
+  if (tmpl.is_tree()) {
+    return sample_embeddings(graph, tmpl.as_tree(), how_many, options,
+                             max_coloring_attempts);
   }
-  return out;
+  const int k = options.sampling.num_colors > 0 ? options.sampling.num_colors
+                                                : tmpl.size();
+  return sample_partition(graph, partition_mixed_template(tmpl, options.root),
+                          k, tmpl.size(), how_many, options.sampling.seed,
+                          max_coloring_attempts);
 }
 
 std::vector<Embedding> enumerate_embeddings(const Graph& graph,
@@ -341,7 +430,7 @@ std::vector<Embedding> enumerate_embeddings(const Graph& graph,
   const Table* root_table = engine.table(root);
   if (root_table == nullptr) return out;
 
-  Walker walker(engine, tmpl, colors);
+  Walker walker(engine, colors);
   std::vector<VertexId> scratch(static_cast<std::size_t>(tmpl.size()), -1);
   auto sink = [&](const std::vector<VertexId>& vertices) {
     if (dedup_sets) {

@@ -1,7 +1,9 @@
 #pragma once
 // Embedding extraction for mixed (triangle-block) templates,
 // completing the "E" in FASCIA for the extension class: sample
-// concrete embeddings by walking the triangle-join DP back down.
+// concrete embeddings by walking the DP tables of the mixed partition
+// back down (core/extract.cpp; a triangle join picks a pair of
+// adjacent neighbors).
 
 #include <vector>
 

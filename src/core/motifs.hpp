@@ -35,11 +35,12 @@ struct MotifProfile : RunOutcome {
 /// all_free_trees(k)[i] (deterministic order), so profiles from
 /// different networks align index-by-index.
 ///
-/// Two execution paths: the legacy loop of independent count_template
-/// calls (one fresh partition and decorrelated seed stream per
-/// template), or — when options.batch_engine is set — one
-/// sched::run_batch workload that shares colorings and deduplicated
-/// subtemplate stages across the whole profile.
+/// The profile runs as one sched::run_batch workload: every template
+/// sees the same colorings, and subtemplate stages shared across the
+/// k-tree set are computed once per coloring.  Template i's estimate
+/// equals count_template's with the same seed while every DP entry is
+/// at most 2^53 (sched/batch.hpp).  Run controls and observability
+/// apply to the whole batch; a reorder request is rejected.
 MotifProfile count_all_treelets(const Graph& graph, int k,
                                 const CountOptions& options);
 

@@ -2,34 +2,17 @@
 
 #include <algorithm>
 #include <array>
-#include <memory>
 #include <stdexcept>
 
 #ifdef _OPENMP
 #include <omp.h>
 #endif
 
-#include "comb/binomial.hpp"
-#include "obs/report.hpp"
-#include "util/rng.hpp"
-#include "util/stats.hpp"
-#include "util/timer.hpp"
+#include "core/mixed_counter.hpp"
 
 namespace fascia {
 
 namespace {
-
-/// Automorphisms of a labeled triangle: permutations of the three
-/// label slots that fix the multiset — product of multiplicity
-/// factorials (6 / 2 / 1 for aaa / aab / abc).
-std::uint64_t triangle_automorphisms(const std::vector<std::uint8_t>& labels) {
-  if (labels.empty()) return 6;
-  std::array<std::uint8_t, 3> sorted = {labels[0], labels[1], labels[2]};
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted[0] == sorted[2]) return 6;
-  if (sorted[0] == sorted[1] || sorted[1] == sorted[2]) return 2;
-  return 1;
-}
 
 bool label_multiset_matches(const Graph& graph, VertexId a, VertexId b,
                             VertexId c,
@@ -109,103 +92,12 @@ double exact_triangle_count(const Graph& graph,
 CountResult count_triangles(const Graph& graph, const CountOptions& options,
                             const std::vector<std::uint8_t>& labels) {
   validate_labels(graph, labels);
-  // The enumeration kernel walks adjacency directly and would silently
-  // ignore a reorder request — reject instead (options satellite).
-  reject_unsupported_reorder(options, "count_triangles");
-  options.validate();
-  const int k = options.sampling.num_colors > 0 ? options.sampling.num_colors : 3;
-  if (k < 3) throw std::invalid_argument("count_triangles: need k >= 3");
-
-  std::array<std::uint8_t, 3> want{};
-  const bool labeled = !labels.empty();
-  if (labeled) {
-    want = {labels[0], labels[1], labels[2]};
-    std::sort(want.begin(), want.end());
-  }
-
-  CountResult result;
-  result.automorphisms = triangle_automorphisms(labels);
-  result.colorful_probability = colorful_probability(k, 3);
-  const double scale =
-      1.0 / (result.colorful_probability *
-             static_cast<double>(result.automorphisms));
-  // Triangle enumeration visits each vertex-set copy once (a < b < c),
-  // i.e. it already counts unordered occurrences; but for consistency
-  // with the tree counter we count *maps* by multiplying with the
-  // unlabeled automorphism factor below, then scale exactly as Alg. 2.
-  result.per_iteration.assign(static_cast<std::size_t>(options.sampling.iterations),
-                              0.0);
-  result.seconds_per_iteration.assign(
-      static_cast<std::size_t>(options.sampling.iterations), 0.0);
-
-  WallTimer total_timer;
-  for (int iter = 0; iter < options.sampling.iterations; ++iter) {
-    WallTimer timer;
-    std::uint64_t state =
-        options.sampling.seed +
-        0x632be59bd9b4e019ULL * static_cast<std::uint64_t>(iter + 1);
-    Xoshiro256 rng(splitmix64(state));
-    std::vector<std::uint8_t> colors(
-        static_cast<std::size_t>(graph.num_vertices()));
-    for (auto& color : colors) {
-      color = static_cast<std::uint8_t>(
-          rng.bounded(static_cast<std::uint32_t>(k)));
-    }
-
-    double colorful_maps = 0.0;
-    for_each_triangle(graph, [&](VertexId a, VertexId b, VertexId c) {
-      const int ca = colors[static_cast<std::size_t>(a)];
-      const int cb = colors[static_cast<std::size_t>(b)];
-      const int cc = colors[static_cast<std::size_t>(c)];
-      if (ca == cb || ca == cc || cb == cc) return;
-      if (labeled && !label_multiset_matches(graph, a, b, c, want)) return;
-      // One colorful copy = alpha rooted maps, mirroring the tree DP's
-      // homomorphism accounting.
-#ifdef _OPENMP
-#pragma omp atomic
-#endif
-      colorful_maps += static_cast<double>(result.automorphisms);
-    });
-
-    result.per_iteration[static_cast<std::size_t>(iter)] =
-        colorful_maps * scale;
-    result.seconds_per_iteration[static_cast<std::size_t>(iter)] =
-        timer.elapsed_s();
-  }
-  result.seconds_total = total_timer.elapsed_s();
-  result.estimate = mean(result.per_iteration);
-  result.relative_stderr = relative_mean_stderr(result.per_iteration);
-  result.run.requested_iterations = options.sampling.iterations;
-  result.run.completed_iterations = options.sampling.iterations;
-
-  auto report = std::make_shared<obs::RunReport>();
-  report->kind = "count_triangles";
-  report->label = options.observability.label;
-  report->options = {
-      {"sampling.iterations", std::to_string(options.sampling.iterations)},
-      {"sampling.num_colors", std::to_string(k)},
-      {"sampling.seed", std::to_string(options.sampling.seed)},
-      {"labeled", labels.empty() ? "false" : "true"},
-  };
-  report->graph.vertices = static_cast<std::int64_t>(graph.num_vertices());
-  report->graph.edges = static_cast<std::int64_t>(graph.num_edges());
-  report->graph.max_degree = static_cast<std::int64_t>(graph.max_degree());
-  report->graph.labeled = graph.has_labels();
-  report->tmpl.vertices = 3;
-  report->sampling.requested_iterations = options.sampling.iterations;
-  report->sampling.completed_iterations = options.sampling.iterations;
-  report->sampling.num_colors = k;
-  report->sampling.seed = options.sampling.seed;
-  report->sampling.estimate = result.estimate;
-  report->sampling.relative_stderr = result.relative_stderr;
-  report->sampling.colorful_probability = result.colorful_probability;
-  report->sampling.automorphisms = result.automorphisms;
-  report->sampling.trajectory = result.running_estimates();
-  report->timing.total_seconds = result.seconds_total;
-  report->timing.per_iteration_seconds = result.seconds_per_iteration;
-  report->run.status = run_status_name(result.run.status);
-  result.report = std::move(report);
-  return result;
+  // The labeled K3: its label-preserving maps cover each triangle with
+  // this label multiset |Aut| times (6 / 2 / 1 for aaa / aab / abc).
+  // Without labels it counts every triangle, labeled graph or not.
+  MixedTemplate k3 = MixedTemplate::triangle();
+  if (!labels.empty()) k3.set_labels(labels);
+  return detail::count_mixed(graph, k3, options, "count_triangles");
 }
 
 }  // namespace fascia

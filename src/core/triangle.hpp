@@ -2,13 +2,12 @@
 // Triangle template support (the paper's "tree-like graph templates
 // with triangles", §I/§II-C; our catalog's U3-2).
 //
-// A triangle cannot be split by a single edge cut, so it enters the
-// color-coding framework as a *base case*: its colorful count at a
-// vertex is computed directly by neighborhood intersection rather than
-// by the tree DP.  This file provides the standalone triangle counter
-// used by the Fig. 3/4/6 benches (U3-2 alone); exact counting is also
-// here since triangles are cheap to enumerate exactly — the benches
-// use it to report triangle-estimate error.
+// count_triangles is the labeled K3 run as a mixed template
+// (core/mixed_counter.hpp): one triangle-join DP stage per coloring on
+// the iteration driver, with its run controls and report.  Exact
+// counting stays here as an oriented enumeration (each triangle once)
+// — the K3 oracle the tests and the Fig. 3/4/6 benches check
+// estimates against.
 
 #include "core/count_options.hpp"
 #include "graph/graph.hpp"
@@ -22,7 +21,10 @@ double exact_triangle_count(const Graph& graph,
 
 /// Color-coding estimate of the triangle count: `iterations` random
 /// colorings, counting colorful triangles and unbiasing by P and the
-/// labeled automorphism count.  Deterministic in options.seed.
+/// labeled automorphism count.  Deterministic in options.seed.  With
+/// `labels` (3 entries) only triangles with that label multiset count;
+/// without, every triangle counts, labeled graph or not.  Honors the
+/// options count_mixed_template does (report kind "count_triangles").
 CountResult count_triangles(const Graph& graph, const CountOptions& options,
                             const std::vector<std::uint8_t>& labels = {});
 

@@ -153,7 +153,10 @@ std::size_t estimate_spill_working_set_bytes(const PartitionTree& partition,
     // A stage needs its own table plus its children resident; every
     // completed table outside this triple is spillable.
     peak = std::max(peak, table_bytes(i) + table_bytes(node.active) +
-                              table_bytes(node.passive));
+                              table_bytes(node.passive) +
+                              (node.is_triangle_join()
+                                   ? table_bytes(node.passive2)
+                                   : 0));
   }
   return peak;
 }
@@ -177,8 +180,19 @@ std::size_t estimate_workspace_bytes(const PartitionTree& partition,
         static_cast<std::size_t>(num_rooted_colorsets(num_colors, a));
     // row + psum + gather doubles, plus the nonzero-index buffer
     // (one 32-bit index per rooted active slot).
-    const std::size_t bytes = (row + psum + gather) * sizeof(double) +
-                              gather * sizeof(std::uint32_t);
+    std::size_t bytes = (row + psum + gather) * sizeof(double) +
+                        gather * sizeof(std::uint32_t);
+    if (node.is_triangle_join()) {
+      // The triangle kernel: a global rest row over C(k, h - a) sets, a
+      // global y sum, and rooted x and y rows (its one-byte-per-vertex
+      // marks are priced in plan_memory).
+      const int sy = partition.node(node.passive2).size();
+      const std::size_t scratch =
+          num_colorsets(num_colors, node.size() - a) +
+          num_colorsets(num_colors, sy) + num_rooted_colorsets(num_colors, p) +
+          num_rooted_colorsets(num_colors, sy);
+      bytes = (row + scratch + gather) * sizeof(double);
+    }
     peak = std::max(peak, bytes);
   }
   return peak;
@@ -194,9 +208,14 @@ MemoryPlan plan_memory(const PartitionTree& partition, int num_colors,
   const std::size_t threads =
       static_cast<std::size_t>(std::max(1, threads_per_copy));
   // Per engine copy, beyond its tables: one scratch workspace per sweep
-  // thread plus the frontier in/out lists (~2 x 4 bytes per vertex).
+  // thread (with a byte per vertex of neighbor marks when a triangle
+  // stage runs) plus the frontier in/out lists (~2 x 4 bytes per vertex).
+  const bool triangles = std::any_of(
+      partition.nodes().begin(), partition.nodes().end(),
+      [](const Subtemplate& node) { return node.is_triangle_join(); });
   const std::size_t per_copy_overhead =
-      threads * estimate_workspace_bytes(partition, num_colors) +
+      threads * (estimate_workspace_bytes(partition, num_colors) +
+                 (triangles ? static_cast<std::size_t>(n) : 0)) +
       static_cast<std::size_t>(n) * 2 * sizeof(VertexId);
   const auto per_copy = [&](TableKind kind) {
     return (plan.spill ? estimate_spill_working_set_bytes(

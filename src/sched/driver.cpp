@@ -22,7 +22,6 @@
 #include "run/checkpoint.hpp"
 #include "run/guard.hpp"
 #include "run/memory.hpp"
-#include "treelet/canonical.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/mem_tracker.hpp"
@@ -254,9 +253,8 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
   int requested = 0;
   for (std::size_t j = 0; j < num_jobs; ++j) {
     BatchJobResult& result = out.jobs[j];
-    result.colorful_probability =
-        colorful_probability(k, jobs[j].tmpl.size());
-    result.automorphisms = automorphisms(jobs[j].tmpl);
+    result.colorful_probability = colorful_probability(k, plan.job_size[j]);
+    result.automorphisms = plan.job_automorphisms[j];
     JobState& state = states[j];
     state.scale = 1.0 / (result.colorful_probability *
                          static_cast<double>(result.automorphisms));

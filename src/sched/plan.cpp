@@ -13,6 +13,7 @@
 #include "comb/binomial.hpp"
 #include "comb/colorset.hpp"
 #include "run/memory.hpp"
+#include "treelet/canonical.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
 
@@ -68,6 +69,37 @@ void validate(const Graph& graph, const std::vector<BatchJob>& jobs,
   }
 }
 
+/// Stage demand per job = non-leaf stages reachable from its root in
+/// the *merged* DAG (a deduped node contributes its representative's
+/// decomposition, which is what one iteration actually computes).
+void fill_job_nodes(BatchPlan& plan) {
+  const std::size_t num_jobs = plan.job_root.size();
+  plan.job_nodes.assign(num_jobs, {});
+  plan.job_stage_demand.assign(num_jobs, 0);
+  for (std::size_t j = 0; j < num_jobs; ++j) {
+    std::vector<char> seen(static_cast<std::size_t>(plan.merged.num_nodes()),
+                           0);
+    std::vector<int> stack = {plan.job_root[j]};
+    seen[static_cast<std::size_t>(plan.job_root[j])] = 1;
+    while (!stack.empty()) {
+      const int id = stack.back();
+      stack.pop_back();
+      plan.job_nodes[j].push_back(id);
+      const Subtemplate& stage = plan.merged.node(id);
+      if (stage.is_leaf()) continue;
+      ++plan.job_stage_demand[j];
+      for (int child : {stage.active, stage.passive, stage.passive2}) {
+        if (child >= 0 && !seen[static_cast<std::size_t>(child)]) {
+          seen[static_cast<std::size_t>(child)] = 1;
+          stack.push_back(child);
+        }
+      }
+    }
+    std::sort(plan.job_nodes[j].begin(), plan.job_nodes[j].end());
+    plan.total_stage_instances += plan.job_stage_demand[j];
+  }
+}
+
 /// Partitions job j with strategies[j] at roots[j] (through
 /// options.partition_provider when set) and merges the partitions,
 /// interned in `order`, into one plan.  With cross-template reuse, a
@@ -86,6 +118,10 @@ BatchPlan merge(const std::vector<BatchJob>& jobs, const BatchOptions& options,
   plan.job_partition_root = roots;
   plan.job_partition_strategy = strategies;
   plan.job_dp_cost.assign(num_jobs, 0.0);
+  for (const BatchJob& job : jobs) {
+    plan.job_size.push_back(job.tmpl.size());
+    plan.job_automorphisms.push_back(automorphisms(job.tmpl));
+  }
 
   // The canon key is the rooted canonical form (labels included), so
   // two stages merge exactly when their DP tables would be equal for
@@ -113,6 +149,7 @@ BatchPlan merge(const std::vector<BatchJob>& jobs, const BatchOptions& options,
         if (!stage.is_leaf()) {
           stage.active += offset;
           stage.passive += offset;
+          if (stage.is_triangle_join()) stage.passive2 += offset;
         }
         nodes.push_back(std::move(stage));
       }
@@ -150,33 +187,7 @@ BatchPlan merge(const std::vector<BatchJob>& jobs, const BatchOptions& options,
     if (!plan.merged.node(i).is_leaf()) ++plan.unique_stages;
   }
 
-  // Stage demand per job = non-leaf stages reachable from its root in
-  // the *merged* DAG (a deduped node contributes its representative's
-  // decomposition, which is what one iteration actually computes).
-  plan.job_nodes.resize(num_jobs);
-  plan.job_stage_demand.resize(num_jobs);
-  for (std::size_t j = 0; j < num_jobs; ++j) {
-    std::vector<char> seen(static_cast<std::size_t>(plan.merged.num_nodes()),
-                           0);
-    std::vector<int> stack = {plan.job_root[j]};
-    seen[static_cast<std::size_t>(plan.job_root[j])] = 1;
-    while (!stack.empty()) {
-      const int id = stack.back();
-      stack.pop_back();
-      plan.job_nodes[j].push_back(id);
-      const Subtemplate& stage = plan.merged.node(id);
-      if (stage.is_leaf()) continue;
-      ++plan.job_stage_demand[j];
-      for (int child : {stage.active, stage.passive}) {
-        if (!seen[static_cast<std::size_t>(child)]) {
-          seen[static_cast<std::size_t>(child)] = 1;
-          stack.push_back(child);
-        }
-      }
-    }
-    std::sort(plan.job_nodes[j].begin(), plan.job_nodes[j].end());
-    plan.total_stage_instances += plan.job_stage_demand[j];
-  }
+  fill_job_nodes(plan);
   return plan;
 }
 
@@ -719,6 +730,25 @@ BatchPlan plan_batch(const Graph& graph, const std::vector<BatchJob>& jobs,
   BatchPlan plan = merge(jobs, options, strategies, roots, order, k);
   plan.partition_choice = choice;
   plan.seconds = timer.elapsed_s();
+  return plan;
+}
+
+BatchPlan plan_partition(PartitionTree partition, int num_colors,
+                         int template_size, std::uint64_t automorphisms,
+                         int root) {
+  BatchPlan plan;
+  plan.num_colors = num_colors;
+  plan.job_dp_cost = {partition.dp_cost(num_colors)};
+  plan.merged = std::move(partition);
+  plan.job_root = {plan.merged.root_node()};
+  plan.job_size = {template_size};
+  plan.job_automorphisms = {automorphisms};
+  plan.job_partition_root = {root};
+  plan.job_partition_strategy = {PartitionStrategy::kOneAtATime};
+  for (const Subtemplate& node : plan.merged.nodes()) {
+    if (!node.is_leaf()) ++plan.unique_stages;
+  }
+  fill_job_nodes(plan);
   return plan;
 }
 

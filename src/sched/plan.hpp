@@ -43,6 +43,7 @@
 // rises above the default's.
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -72,6 +73,11 @@ struct BatchPlan {
 
   /// Merged node id of each job's root stage.
   std::vector<int> job_root;
+
+  /// Each job's template size and automorphism count: the driver's
+  /// unbiasing constants.
+  std::vector<int> job_size;
+  std::vector<std::uint64_t> job_automorphisms;
 
   /// Template vertex each job's partition was requested at (-1 = the
   /// partitioner's default): the root handed to partition_provider.
@@ -122,5 +128,14 @@ BatchPlan plan_batch(const Graph& graph, const std::vector<BatchJob>& jobs,
 BatchPlan merge_plan(const Graph& graph, const std::vector<BatchJob>& jobs,
                      const BatchOptions& options, const std::vector<int>& roots,
                      const std::vector<std::size_t>& order);
+
+/// A one-job plan over a partition built elsewhere — a mixed
+/// template's (treelet/mixed_partition.hpp), which no planner search
+/// covers — for a template of `template_size` vertices and
+/// `automorphisms` automorphisms.  `root` is recorded as the job's
+/// partition root (-1 = the partitioner's default).
+BatchPlan plan_partition(PartitionTree partition, int num_colors,
+                         int template_size, std::uint64_t automorphisms,
+                         int root = -1);
 
 }  // namespace fascia::sched

@@ -1,7 +1,6 @@
 #include "treelet/mixed_partition.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
 #include "util/error.hpp"
@@ -50,9 +49,10 @@ class Builder {
   explicit Builder(const MixedTemplate& t) : t_(t) {}
 
   int build(std::vector<int> vertices, int root) {
-    MixedSubtemplate node;
+    Subtemplate node;
     node.vertices = std::move(vertices);
     node.root = root;
+    node.root_label = t_.has_labels() ? t_.label(root) : -1;
 
     if (node.size() > 1) {
       // A triangle block incident to the root inside this subtemplate?
@@ -76,7 +76,6 @@ class Builder {
       if (tri_x >= 0) {
         // Triangle join: remove the block's three edges; x's and y's
         // branches become the two passive children.
-        node.kind = MixedSubtemplate::Kind::kTriangleJoin;
         const std::vector<std::pair<int, int>> cut = {
             {root, tri_x}, {root, tri_y}, {tri_x, tri_y}};
         auto branch_x = side_without_edges(t_, node.vertices, tri_x, cut);
@@ -88,7 +87,6 @@ class Builder {
       } else {
         // Edge join: peel the smallest bridge branch at the root
         // (one-at-a-time heuristic, as for trees).
-        node.kind = MixedSubtemplate::Kind::kEdgeJoin;
         int best_w = -1;
         std::vector<int> best_branch;
         for (int w : t_.neighbors(root)) {
@@ -118,11 +116,11 @@ class Builder {
     return static_cast<int>(nodes_.size()) - 1;
   }
 
-  std::vector<MixedSubtemplate> take() { return std::move(nodes_); }
+  std::vector<Subtemplate> take() { return std::move(nodes_); }
 
  private:
   const MixedTemplate& t_;
-  std::vector<MixedSubtemplate> nodes_;
+  std::vector<Subtemplate> nodes_;
 };
 
 int pick_root(const MixedTemplate& t) {
@@ -148,7 +146,7 @@ int pick_root(const MixedTemplate& t) {
 
 }  // namespace
 
-MixedPartition partition_mixed_template(const MixedTemplate& t, int root) {
+PartitionTree partition_mixed_template(const MixedTemplate& t, int root) {
   if (root < -1 || root >= t.size()) {
     throw usage_error("partition_mixed_template: root out of range");
   }
@@ -158,47 +156,7 @@ MixedPartition partition_mixed_template(const MixedTemplate& t, int root) {
   std::vector<int> all(static_cast<std::size_t>(t.size()));
   for (int v = 0; v < t.size(); ++v) all[static_cast<std::size_t>(v)] = v;
   builder.build(std::move(all), root);
-
-  MixedPartition partition;
-  partition.nodes_ = builder.take();
-
-  for (std::size_t i = 0; i + 1 < partition.nodes_.size(); ++i) {
-    int last_use = -1;
-    for (std::size_t j = 0; j < partition.nodes_.size(); ++j) {
-      const auto& consumer = partition.nodes_[j];
-      if (consumer.active == static_cast<int>(i) ||
-          consumer.passive == static_cast<int>(i) ||
-          consumer.passive2 == static_cast<int>(i)) {
-        last_use = static_cast<int>(j);
-      }
-    }
-    partition.nodes_[i].free_after = last_use;
-  }
-  partition.nodes_.back().free_after = -1;
-  return partition;
-}
-
-std::string MixedPartition::describe() const {
-  std::ostringstream out;
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const auto& node = nodes_[i];
-    out << '[' << i << "] size=" << node.size() << " root=" << node.root;
-    switch (node.kind) {
-      case MixedSubtemplate::Kind::kLeaf:
-        out << " leaf";
-        break;
-      case MixedSubtemplate::Kind::kEdgeJoin:
-        out << " edge-join active=" << node.active
-            << " passive=" << node.passive;
-        break;
-      case MixedSubtemplate::Kind::kTriangleJoin:
-        out << " triangle-join active=" << node.active
-            << " passive=" << node.passive << "," << node.passive2;
-        break;
-    }
-    out << " free_after=" << node.free_after << '\n';
-  }
-  return out.str();
+  return PartitionTree::from_nodes(builder.take());
 }
 
 }  // namespace fascia

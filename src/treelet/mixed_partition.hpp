@@ -4,71 +4,31 @@
 // As for trees, only cuts at the current root are legal.  Two node
 // kinds beyond leaves:
 //   * edge join     — the root's bridge (root, w) is cut; passive is
-//                     w's branch (identical to the tree partitioner).
+//                     w's branch (identical to the tree partitioner,
+//                     and run by the tree stage kernels).
 //   * triangle join — a triangle block (root, x, y) incident to the
 //                     root is removed; the two passive children are
 //                     x's and y's branches, whose images must be
 //                     mutually adjacent graph neighbors of the root's
-//                     image.
+//                     image (DpEngine's triangle stage).
 //
 // No rooted-canonical table sharing here: AHU strings do not cover
 // graphs with cycles, and mixed templates are small enough that the
 // tree pipeline's memory optimization is not worth a graph-canonical
 // form (documented in DESIGN.md).
 
-#include <string>
-#include <vector>
-
 #include "treelet/mixed_template.hpp"
+#include "treelet/partition.hpp"
 
 namespace fascia {
 
-struct MixedSubtemplate {
-  enum class Kind { kLeaf, kEdgeJoin, kTriangleJoin };
-
-  std::vector<int> vertices;  ///< sorted template vertex ids
-  int root = -1;
-  Kind kind = Kind::kLeaf;
-  int active = -1;     ///< node index; contains the root
-  int passive = -1;    ///< edge join: branch; triangle join: x's branch
-  int passive2 = -1;   ///< triangle join only: y's branch
-  int free_after = -1;
-
-  [[nodiscard]] int size() const noexcept {
-    return static_cast<int>(vertices.size());
-  }
-  [[nodiscard]] bool is_leaf() const noexcept {
-    return kind == Kind::kLeaf;
-  }
-};
-
-class MixedPartition {
- public:
-  [[nodiscard]] const std::vector<MixedSubtemplate>& nodes() const noexcept {
-    return nodes_;
-  }
-  [[nodiscard]] const MixedSubtemplate& node(int index) const noexcept {
-    return nodes_[static_cast<std::size_t>(index)];
-  }
-  [[nodiscard]] int num_nodes() const noexcept {
-    return static_cast<int>(nodes_.size());
-  }
-  [[nodiscard]] int root_node() const noexcept { return num_nodes() - 1; }
-  [[nodiscard]] int template_root() const noexcept {
-    return nodes_.back().root;
-  }
-
-  [[nodiscard]] std::string describe() const;
-
- private:
-  friend MixedPartition partition_mixed_template(const MixedTemplate&, int);
-  std::vector<MixedSubtemplate> nodes_;
-};
-
 /// Partitions `t` rooted at `root` (-1: smallest-degree vertex not
 /// inside a triangle when one exists, else vertex 0).  Nodes come out
-/// in bottom-up topological order; back() is the full template.
-MixedPartition partition_mixed_template(const MixedTemplate& t,
-                                        int root = -1);
+/// in bottom-up topological order; back() is the full template.  An
+/// edge join is an ordinary Subtemplate (active, passive); a triangle
+/// join also sets passive2 (y's branch).  Nodes carry their root's
+/// label but no canonical key: nothing is shared.
+PartitionTree partition_mixed_template(const MixedTemplate& t,
+                                       int root = -1);
 
 }  // namespace fascia

@@ -31,6 +31,10 @@ void compute_lifetimes(std::vector<Subtemplate>& nodes) {
         static_cast<int>(j);
     nodes[static_cast<std::size_t>(nodes[j].passive)].free_after =
         static_cast<int>(j);
+    if (nodes[j].is_triangle_join()) {
+      nodes[static_cast<std::size_t>(nodes[j].passive2)].free_after =
+          static_cast<int>(j);
+    }
   }
 }
 
@@ -66,9 +70,10 @@ PartitionTree PartitionTree::from_nodes(std::vector<Subtemplate> nodes,
     const Subtemplate& node = nodes[static_cast<std::size_t>(i)];
     const bool children_ok =
         node.is_leaf()
-            ? node.active < 0 && node.passive < 0
+            ? node.active < 0 && node.passive < 0 && node.passive2 < 0
             : node.active >= 0 && node.active < i && node.passive >= 0 &&
-                  node.passive < i;
+                  node.passive < i && node.passive2 >= -1 &&
+                  node.passive2 < i;
     if (!children_ok) {
       throw usage_error(
           "PartitionTree::from_nodes: children must precede parents");
@@ -262,6 +267,7 @@ std::string PartitionTree::describe() const {
     out << '}';
     if (!node.is_leaf()) {
       out << " active=" << node.active << " passive=" << node.passive;
+      if (node.is_triangle_join()) out << "," << node.passive2;
     }
     out << " free_after=" << node.free_after << '\n';
   }

@@ -57,6 +57,10 @@ struct Subtemplate {
   int root_label = -1;        ///< label of the root vertex; -1 = unlabeled
   int active = -1;            ///< node index of active child; -1 for leaves
   int passive = -1;           ///< node index of passive child; -1 for leaves
+  /// Triangle joins only (treelet/mixed_partition.hpp): node index of
+  /// the second passive child, whose root is adjacent to both the
+  /// node's root and `passive`'s root; -1 for edge joins and leaves.
+  int passive2 = -1;
   std::string canon;          ///< rooted canonical key (labels included)
   int free_after = -1;        ///< last node index needing this table; -1 = root
 
@@ -64,6 +68,9 @@ struct Subtemplate {
     return static_cast<int>(vertices.size());
   }
   [[nodiscard]] bool is_leaf() const noexcept { return active < 0; }
+  [[nodiscard]] bool is_triangle_join() const noexcept {
+    return passive2 >= 0;
+  }
 };
 
 class PartitionTree {

@@ -1,17 +1,23 @@
 // Tests for the "tree-like templates with triangles" extension:
 // MixedTemplate validation, block detection, automorphisms, the
-// triangle-join DP (per-coloring exactness against brute force), and
-// estimator convergence.
+// DpEngine triangle stage (per-coloring exactness against brute force
+// in every table layout), estimator convergence, and the run controls
+// the iteration driver gives mixed counts.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "core/coloring.hpp"
 #include "core/counter.hpp"
+#include "core/engine.hpp"
 #include "core/mixed_counter.hpp"
-#include "core/mixed_engine.hpp"
 #include "core/mixed_extract.hpp"
 #include "core/triangle.hpp"
 #include "dp/table_compact.hpp"
+#include "dp/table_hash.hpp"
+#include "dp/table_naive.hpp"
+#include "dp/table_succinct.hpp"
 #include "exact/backtrack.hpp"
 #include "graph/components.hpp"
 #include "graph/generators.hpp"
@@ -133,10 +139,10 @@ TEST(MixedPartition, TriangleJoinAppears) {
   const auto partition = partition_mixed_template(paw());
   bool has_triangle_join = false;
   for (const auto& node : partition.nodes()) {
-    if (node.kind == MixedSubtemplate::Kind::kTriangleJoin) {
+    if (node.is_triangle_join()) {
       has_triangle_join = true;
+      EXPECT_GE(node.active, 0);
       EXPECT_GE(node.passive, 0);
-      EXPECT_GE(node.passive2, 0);
     }
   }
   EXPECT_TRUE(has_triangle_join);
@@ -147,7 +153,7 @@ TEST(MixedPartition, TreeHasOnlyEdgeJoins) {
   const auto partition =
       partition_mixed_template(MixedTemplate::from_tree(TreeTemplate::path(5)));
   for (const auto& node : partition.nodes()) {
-    EXPECT_NE(node.kind, MixedSubtemplate::Kind::kTriangleJoin);
+    EXPECT_FALSE(node.is_triangle_join());
   }
 }
 
@@ -160,14 +166,12 @@ TEST(MixedPartition, RootOverride) {
 
 // ---- DP correctness: per-coloring equality with brute force --------------
 
-class MixedPerColoring : public ::testing::TestWithParam<int> {};
-
-TEST_P(MixedPerColoring, DpMatchesBruteForceColorful) {
+template <class Table>
+void expect_dp_matches_brute_force(int seed_offset) {
   const Graph g = test_graph();
   const std::vector<MixedTemplate> templates = {
       MixedTemplate::triangle(), paw(), bull(), tailed_triangle(),
       two_triangles_shared_vertex()};
-  const int seed_offset = GetParam();
   for (const auto& tmpl : templates) {
     const int k = tmpl.size();
     const auto colors = detail::random_coloring(
@@ -175,13 +179,22 @@ TEST_P(MixedPerColoring, DpMatchesBruteForceColorful) {
     const double brute = testing::brute_force_maps(
         g, tmpl, std::vector<std::uint8_t>(colors.begin(), colors.end()));
     for (int root : {-1, 0, tmpl.size() - 1}) {
-      const auto partition = partition_mixed_template(tmpl, root);
-      MixedDpEngine<CompactTable> engine(g, tmpl, partition, k);
+      const PartitionTree partition = partition_mixed_template(tmpl, root);
+      DpEngine<Table> engine(g, partition, k);
       const double raw = engine.run(colors, /*parallel_inner=*/false);
-      ASSERT_NEAR(raw, brute, 1e-6 * (1.0 + brute))
-          << tmpl.describe() << " root=" << root;
+      ASSERT_EQ(raw, brute) << tmpl.describe() << " root=" << root << " "
+                            << Table::kName;
     }
   }
+}
+
+class MixedPerColoring : public ::testing::TestWithParam<int> {};
+
+TEST_P(MixedPerColoring, DpMatchesBruteForceColorful) {
+  expect_dp_matches_brute_force<CompactTable>(GetParam());
+  expect_dp_matches_brute_force<NaiveTable>(GetParam());
+  expect_dp_matches_brute_force<HashTable>(GetParam());
+  expect_dp_matches_brute_force<SuccinctTable>(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MixedPerColoring, ::testing::Values(0, 1, 2));
@@ -289,6 +302,76 @@ TEST(MixedCounter, OptionValidation) {
   options.sampling.num_colors = 0;
   options.per_vertex = true;
   EXPECT_THROW(count_mixed_template(g, paw(), options), std::invalid_argument);
+}
+
+// ---- run controls ----------------------------------------------------------
+
+TEST(MixedCounter, PresetCancelStopsBeforeWork) {
+  const Graph g = test_graph();
+  CancelSource cancel;
+  cancel.request();
+  CountOptions options;
+  options.sampling.iterations = 6;
+  options.execution.mode = ParallelMode::kSerial;
+  options.run.cancel = &cancel.flag();
+  const CountResult result =
+      count_mixed_template(g, two_triangles_shared_vertex(), options);
+  EXPECT_NE(result.run.status, RunStatus::kCompleted);
+  EXPECT_EQ(result.run.completed_iterations, 0);
+  EXPECT_TRUE(result.per_iteration.empty());
+}
+
+TEST(MixedCounter, CheckpointResumeIsBitIdentical) {
+  const Graph g = test_graph();
+  const MixedTemplate bowtie = two_triangles_shared_vertex();
+  const std::string path =
+      ::testing::TempDir() + "fascia_mixed_resume_bowtie.bin";
+  std::remove(path.c_str());
+  CountOptions reference_options;
+  reference_options.sampling.iterations = 6;
+  reference_options.sampling.seed = 23;
+  reference_options.execution.mode = ParallelMode::kSerial;
+  const CountResult reference =
+      count_mixed_template(g, bowtie, reference_options);
+
+  CountOptions first = reference_options;
+  first.sampling.iterations = 2;
+  first.run.checkpoint_path = path;
+  first.run.checkpoint_every = 1;
+  const CountResult partial = count_mixed_template(g, bowtie, first);
+  EXPECT_EQ(partial.run.status, RunStatus::kCompleted);
+  EXPECT_GE(partial.run.checkpoints_written, 1);
+
+  CountOptions second = reference_options;
+  second.run.checkpoint_path = path;
+  second.run.resume = true;
+  const CountResult resumed = count_mixed_template(g, bowtie, second);
+  EXPECT_TRUE(resumed.run.resumed);
+  EXPECT_EQ(resumed.run.resumed_iterations, 2);
+  EXPECT_TRUE(resumed.run.resume_rejected.empty());
+  EXPECT_EQ(resumed.per_iteration, reference.per_iteration);
+
+  // The fingerprint tells templates apart: a paw does not resume it.
+  const CountResult other = count_mixed_template(g, paw(), second);
+  EXPECT_FALSE(other.run.resumed);
+  std::remove(path.c_str());
+}
+
+TEST(MixedCounter, ReportNamesTheTriangleStage) {
+  const Graph g = test_graph();
+  CountOptions options;
+  options.sampling.iterations = 2;
+  options.execution.mode = ParallelMode::kSerial;
+  options.observability.enabled = true;
+  const CountResult result = count_mixed_template(g, paw(), options);
+  ASSERT_NE(result.report, nullptr);
+  EXPECT_EQ(result.report->kind, "count_mixed_template");
+  EXPECT_EQ(result.report->run.status, "completed");
+  bool triangle = false;
+  for (const obs::ReportStage& stage : result.report->stages) {
+    triangle = triangle || stage.kernel == "triangle";
+  }
+  EXPECT_TRUE(triangle);
 }
 
 // ---- extraction ------------------------------------------------------------

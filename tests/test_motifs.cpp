@@ -62,11 +62,11 @@ TEST(Motifs, DeterministicInSeed) {
   EXPECT_EQ(a.counts, b.counts);
 }
 
-TEST(Motifs, TemplatesUseDistinctSeeds) {
-  // Different templates must not share colorings: with 1 iteration the
-  // estimates for two path-isomorphic... there is only one path shape,
-  // so instead check that the profile is not constant across shapes
-  // (which would hint at correlated colorings on this asymmetric graph).
+TEST(Motifs, ShapesGetDistinctEstimates) {
+  // Every template of the profile sees the same coloring per iteration
+  // (one run_batch workload), yet each scales its own colorful count:
+  // with 1 iteration the profile must not be constant across shapes on
+  // this asymmetric graph.
   CountOptions options;
   options.sampling.iterations = 1;
   options.execution.mode = ParallelMode::kSerial;

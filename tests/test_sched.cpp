@@ -373,13 +373,12 @@ TEST(Sched, ValidationErrors) {
   EXPECT_THROW(sched::run_batch(g, jobs, {}), fascia::Error);
 }
 
-TEST(Sched, MotifProfileBatchFlagMatchesSharedSeedPath) {
+TEST(Sched, MotifProfileMatchesSharedSeedPath) {
   const Graph g = test_graph();
   CountOptions options;
   options.sampling.iterations = 3;
   options.sampling.seed = 31;
   options.execution.mode = ParallelMode::kSerial;
-  options.execution.batch_engine = true;
   const MotifProfile profile = count_all_treelets(g, 5, options);
   ASSERT_EQ(profile.counts.size(), 3u);
   ASSERT_EQ(profile.iterations.size(), 3u);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/builder.hpp"
 #include "graph/components.hpp"
 #include "graph/generators.hpp"
 
@@ -39,12 +40,24 @@ TEST(Significance, RandomGraphHasNoStrongMotifs) {
 }
 
 TEST(Significance, PlantedStructureDetected) {
-  // Degree-preserving rewiring destroys clustering but keeps degrees:
-  // a graph assembled from dense clusters shows path/star imbalance
-  // versus its rewired ensemble.  Use a strongly clustered contact
-  // network — its abundance of short cycles depresses tree counts
-  // relative to the randomized version, giving |z| >> 0 somewhere.
-  const Graph g = largest_component(contact_network(600, 12.0, 4));
+  // Degree-preserving rewiring keeps every star count (Σ C(d, k-1)) but
+  // not the degree correlations: a 4-path count sums (d_u-1)(d_v-1)
+  // over edges, minus 3 per triangle.  Plant hubs joined to hubs — a
+  // 25-clique beside a 200-vertex ring of degree-2 vertices — and the
+  // real graph holds far more 4-paths than its rewired ensemble.  (A
+  // clustered contact network is no such plant: its exact 4-path count
+  // sits inside the ensemble's spread, so |z| there is sampling noise.)
+  constexpr int kCore = 25;
+  constexpr int kRing = 200;
+  EdgeList edges;
+  for (int u = 0; u < kCore; ++u) {
+    for (int v = u + 1; v < kCore; ++v) edges.emplace_back(u, v);
+  }
+  for (int i = 0; i < kRing; ++i) {
+    edges.emplace_back(kCore + i, kCore + (i + 1) % kRing);
+  }
+  edges.emplace_back(0, kCore);
+  const Graph g = build_graph(kCore + kRing, edges);
   CountOptions options;
   options.sampling.iterations = 60;
   options.execution.mode = ParallelMode::kSerial;
