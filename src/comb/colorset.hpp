@@ -66,9 +66,9 @@ inline constexpr ColorsetIndex kNoRootedSlot = ~ColorsetIndex{0};
 
 /// The translation between global colorset indices and color-rooted
 /// slots for size-h sets over k colors, tabulated both ways.  Every
-/// caller that addresses a DP row by global colorset (the reference
-/// kernels, the embedding extractor) and every kernel index list is
-/// built through it.
+/// caller that addresses a DP row by global colorset (the embedding
+/// extractor, the bit-identity checks against exact/colorful_dp) and
+/// every kernel index list is built through it.
 class RootedColorsets {
  public:
   RootedColorsets(int num_colors, int set_size);

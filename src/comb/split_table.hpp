@@ -26,8 +26,9 @@
 // RootedSplit carries the general (a > 1, p > 1) lists, and both
 // splits of a triangle join (whose children may be single vertices).
 // The global per-parent views (SplitTable, SingleActiveSplit::entries)
-// stay for the reference kernels, which address rows by global
-// colorset index.
+// address rows by global colorset index: the oracle
+// (exact/colorful_dp.hpp) walks SplitTable, and the rooted pair lists
+// are built from entries().
 
 #include <cstdint>
 #include <span>
@@ -178,7 +179,7 @@ class SingleActiveSplit {
   [[nodiscard]] int parent_size() const noexcept { return h_; }
 
   /// All (passive, parent) pairs whose parent colorset contains `color`,
-  /// as GLOBAL indices (the reference kernels' view).  Length is
+  /// as GLOBAL indices.  Length is
   /// C(k-1, h-1) for every color; passive indices ascend.
   [[nodiscard]] std::span<const Entry> entries(int color) const noexcept {
     return {table_.data() + static_cast<std::size_t>(color) * per_color_, per_color_};

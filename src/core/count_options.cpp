@@ -43,11 +43,6 @@ void CountOptions::validate() const {
                       std::to_string(execution.threads) + ")");
   }
   if (execution.incremental) {
-    if (execution.reference_kernels) {
-      throw usage_error(
-          "execution.incremental requires the frontier kernels; "
-          "reference_kernels retain no frontiers to recount from");
-    }
     if (execution.mode == ParallelMode::kOuterLoop ||
         execution.mode == ParallelMode::kHybrid) {
       throw usage_error(

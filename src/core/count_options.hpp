@@ -106,8 +106,9 @@ struct ExecutionOptions {
   /// reported per-vertex outputs stay keyed by original ids.  Deliberately
   /// excluded from checkpoint fingerprints: a run may resume under a
   /// different reorder mode.  Honored by count_template,
-  /// graphlet_degrees, and the extraction routines; count_triangles,
-  /// non-tree count_mixed_template and count_all_treelets reject a
+  /// graphlet_degrees, and the tree extraction routines;
+  /// count_triangles, non-tree count_mixed_template, non-tree
+  /// sample_mixed_embeddings and count_all_treelets reject a
   /// non-default value with a usage error (they never reorder).
   ReorderMode reorder = ReorderMode::kNone;
 
@@ -117,19 +118,12 @@ struct ExecutionOptions {
   /// [1, threads] when threads is pinned.
   int outer_copies = 0;
 
-  /// Run the pre-frontier scalar DP kernels instead of the vectorized
-  /// frontier/SoA path (DESIGN.md §8).  Estimates are identical either
-  /// way; the flag exists for bit-identity tests and kernel
-  /// benchmarking, so it is deliberately excluded from checkpoint
-  /// fingerprints.
-  bool reference_kernels = false;
-
   /// Retain per-iteration DP state for incremental recounting after
   /// graph deltas (core/incremental.hpp: begin_incremental /
   /// RunHandle::recount).  Memory grows to iterations x the non-leaf
   /// table set, so it is opt-in.  validate() rejects it combined with
-  /// reference_kernels, kOuterLoop/kHybrid modes, a reorder pass, or
-  /// any armed RunControls — the retained state must be a plain
+  /// kOuterLoop/kHybrid modes, a reorder pass, or any armed
+  /// RunControls — the retained state must be a plain
   /// inner-parallel pass keyed on original vertex ids.
   /// count_template refuses the flag (use begin_incremental).
   bool incremental = false;
@@ -230,10 +224,6 @@ class CountOptions::Builder {
     opts_.execution.outer_copies = n;
     return *this;
   }
-  Builder& reference_kernels(bool on) {
-    opts_.execution.reference_kernels = on;
-    return *this;
-  }
   Builder& incremental(bool on) {
     opts_.execution.incremental = on;
     return *this;
@@ -306,8 +296,8 @@ class CountOptions::Builder {
 inline CountOptions::Builder CountOptions::builder() { return Builder(); }
 
 /// Reject a reorder request on an entry point that never reorders
-/// (count_triangles, non-tree count_mixed_template, count_all_treelets)
-/// with Error(kUsage).
+/// (count_triangles, non-tree count_mixed_template and
+/// sample_mixed_embeddings, count_all_treelets) with Error(kUsage).
 void reject_unsupported_reorder(const CountOptions& options, const char* api);
 
 struct CountResult : RunOutcome {

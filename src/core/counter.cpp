@@ -34,7 +34,6 @@ sched::BatchOptions one_job_options(const CountOptions& options, int k) {
   batch.mode = options.execution.mode;
   batch.num_threads = options.execution.threads;
   batch.seed = options.sampling.seed;
-  batch.reference_kernels = options.execution.reference_kernels;
   batch.run = options.run;
   batch.observability = options.observability;
   return batch;
@@ -211,8 +210,6 @@ CountResult run_count(const Graph& graph, const CountSubject& subject,
       {"execution.reorder", reorder_mode_name(options.execution.reorder)},
       {"execution.outer_copies",
        std::to_string(options.execution.outer_copies)},
-      {"execution.reference_kernels",
-       format_bool(options.execution.reference_kernels)},
       {"root", std::to_string(options.root)},
       {"per_vertex", format_bool(options.per_vertex)},
   };

@@ -44,14 +44,13 @@
 //     rows borrowed from the tables (Table::row_ptr) under `omp simd`,
 //     with no per-element pointer chase.
 //
-// The pre-frontier scalar kernels are retained behind
-// DpEngineOptions::reference_kernels: they walk the global split
-// tables and reach the rooted rows through RootedColorsets.  Both
-// paths produce identical estimates (all DP values are exact integer
-// counts in doubles, so the reassociated sums match bit for bit while
-// counts stay below 2^53, and root totals are summed exactly as
-// integers), which tests/test_counter.cpp pins down and bench/micro_dp
-// measures.
+// There is one kernel per stage kind.  Their oracle is
+// exact/colorful_dp.hpp, Alg. 2 written literally over global
+// colorsets: all DP values are exact integer counts in doubles, so
+// every table entry must equal the oracle's bit for bit while counts
+// stay below 2^53 (root totals are summed exactly as integers).
+// tests/test_counter.cpp pins that down and bench/micro_dp times the
+// kernels against it.
 //
 // Exact 32-bit rows (DESIGN.md §8): before a stage runs, the engine
 // bounds its entries from its children's tracked maxima
@@ -62,7 +61,6 @@
 // each sum sees the same doubles in the same order at either width.
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -253,10 +251,6 @@ struct DeltaPassStats {
 
 /// Engine tuning knobs (all default to the production fast path).
 struct DpEngineOptions {
-  /// Run the pre-frontier scalar kernels instead of the vectorized
-  /// ones.  Test/bench hook: estimates are identical either way.
-  bool reference_kernels = false;
-
   /// Record one DpStageStats entry per computed node pass.
   bool collect_stats = false;
 
@@ -302,13 +296,12 @@ struct DpStageStats {
   double seconds = 0.0;
   std::uint64_t candidates = 0;  ///< vertices iterated by the pass
   std::uint64_t survivors = 0;   ///< nonzero rows committed (frontier out)
-  std::uint64_t macs = 0;        ///< multiply-accumulates performed (fast path)
+  std::uint64_t macs = 0;        ///< multiply-accumulates performed
   int entry_bytes = 8;           ///< stored width: 4 (int32) or 8 (double)
   std::uint64_t bound = 0;       ///< stage_entry_bound the width came from
-  double max_entry = 0.0;        ///< largest committed entry (fast path)
+  double max_entry = 0.0;        ///< largest committed entry
   /// Every entry of the pass is known to be at most 2^53, so exact in
-  /// a double: false for reference-kernel and delta passes, whose
-  /// maxima are not tracked.
+  /// a double: false for delta passes, whose maxima are not tracked.
   bool exact = false;
 };
 
@@ -525,9 +518,6 @@ class DpEngine {
             general_splits_.try_emplace(std::make_pair(h, a), k_, h, a);
         (void)inserted;
         node_general_[static_cast<std::size_t>(i)] = &it->second;
-        if (opts_.reference_kernels) {
-          global_splits_.try_emplace(std::make_pair(h, a), k_, h, a);
-        }
         // Nonzero active-row entries per vertex: the rooted active row
         // holds C(k-1, a-1) slots, so at most that many survive the
         // hoist.  Reserved once per thread; no per-vertex reallocation.
@@ -610,8 +600,8 @@ class DpEngine {
   }
 
   /// Whether every entry of a computed node's table is known to be at
-  /// most 2^53, so exact in a double.  Leaves are exact; reference-
-  /// kernel and delta passes track no maxima and read false.
+  /// most 2^53, so exact in a double.  Leaves are exact; delta passes
+  /// track no maxima and read false.
   [[nodiscard]] bool node_exact(int node) const noexcept {
     return node_max(node) <= 0x1p53;
   }
@@ -680,9 +670,8 @@ class DpEngine {
     return *rooted_[static_cast<std::size_t>(size)];
   }
 
-  /// Nonzero-vertex list of a computed node's table (empty for leaves,
-  /// freed nodes, or reference-kernel passes).  Same lifetime as the
-  /// node's table.
+  /// Nonzero-vertex list of a computed node's table (empty for leaves
+  /// or freed nodes).  Same lifetime as the node's table.
   [[nodiscard]] const std::vector<VertexId>& frontier(int node)
       const noexcept {
     return frontiers_[static_cast<std::size_t>(node)];
@@ -723,8 +712,8 @@ class DpEngine {
   }
 
   /// Incremental recount after a graph delta — the engine half of the
-  /// delta path.  Preconditions: spill disabled, reference_kernels
-  /// off, graph_ is the POST-delta graph, and tables_/frontiers_ hold
+  /// delta path.  Preconditions: spill disabled, graph_ is the
+  /// POST-delta graph, and tables_/frontiers_ hold
   /// the retained state of this configuration's previous pass over the
   /// PRE-delta graph under the SAME coloring (adopt_retained).
   ///
@@ -1116,64 +1105,39 @@ class DpEngine {
     std::vector<VertexId>& frontier_out =
         frontiers_[static_cast<std::size_t>(index)];
     frontier_out.clear();
-    std::vector<VertexId>* frontier_sink =
-        opts_.reference_kernels ? nullptr : &frontier_out;
 
     if (triangle) {
-      kernel_triangle(*table, index, node, colors, parallel, frontier_sink,
+      kernel_triangle(*table, index, node, colors, parallel, frontier_out,
                       stat);
     } else if (h == 2) {
-      if (opts_.reference_kernels) {
-        kernel_pair_reference(*table, node, colors, parallel);
-      } else {
-        kernel_pair(*table, node, colors, parallel, frontier_sink, stat);
-      }
+      kernel_pair(*table, node, colors, parallel, frontier_out, stat);
     } else if (a == 1) {
-      if (opts_.reference_kernels) {
-        kernel_single_active_reference(*table, node, colors, parallel);
-      } else {
-        with_entry_type(*tables_[static_cast<std::size_t>(node.passive)],
-                        [&]<class E>(std::type_identity<E>) {
-                          kernel_single_active<E>(*table, index, node, colors,
-                                                  parallel, frontier_sink,
-                                                  stat);
-                        });
-      }
+      with_entry_type(*tables_[static_cast<std::size_t>(node.passive)],
+                      [&]<class E>(std::type_identity<E>) {
+                        kernel_single_active<E>(*table, index, node, colors,
+                                                parallel, frontier_out,
+                                                stat);
+                      });
     } else if (p == 1) {
-      if (opts_.reference_kernels) {
-        kernel_single_passive_reference(*table, node, colors, parallel);
-      } else {
-        with_entry_type(*tables_[static_cast<std::size_t>(node.active)],
-                        [&]<class E>(std::type_identity<E>) {
-                          kernel_single_passive<E>(*table, index, node,
-                                                   colors, parallel,
-                                                   frontier_sink, stat);
-                        });
-      }
+      with_entry_type(*tables_[static_cast<std::size_t>(node.active)],
+                      [&]<class E>(std::type_identity<E>) {
+                        kernel_single_passive<E>(*table, index, node, colors,
+                                                 parallel, frontier_out,
+                                                 stat);
+                      });
     } else {
-      if (opts_.reference_kernels) {
-        kernel_general_reference(*table, node, colors, parallel);
-      } else {
-        with_entry_type(*tables_[static_cast<std::size_t>(node.passive)],
-                        [&]<class E>(std::type_identity<E>) {
-                          kernel_general<E>(*table, index, node, colors,
-                                            parallel, frontier_sink, stat);
-                        });
-      }
+      with_entry_type(*tables_[static_cast<std::size_t>(node.passive)],
+                      [&]<class E>(std::type_identity<E>) {
+                        kernel_general<E>(*table, index, node, colors,
+                                          parallel, frontier_out, stat);
+                      });
     }
-    // The reference kernels track no maxima: their tables bound nothing
-    // (so every stage downstream of them stays 8 bytes wide).
-    node_max_[static_cast<std::size_t>(index)] =
-        opts_.reference_kernels ? kUnknownMax : stat.max_entry;
-    stat.exact = !opts_.reference_kernels && delta_restrict_ == nullptr &&
-                 stat.max_entry <= 0x1p53;
+    node_max_[static_cast<std::size_t>(index)] = stat.max_entry;
+    stat.exact = delta_restrict_ == nullptr && stat.max_entry <= 0x1p53;
     // The stage metric samples every live table's bytes at once:
     // MemTracker::current(), one O(1) atomic read.
     const std::size_t table_bytes = obs_on ? MemTracker::current() : 0;
     tables_[static_cast<std::size_t>(index)] = std::move(table);
-    if (opts_.reference_kernels) {
-      stat.candidates = static_cast<std::uint64_t>(graph_.num_vertices());
-    }
     stat.survivors = static_cast<std::uint64_t>(frontier_out.size());
     if (obs_on) {
       detail::record_stage_metrics(stat.kernel, clock.elapsed_s(),
@@ -1277,7 +1241,7 @@ class DpEngine {
   void for_frontier(bool parallel, const FrontierView& front,
                     std::uint32_t row_width, std::uint32_t psum_width,
                     std::size_t active_bound,
-                    std::vector<VertexId>* frontier_out, DpStageStats& stat,
+                    std::vector<VertexId>& frontier_out, DpStageStats& stat,
                     Body&& body) {
     const std::size_t count = front.size();
     stat.candidates = count;
@@ -1301,11 +1265,8 @@ class DpEngine {
       // One survivor flag per candidate position, written by whichever
       // thread ran it; the ordered pass below compacts them into the
       // frontier with no merge lock and no sort.
-      std::uint8_t* keep = nullptr;
-      if (frontier_out != nullptr) {
-        survivor_flags_.resize(count);
-        keep = survivor_flags_.data();
-      }
+      survivor_flags_.resize(count);
+      std::uint8_t* keep = survivor_flags_.data();
       const bool guided = opts_.guided_schedule;
       std::uint64_t macs = 0;
       double max_entry = 0.0;
@@ -1322,14 +1283,12 @@ class DpEngine {
 #pragma omp for schedule(guided, chunk)
           for (std::size_t i = 0; i < count; ++i) {
             const std::size_t pos = count - 1 - i;
-            const bool kept = body(front[pos], ws);
-            if (keep != nullptr) keep[pos] = kept;
+            keep[pos] = body(front[pos], ws);
           }
         } else {
 #pragma omp for schedule(dynamic, chunk)
           for (std::size_t i = 0; i < count; ++i) {
-            const bool kept = body(front[i], ws);
-            if (keep != nullptr) keep[i] = kept;
+            keep[i] = body(front[i], ws);
           }
         }
         macs += ws.macs;
@@ -1337,10 +1296,8 @@ class DpEngine {
       }
       stat.macs += macs;
       stat.max_entry = std::max(stat.max_entry, max_entry);
-      if (keep != nullptr) {
-        for (std::size_t i = 0; i < count; ++i) {
-          if (keep[i] != 0) frontier_out->push_back(front[i]);
-        }
+      for (std::size_t i = 0; i < count; ++i) {
+        if (keep[i] != 0) frontier_out.push_back(front[i]);
       }
       return;
     }
@@ -1350,7 +1307,7 @@ class DpEngine {
     prepare(ws);
     for (std::size_t i = 0; i < count; ++i) {
       const VertexId v = front[i];
-      if (body(v, ws) && frontier_out != nullptr) frontier_out->push_back(v);
+      if (body(v, ws)) frontier_out.push_back(v);
     }
     stat.macs += ws.macs;
     stat.max_entry = std::max(stat.max_entry, ws.max_entry);
@@ -1429,19 +1386,19 @@ class DpEngine {
     return nu;
   }
 
-  // ---- vectorized kernels (the default path) ----------------------------
+  // ---- kernels -----------------------------------------------------------
   // Each iterates the stage's frontier, fills a thread-private rooted
   // row of C(k-1, h-1) counts for vertex v over borrowed contiguous
   // child rows, and commits it when nonzero.  All accumulations
   // reassociate sums of exact integer counts, so results match the
-  // reference kernels bit for bit (header comment).  MAC tallies keep
+  // oracle bit for bit (header comment).  MAC tallies keep
   // their global-colorset definitions (C(k-1, h-1) per single-vertex
   // split, full-width passive rows and split tables in the general
   // fold), so they compare across layouts and releases.
 
   void kernel_pair(Table& out, const Subtemplate& node,
                    const ColorArray& colors, bool parallel,
-                   std::vector<VertexId>* frontier_out, DpStageStats& stat) {
+                   std::vector<VertexId>& frontier_out, DpStageStats& stat) {
     const Subtemplate& active = partition_.node(node.active);
     const Subtemplate& passive = partition_.node(node.passive);
     const std::vector<VertexId>* candidates =
@@ -1482,7 +1439,7 @@ class DpEngine {
   template <class E>
   void kernel_single_active(Table& out, int index, const Subtemplate& node,
                             const ColorArray& colors, bool parallel,
-                            std::vector<VertexId>* frontier_out,
+                            std::vector<VertexId>& frontier_out,
                             DpStageStats& stat) {
     const Subtemplate& active = partition_.node(node.active);
     const Table& tp = *tables_[static_cast<std::size_t>(node.passive)];
@@ -1569,7 +1526,7 @@ class DpEngine {
   template <class E>
   void kernel_single_passive(Table& out, int index, const Subtemplate& node,
                              const ColorArray& colors, bool parallel,
-                             std::vector<VertexId>* frontier_out,
+                             std::vector<VertexId>& frontier_out,
                              DpStageStats& stat) {
     const Subtemplate& passive = partition_.node(node.passive);
     const Table& ta = *tables_[static_cast<std::size_t>(node.active)];
@@ -1653,7 +1610,7 @@ class DpEngine {
   template <class E>
   void kernel_general(Table& out, int index, const Subtemplate& node,
                       const ColorArray& colors, bool parallel,
-                      std::vector<VertexId>* frontier_out,
+                      std::vector<VertexId>& frontier_out,
                       DpStageStats& stat) {
     const Table& ta = *tables_[static_cast<std::size_t>(node.active)];
     const Table& tp = *tables_[static_cast<std::size_t>(node.passive)];
@@ -1872,7 +1829,7 @@ class DpEngine {
   /// the same doubles while entries stay at most 2^53.
   void kernel_triangle(Table& out, int index, const Subtemplate& node,
                        const ColorArray& colors, bool parallel,
-                       std::vector<VertexId>* frontier_out,
+                       std::vector<VertexId>& frontier_out,
                        DpStageStats& stat) {
     const Subtemplate& active = partition_.node(node.active);
     const RootedSplit& top = *node_general_[static_cast<std::size_t>(index)];
@@ -1889,13 +1846,12 @@ class DpEngine {
     const std::uint32_t rest_per_parent = rest_split.splits_per_parent();
     const std::uint32_t top_per_parent = top.splits_per_parent();
     // Candidates: a leaf root's label list, else the active child's
-    // frontier (reference passes keep none: every vertex is tried).
+    // frontier.
     const std::vector<VertexId>* candidates =
         delta_restrict_ != nullptr ? delta_restrict_
-        : active.is_leaf()         ? leaf_frontier(active)
-        : opts_.reference_kernels  ? nullptr
-                                   : &frontiers_[static_cast<std::size_t>(
-                                         node.active)];
+        : active.is_leaf()
+            ? leaf_frontier(active)
+            : &frontiers_[static_cast<std::size_t>(node.active)];
     const VertexId n = graph_.num_vertices();
     for_frontier(
         parallel, {candidates, n}, num_parents, rest_width, 0, frontier_out,
@@ -1971,199 +1927,6 @@ class DpEngine {
         });
   }
 
-  // ---- reference kernels (pre-frontier scalar path) ---------------------
-  // The seed implementation, kept behind
-  // DpEngineOptions::reference_kernels: full-n scans, per-element
-  // table.get() probes, AoS hoisted entries over the GLOBAL split
-  // tables.  Every row access translates its global colorset through
-  // value_at / RootedColorsets.  The bit-identity tests and
-  // bench/micro_dp's before/after numbers run against these.
-
-  /// Count of global colorset `global` in v's row of `table`, which is
-  /// rooted at `color`; 0 when the set does not contain the color.
-  [[nodiscard]] static double value_at(const Table& table,
-                                       const RootedColorsets& sets,
-                                       VertexId v, int color,
-                                       ColorsetIndex global) noexcept {
-    const ColorsetIndex slot = sets.slot(color, global);
-    return slot == kNoRootedSlot ? 0.0 : table.get(v, slot);
-  }
-
-  struct ReferenceWorkspace {
-    std::vector<double> row;
-    struct ActiveEntry {
-      ColorsetIndex parent;  ///< rooted slot in v's output row
-      ColorsetIndex passive;  ///< global passive colorset
-      double value;
-    };
-    std::vector<ActiveEntry> active_entries;
-  };
-
-  template <class Body>
-  void for_all_vertices_reference(bool parallel, std::uint32_t row_width,
-                                  Body&& body) {
-    const VertexId n = graph_.num_vertices();
-#ifdef _OPENMP
-    if (parallel) {
-#pragma omp parallel num_threads(effective_inner_threads())
-      {
-        ReferenceWorkspace workspace;
-        workspace.row.resize(row_width);
-#pragma omp for schedule(dynamic, 64)
-        for (VertexId v = 0; v < n; ++v) body(v, workspace);
-      }
-      return;
-    }
-#endif
-    ReferenceWorkspace workspace;
-    workspace.row.resize(row_width);
-    for (VertexId v = 0; v < n; ++v) body(v, workspace);
-  }
-
-  void kernel_pair_reference(Table& out, const Subtemplate& node,
-                             const ColorArray& colors, bool parallel) {
-    const Subtemplate& active = partition_.node(node.active);
-    const Subtemplate& passive = partition_.node(node.passive);
-    const RootedColorsets& out_sets = *rooted_[2];
-    for_all_vertices_reference(
-        parallel, out.num_colorsets(),
-        [&](VertexId v, ReferenceWorkspace& ws) {
-          if (!leaf_matches(active, v)) return;
-          auto& row = ws.row;
-          std::fill(row.begin(), row.end(), 0.0);
-          const int cv = colors[static_cast<std::size_t>(v)];
-          bool any = false;
-          for (VertexId u : graph_.neighbors(v)) {
-            const int cu = colors[static_cast<std::size_t>(u)];
-            if (cu == cv || !leaf_matches(passive, u)) continue;
-            const std::array<int, 2> pair = {std::min(cv, cu),
-                                             std::max(cv, cu)};
-            row[out_sets.slot(cv, colorset_index(pair))] += 1.0;
-            any = true;
-          }
-          if (any) out.commit_row(v, row);
-        });
-  }
-
-  void kernel_single_active_reference(Table& out, const Subtemplate& node,
-                                      const ColorArray& colors,
-                                      bool parallel) {
-    const Subtemplate& active = partition_.node(node.active);
-    const Table& tp = *tables_[static_cast<std::size_t>(node.passive)];
-    const int h = node.size();
-    const SingleActiveSplit& split =
-        *single_splits_[static_cast<std::size_t>(h)];
-    const RootedColorsets& out_sets = *rooted_[static_cast<std::size_t>(h)];
-    const RootedColorsets& pas_sets =
-        *rooted_[static_cast<std::size_t>(h - 1)];
-    for_all_vertices_reference(
-        parallel, out.num_colorsets(),
-        [&](VertexId v, ReferenceWorkspace& ws) {
-          if (!leaf_matches(active, v)) return;
-          auto& row = ws.row;
-          std::fill(row.begin(), row.end(), 0.0);
-          const int cv = colors[static_cast<std::size_t>(v)];
-          const auto entries = split.entries(cv);
-          bool any = false;
-          for (VertexId u : graph_.neighbors(v)) {
-            if (!tp.has_vertex(u)) continue;
-            any = true;
-            const int cu = colors[static_cast<std::size_t>(u)];
-            for (const auto& entry : entries) {
-              row[out_sets.slot(cv, entry.parent)] +=
-                  value_at(tp, pas_sets, u, cu, entry.passive);
-            }
-          }
-          if (any) out.commit_row(v, row);
-        });
-  }
-
-  void kernel_single_passive_reference(Table& out, const Subtemplate& node,
-                                       const ColorArray& colors,
-                                       bool parallel) {
-    const Subtemplate& passive = partition_.node(node.passive);
-    const Table& ta = *tables_[static_cast<std::size_t>(node.active)];
-    const int h = node.size();
-    const SingleActiveSplit& split =
-        *single_splits_[static_cast<std::size_t>(h)];
-    const RootedColorsets& out_sets = *rooted_[static_cast<std::size_t>(h)];
-    const RootedColorsets& act_sets =
-        *rooted_[static_cast<std::size_t>(h - 1)];
-    for_all_vertices_reference(
-        parallel, out.num_colorsets(),
-        [&](VertexId v, ReferenceWorkspace& ws) {
-          if (!ta.has_vertex(v)) return;
-          auto& row = ws.row;
-          std::fill(row.begin(), row.end(), 0.0);
-          const int cv = colors[static_cast<std::size_t>(v)];
-          bool any = false;
-          for (VertexId u : graph_.neighbors(v)) {
-            if (!leaf_matches(passive, u)) continue;
-            const int cu = colors[static_cast<std::size_t>(u)];
-            for (const auto& entry : split.entries(cu)) {
-              // A nonzero count means cv ∈ passive ⊂ parent: the
-              // parent has a slot in v's row.
-              const double count =
-                  value_at(ta, act_sets, v, cv, entry.passive);
-              if (count != 0.0) {
-                row[out_sets.slot(cv, entry.parent)] += count;
-                any = true;
-              }
-            }
-          }
-          if (any) out.commit_row(v, row);
-        });
-  }
-
-  void kernel_general_reference(Table& out, const Subtemplate& node,
-                                const ColorArray& colors, bool parallel) {
-    const Table& ta = *tables_[static_cast<std::size_t>(node.active)];
-    const Table& tp = *tables_[static_cast<std::size_t>(node.passive)];
-    const int h = node.size();
-    const int a = partition_.node(node.active).size();
-    const SplitTable& split = global_splits_.at(std::make_pair(h, a));
-    const RootedColorsets& out_sets = *rooted_[static_cast<std::size_t>(h)];
-    const RootedColorsets& act_sets = *rooted_[static_cast<std::size_t>(a)];
-    const RootedColorsets& pas_sets =
-        *rooted_[static_cast<std::size_t>(h - a)];
-    for_all_vertices_reference(
-        parallel, out.num_colorsets(),
-        [&](VertexId v, ReferenceWorkspace& ws) {
-          if (!ta.has_vertex(v)) return;
-          const int cv = colors[static_cast<std::size_t>(v)];
-          // The active side depends only on v: hoist its nonzero
-          // (parent, passive, value) triples out of the neighbor loop.
-          // A nonzero active count means cv ∈ active ⊂ parent.
-          auto& entries = ws.active_entries;
-          entries.clear();
-          for (ColorsetIndex parent = 0; parent < split.num_parents();
-               ++parent) {
-            const auto act = split.active_indices(parent);
-            const auto pas = split.passive_indices(parent);
-            for (std::size_t s = 0; s < act.size(); ++s) {
-              const double ca = value_at(ta, act_sets, v, cv, act[s]);
-              if (ca != 0.0) {
-                entries.push_back({out_sets.slot(cv, parent), pas[s], ca});
-              }
-            }
-          }
-          if (entries.empty()) return;
-          auto& row = ws.row;
-          std::fill(row.begin(), row.end(), 0.0);
-          bool any = false;
-          for (VertexId u : graph_.neighbors(v)) {
-            if (!tp.has_vertex(u)) continue;
-            any = true;
-            const int cu = colors[static_cast<std::size_t>(u)];
-            for (const auto& entry : entries) {
-              row[entry.parent] +=
-                  entry.value * value_at(tp, pas_sets, u, cu, entry.passive);
-            }
-          }
-          if (any) out.commit_row(v, row);
-        });
-  }
-
   const Graph& graph_;
   const PartitionTree& partition_;
   int k_;
@@ -2177,8 +1940,8 @@ class DpEngine {
   std::vector<std::unique_ptr<Table>> tables_;
   std::vector<std::vector<VertexId>> frontiers_;
   /// Largest entry per computed node, reduced from the per-thread
-  /// maxima after its stage (kUnknownMax when not tracked: reference
-  /// and delta passes).  Survives paging; leaves read as 1 (node_max).
+  /// maxima after its stage (kUnknownMax when not tracked: delta
+  /// passes).  Survives paging; leaves read as 1 (node_max).
   static constexpr double kUnknownMax =
       std::numeric_limits<double>::infinity();
   std::vector<double> node_max_;
@@ -2189,8 +1952,6 @@ class DpEngine {
   std::vector<std::optional<RootedColorsets>> rooted_;
   std::vector<std::optional<SingleActiveSplit>> single_splits_;
   std::map<std::pair<int, int>, RootedSplit> general_splits_;
-  /// Global split tables, built for the reference kernels only.
-  std::map<std::pair<int, int>, SplitTable> global_splits_;
   /// Per-node split pointers resolved at construction — the kernels
   /// never hit the optional/map lookups on the hot path.
   std::vector<const SingleActiveSplit*> node_single_;

@@ -392,6 +392,7 @@ std::vector<Embedding> sample_mixed_embeddings(const Graph& graph,
     return sample_embeddings(graph, tmpl.as_tree(), how_many, options,
                              max_coloring_attempts);
   }
+  reject_unsupported_reorder(options, "sample_mixed_embeddings");
   const int k = options.sampling.num_colors > 0 ? options.sampling.num_colors
                                                 : tmpl.size();
   return sample_partition(graph, partition_mixed_template(tmpl, options.root),

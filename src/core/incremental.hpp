@@ -34,8 +34,7 @@
 // Memory: the handle holds iterations x (all non-leaf tables), priced
 // by run::estimate_retained_bytes — retention is opt-in for a reason.
 // Restrictions (CountOptions::validate with execution.incremental):
-// serial/inner parallelism only, no reorder, no reference kernels, no
-// RunControls.  All four table layouts work.
+// serial/inner parallelism only, no reorder, no RunControls.  All four table layouts work.
 
 #include <cstddef>
 #include <cstdint>

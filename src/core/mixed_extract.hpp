@@ -16,7 +16,8 @@ namespace fascia {
 
 /// Draws up to `how_many` embeddings of `tmpl` (tree or triangle-block
 /// template), re-coloring as needed; same semantics as the tree
-/// sampler.  Trees are served by the tree pipeline.
+/// sampler.  Trees are served by the tree pipeline; a non-tree
+/// template rejects execution.reorder with Error(kUsage).
 std::vector<Embedding> sample_mixed_embeddings(
     const Graph& graph, const MixedTemplate& tmpl, std::size_t how_many,
     const CountOptions& options = {}, int max_coloring_attempts = 32);

@@ -14,14 +14,17 @@ namespace fascia {
 namespace {
 
 /// Summarize the per-template outcomes into the profile's RunOutcome
-/// base and attach the "count_all_treelets" report.
-void finish_profile(MotifProfile& profile, const CountOptions& options) {
+/// base and attach the "count_all_treelets" report: the batch's own
+/// report (graph, stages, timing, memory, threads, run status, and the
+/// jobs and sampling figures, which are the profile's) under the
+/// profile's kind and options.
+void finish_profile(MotifProfile& profile, const CountOptions& options,
+                    const obs::RunReport& batch_report) {
   profile.estimate = 0.0;
   for (double count : profile.counts) profile.estimate += count;
 
-  auto report = std::make_shared<obs::RunReport>();
+  auto report = std::make_shared<obs::RunReport>(batch_report);
   report->kind = "count_all_treelets";
-  report->label = options.observability.label;
   report->options = {
       {"k", std::to_string(profile.k)},
       {"templates", std::to_string(profile.trees.size())},
@@ -29,19 +32,6 @@ void finish_profile(MotifProfile& profile, const CountOptions& options) {
       {"sampling.seed", std::to_string(options.sampling.seed)},
   };
   report->tmpl.vertices = profile.k;
-  report->sampling.seed = options.sampling.seed;
-  report->sampling.estimate = profile.estimate;
-  report->sampling.relative_stderr = profile.relative_stderr;
-  report->timing.total_seconds = profile.seconds_total;
-  report->run.status = run_status_name(profile.run.status);
-  report->jobs.reserve(profile.trees.size());
-  for (std::size_t i = 0; i < profile.trees.size(); ++i) {
-    obs::ReportJob entry;
-    entry.name = profile.trees[i].describe();
-    entry.estimate = i < profile.counts.size() ? profile.counts[i] : 0.0;
-    entry.iterations = i < profile.iterations.size() ? profile.iterations[i] : 0;
-    report->jobs.push_back(std::move(entry));
-  }
   profile.report = std::move(report);
 }
 
@@ -83,7 +73,6 @@ MotifProfile count_all_treelets(const Graph& graph, int k,
   batch_options.mode = options.execution.mode;
   batch_options.num_threads = options.execution.threads;
   batch_options.seed = options.sampling.seed;
-  batch_options.reference_kernels = options.execution.reference_kernels;
   batch_options.run = options.run;
   batch_options.observability = options.observability;
 
@@ -98,7 +87,7 @@ MotifProfile count_all_treelets(const Graph& graph, int k,
   }
   profile.run = batch.run;
   profile.seconds_total = total_timer.elapsed_s();
-  finish_profile(profile, options);
+  finish_profile(profile, options, *batch.report);
   return profile;
 }
 

@@ -236,10 +236,8 @@ MemoryPlan plan_memory(const PartitionTree& partition, int num_colors,
 
   while (over()) {
     // Next ladder rung: a denser-to-sparser layout first, then fewer
-    // private table copies, then out-of-core paging.  Rungs that do not
-    // reduce the estimate (hash can model *larger* than compact on
-    // unselective instances) are still taken at most once each, so the
-    // loop terminates.
+    // private table copies, then out-of-core paging.  Every rung moves
+    // the plan strictly down the ladder, so the loop terminates.
     if (plan.table == TableKind::kNaive) {
       plan.table = TableKind::kCompact;
       plan.degradations.push_back("table naive -> compact (estimate " +
@@ -252,14 +250,6 @@ MemoryPlan plan_memory(const PartitionTree& partition, int num_colors,
       plan.degradations.push_back("table compact -> succinct (estimate " +
                                   human_bytes(plan.estimated_peak_bytes) +
                                   " over budget)");
-    } else if ((plan.table == TableKind::kCompact ||
-                plan.table == TableKind::kSuccinct) &&
-               per_copy(TableKind::kHash) < per_copy(plan.table)) {
-      plan.degradations.push_back(
-          "table " + std::string(table_kind_name(plan.table)) +
-          " -> hash (estimate " + human_bytes(plan.estimated_peak_bytes) +
-          " over budget)");
-      plan.table = TableKind::kHash;
     } else if (plan.engine_copies > 1) {
       plan.engine_copies = std::max(1, plan.engine_copies / 2);
       plan.degradations.push_back(

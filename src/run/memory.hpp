@@ -6,10 +6,12 @@
 // peak for the requested configuration *before allocating anything*
 // and degrade until the run fits.  The ladder (in order):
 //
-//   naive -> compact -> succinct -> hash      (table layout, §III-C)
+//   naive -> compact -> succinct              (table layout, §III-C)
 //   halve outer-mode engine copies down to 1   (§III-E)
 //   out-of-core paging (spill completed tables; run/spill.hpp)
 //
+// Hash is not a rung: it stays a layout callers request (the paper's
+// Figs. 6-7 and the ablations), and the plan keeps it when asked.
 // Estimates walk the partition's free_after schedule, so they reflect
 // the real "≤ ~4 live tables" peak rather than the sum over all
 // stages.  Compact and hash sizes depend on occupancy that is unknown

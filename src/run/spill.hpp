@@ -87,10 +87,8 @@ class SpillReader {
 };
 
 /// Writes every committed row of `table` to `path`.  `frontier` (the
-/// engine's nonzero-vertex list, sorted) names the rows when known;
-/// empty falls back to a has_vertex scan over all n vertices
-/// (reference-kernel passes keep no frontiers).  Returns bytes
-/// written.
+/// engine's sorted nonzero-vertex list, a superset of the committed
+/// rows) names the rows.  Returns bytes written.
 template <class Table>
 std::size_t spill_table(const std::string& path, const Table& table,
                         const std::vector<VertexId>& frontier, VertexId n) {
@@ -107,14 +105,8 @@ std::size_t spill_table(const std::string& path, const Table& table,
     }
     writer.write_row(v, row);
   };
-  if (!frontier.empty()) {
-    for (const VertexId v : frontier) {
-      if (table.has_vertex(v)) emit(v);
-    }
-  } else {
-    for (VertexId v = 0; v < n; ++v) {
-      if (table.has_vertex(v)) emit(v);
-    }
+  for (const VertexId v : frontier) {
+    if (table.has_vertex(v)) emit(v);
   }
   return writer.finalize();
 }

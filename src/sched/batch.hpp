@@ -109,11 +109,6 @@ struct BatchOptions {
 
   std::uint64_t seed = 1;
 
-  /// Run the pre-frontier scalar DP kernels (see
-  /// CountOptions::reference_kernels).  Excluded from checkpoint
-  /// fingerprints: estimates are identical either way.
-  bool reference_kernels = false;
-
   /// Iterations adaptive jobs run before their first convergence
   /// check, and the granularity of later checks; >= 2.
   int min_iterations = 4;
@@ -173,10 +168,10 @@ struct BatchJobResult {
   /// Every DP entry behind this job's estimates was at most 2^53, so
   /// exact in a double: the engine's tracked per-stage maxima, over
   /// every stage the job reads in every pass.  False when a pass ran
-  /// the reference kernels or a delta recount (neither tracks maxima),
-  /// or when iterations were restored from a checkpoint (their passes
-  /// ran elsewhere).  While it holds, the job's estimates equal
-  /// count_template's bit for bit (see the header comment).
+  /// a delta recount (which tracks no maxima), or when iterations were
+  /// restored from a checkpoint (their passes ran elsewhere).  While it
+  /// holds, the job's estimates equal count_template's bit for bit (see
+  /// the header comment).
   bool exact = true;
 
   /// Wall time attributed to this job: each iteration's measured time

@@ -194,7 +194,6 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
   const bool collect_stages =
       obs::enabled() && options.observability.collect_stages;
   DpEngineOptions engine_opts;
-  engine_opts.reference_kernels = options.reference_kernels;
   engine_opts.guided_schedule = hybrid;
   if (graph.has_labels()) {
     engine_opts.label_frontiers = LabelFrontiers::build(graph);

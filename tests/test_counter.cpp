@@ -9,11 +9,13 @@
 #include <limits>
 #include <set>
 
+#include "core/coloring.hpp"
 #include "core/engine.hpp"
 #include "dp/table_compact.hpp"
 #include "dp/table_hash.hpp"
 #include "dp/table_naive.hpp"
 #include "dp/table_succinct.hpp"
+#include "exact/colorful_dp.hpp"
 #include "graph/components.hpp"
 #include "graph/generators.hpp"
 #include "graph/labels.hpp"
@@ -127,12 +129,58 @@ TEST(Counter, ResultsIndependentOfConfiguration) {
   }
 }
 
-// ---- kernel bit-identity: the vectorized kernels (frontiers, SoA
-// split layouts, borrowed rows — DESIGN.md §8) must reproduce the seed
-// reference kernels' per-iteration estimates bit-for-bit.  DP values
-// are exact integer counts below 2^53, so reassociating or reordering
-// the sums is not allowed to change a single bit.
-TEST(Counter, VectorizedKernelsBitIdenticalToReference) {
+// ---- kernel bit-identity against the oracle (exact/colorful_dp.hpp):
+// Alg. 2 written literally over global colorsets.  Every non-leaf entry
+// of the engine's rooted tables, read through RootedColorsets (a set
+// without the row's root color reads 0), must equal the oracle's entry
+// with ==.  Below 2^53 every DP value is an exact integer count, so
+// reassociating or reordering the sums may not change a single bit.
+template <class Table>
+int oracle_mismatches(const DpEngine<Table>& engine,
+                      const exact::ColorfulDp& oracle,
+                      const PartitionTree& part, const ColorArray& colors,
+                      int k) {
+  int mismatches = 0;
+  for (int node = 0; node < part.num_nodes(); ++node) {
+    if (part.node(node).is_leaf()) continue;
+    const Table* table = engine.table(node);
+    if (table == nullptr) return -1;
+    const RootedColorsets sets(k, part.node(node).size());
+    for (VertexId v = 0; v < static_cast<VertexId>(colors.size()); ++v) {
+      const int color = colors[static_cast<std::size_t>(v)];
+      for (ColorsetIndex set = 0; set < oracle.width(node); ++set) {
+        const ColorsetIndex slot = sets.slot(color, set);
+        const double got = slot == kNoRootedSlot ? 0.0 : table->get(v, slot);
+        if (got != oracle.get(node, v, set)) ++mismatches;
+      }
+    }
+  }
+  return mismatches;
+}
+
+template <class Table>
+void expect_engine_matches_oracle(const Graph& g, const TreeTemplate& tree,
+                                  PartitionStrategy strategy,
+                                  std::uint64_t seed, int iterations,
+                                  const std::string& tag) {
+  const int k = tree.size();
+  const auto part = partition_template(tree, strategy);
+  DpEngine<Table> engine(g, tree, part, k);
+  for (int iter = 0; iter < iterations; ++iter) {
+    const ColorArray colors = detail::random_coloring(
+        g, k, detail::iteration_seed(seed, iter));
+    const exact::ColorfulDp oracle(g, part, k, colors);
+    for (const bool parallel : {false, true}) {
+      engine.run(colors, parallel, KeepTables::kForReads);
+      EXPECT_EQ(oracle_mismatches(engine, oracle, part, colors, k), 0)
+          << tag << " " << tree.describe() << " table=" << Table::kName
+          << " strategy=" << partition_strategy_name(strategy)
+          << (parallel ? " inner" : " serial") << " iter=" << iter;
+    }
+  }
+}
+
+TEST(Counter, VectorizedKernelsBitIdenticalToOracle) {
   Graph er = test_graph();
   const Graph cl = largest_component(chung_lu(300, 900, 2.3, 60, 5));
   Graph cl_labeled = cl;
@@ -151,33 +199,16 @@ TEST(Counter, VectorizedKernelsBitIdenticalToReference) {
                                const std::vector<TreeTemplate>& shapes,
                                const char* tag) {
     for (const TreeTemplate& tree : shapes) {
-      for (TableKind table :
-           {TableKind::kNaive, TableKind::kCompact, TableKind::kHash,
-            TableKind::kSuccinct}) {
-        for (auto strategy : {PartitionStrategy::kOneAtATime,
-                              PartitionStrategy::kBalanced}) {
-          for (auto mode :
-               {ParallelMode::kSerial, ParallelMode::kInnerLoop}) {
-            CountOptions options;
-            options.sampling.iterations = 3;
-            options.sampling.seed = 97;
-            options.execution.mode = mode;
-            options.execution.table = table;
-            options.execution.partition = strategy;
-            CountOptions ref_options = options;
-            ref_options.execution.reference_kernels = true;
-            const CountResult fast = count_template(g, tree, options);
-            const CountResult ref = count_template(g, tree, ref_options);
-            ASSERT_EQ(ref.per_iteration.size(), fast.per_iteration.size());
-            for (std::size_t i = 0; i < ref.per_iteration.size(); ++i) {
-              // Exact ==, not NEAR: this is a bit-identity contract.
-              EXPECT_EQ(ref.per_iteration[i], fast.per_iteration[i])
-                  << tag << " " << tree.describe()
-                  << " table=" << table_kind_name(table)
-                  << " mode=" << parallel_mode_name(mode) << " iter=" << i;
-            }
-          }
-        }
+      for (auto strategy : {PartitionStrategy::kOneAtATime,
+                            PartitionStrategy::kBalanced}) {
+        expect_engine_matches_oracle<NaiveTable>(g, tree, strategy, 97, 3,
+                                                 tag);
+        expect_engine_matches_oracle<CompactTable>(g, tree, strategy, 97, 3,
+                                                   tag);
+        expect_engine_matches_oracle<HashTable>(g, tree, strategy, 97, 3,
+                                                tag);
+        expect_engine_matches_oracle<SuccinctTable>(g, tree, strategy, 97,
+                                                    3, tag);
       }
     }
   };
@@ -195,37 +226,13 @@ TEST(Counter, VectorizedKernelsBitIdenticalToReference) {
 
 // ---- bit-identity past 2^53.  On a dense graph the colorful path
 // counts outgrow the exact-integer range of doubles, so additions round
-// and only the order of the sums keeps two kernels in step.  (On a
-// complete graph every count is (h-1)! times a product of color-class
-// sizes, a multiple of a large power of two, and nothing rounds.)  The
-// one-at-a-time partition gives pair and single-active stages only; the
-// single-active walk adds each neighbor's rooted row through its
-// color-pair list, so every entry must see the reference kernel's
-// neighbor order (which translates global colorsets to rooted slots).
-// Every table entry is compared, not just the totals.
-template <class Table>
-void expect_tables_equal(const DpEngine<Table>& fast,
-                         const DpEngine<CompactTable>& ref,
-                         const PartitionTree& part, VertexId n,
-                         const char* tag) {
-  for (int node = 0; node < part.num_nodes(); ++node) {
-    if (part.node(node).is_leaf()) continue;
-    const Table* got = fast.table(node);
-    const CompactTable* want = ref.table(node);
-    ASSERT_NE(got, nullptr) << tag << " node " << node;
-    ASSERT_NE(want, nullptr) << tag << " node " << node;
-    ASSERT_EQ(got->num_colorsets(), want->num_colorsets());
-    int mismatches = 0;
-    for (VertexId v = 0; v < n; ++v) {
-      for (ColorsetIndex c = 0; c < want->num_colorsets(); ++c) {
-        if (got->get(v, c) != want->get(v, c)) ++mismatches;
-      }
-    }
-    EXPECT_EQ(mismatches, 0) << tag << " node " << node << " (h = "
-                             << part.node(node).size() << ")";
-  }
-}
-
+// and only the order of the sums keeps the engine in step with the
+// oracle.  (On a complete graph every count is (h-1)! times a product
+// of color-class sizes, a multiple of a large power of two, and nothing
+// rounds.)  The one-at-a-time partition gives pair and single-active
+// stages only; the single-active walk adds each neighbor's rooted row
+// through its color-pair list, so every entry must see the oracle's
+// neighbor order.  Every table entry is compared, not just the totals.
 TEST(Counter, FoldedGatherBitIdenticalPastTwoToThe53) {
   constexpr int k = 12;
   // Stages below the root's two widest: a count past 2^53 there means
@@ -240,20 +247,16 @@ TEST(Counter, FoldedGatherBitIdenticalPastTwoToThe53) {
   for (auto& c : colors) {
     c = static_cast<std::uint8_t>(rng.bounded(static_cast<std::uint32_t>(k)));
   }
-  DpEngineOptions ref_opts;
-  ref_opts.reference_kernels = true;
-  DpEngine<CompactTable> ref(g, part, k, ref_opts);
-  ref.run(colors, /*parallel_inner=*/false, KeepTables::kForReads);
+  const exact::ColorfulDp oracle(g, part, k, colors);
 
   // The regime is real: a mid-schedule stage holds a count past 2^53.
   double checked_max = 0.0;
   for (int node = 0; node < part.num_nodes(); ++node) {
     const Subtemplate& sub = part.node(node);
     if (sub.is_leaf() || sub.size() > kWidestCheckedStage) continue;
-    const CompactTable& table = *ref.table(node);
     for (VertexId v = 0; v < n; ++v) {
-      for (ColorsetIndex c = 0; c < table.num_colorsets(); ++c) {
-        checked_max = std::max(checked_max, table.get(v, c));
+      for (ColorsetIndex c = 0; c < oracle.width(node); ++c) {
+        checked_max = std::max(checked_max, oracle.get(node, v, c));
       }
     }
   }
@@ -262,12 +265,12 @@ TEST(Counter, FoldedGatherBitIdenticalPastTwoToThe53) {
   for (const bool parallel : {false, true}) {
     DpEngine<CompactTable> compact(g, part, k);
     compact.run(colors, parallel, KeepTables::kForReads);
-    expect_tables_equal(compact, ref, part, n,
-                        parallel ? "compact inner" : "compact serial");
+    EXPECT_EQ(oracle_mismatches(compact, oracle, part, colors, k), 0)
+        << (parallel ? "compact inner" : "compact serial");
     DpEngine<NaiveTable> naive(g, part, k);
     naive.run(colors, parallel, KeepTables::kForReads);
-    expect_tables_equal(naive, ref, part, n,
-                        parallel ? "naive inner" : "naive serial");
+    EXPECT_EQ(oracle_mismatches(naive, oracle, part, colors, k), 0)
+        << (parallel ? "naive inner" : "naive serial");
 
     // One pass holds stages of both widths: the low stages' bounds fit
     // int32 (4-byte entries), the ones past 2^53 cannot.

@@ -448,11 +448,6 @@ TEST(Incremental, OptionRestrictionsRejected) {
   EXPECT_EQ(category_of([&] { begin_incremental(g, tmpl, outer); }),
             ErrorCategory::kUsage);
 
-  CountOptions reference;
-  reference.execution.reference_kernels = true;
-  EXPECT_EQ(category_of([&] { begin_incremental(g, tmpl, reference); }),
-            ErrorCategory::kUsage);
-
   CountOptions reordered;
   reordered.execution.reorder = ReorderMode::kDegree;
   EXPECT_EQ(category_of([&] { begin_incremental(g, tmpl, reordered); }),

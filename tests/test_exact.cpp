@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "exact/colorful_dp.hpp"
 #include "exact/pattern_growth.hpp"
 #include "graph/components.hpp"
 #include "graph/generators.hpp"
@@ -9,6 +10,9 @@
 #include "helpers.hpp"
 #include "treelet/canonical.hpp"
 #include "treelet/free_trees.hpp"
+#include "treelet/mixed_partition.hpp"
+#include "treelet/partition.hpp"
+#include "util/rng.hpp"
 
 namespace fascia {
 namespace {
@@ -175,6 +179,77 @@ TEST(PatternGrowth, BadSizeThrows) {
                std::invalid_argument);
   EXPECT_THROW(exact::count_all_trees_by_growth(testing::path_graph(3), 99),
                std::invalid_argument);
+}
+
+
+// ---- the colorful-DP oracle (exact/colorful_dp.hpp) against brute
+// force: for a fixed coloring its root total is the number of colorful
+// injective maps, whatever the partition strategy.
+
+TreeTemplate spider(int k) {
+  TreeTemplate::EdgeList edges;
+  int v = 1;
+  while (v + 1 < k) {
+    edges.push_back({0, v});
+    edges.push_back({v, v + 1});
+    v += 2;
+  }
+  if (v < k) edges.push_back({0, v});
+  return TreeTemplate::from_edges(k, edges);
+}
+
+TEST(ColorfulDpOracle, RootTotalEqualsBruteForceColorfulMaps) {
+  const Graph plain = largest_component(erdos_renyi_gnm(14, 32, 5));
+  Graph labeled = plain;
+  assign_random_labels(labeled, 2, 9);
+  for (const bool with_labels : {false, true}) {
+    const Graph& g = with_labels ? labeled : plain;
+    for (int k = 2; k <= 6; ++k) {
+      std::vector<TreeTemplate> shapes = {TreeTemplate::path(k),
+                                          TreeTemplate::star(k), spider(k)};
+      if (with_labels) {
+        for (TreeTemplate& shape : shapes) {
+          std::vector<std::uint8_t> labels(static_cast<std::size_t>(k));
+          for (int v = 0; v < k; ++v) {
+            labels[static_cast<std::size_t>(v)] =
+                static_cast<std::uint8_t>(v % 2);
+          }
+          shape.set_labels(std::move(labels));
+        }
+      }
+      Xoshiro256 rng(100 + static_cast<std::uint64_t>(k));
+      std::vector<std::uint8_t> colors(
+          static_cast<std::size_t>(g.num_vertices()));
+      for (auto& c : colors) {
+        c = static_cast<std::uint8_t>(
+            rng.bounded(static_cast<std::uint32_t>(k)));
+      }
+      for (const TreeTemplate& shape : shapes) {
+        const double brute = testing::brute_force_maps(g, shape, colors);
+        for (auto strategy : {PartitionStrategy::kOneAtATime,
+                              PartitionStrategy::kBalanced}) {
+          const auto part = partition_template(shape, strategy);
+          EXPECT_EQ(exact::ColorfulDp(g, part, k, colors).root_total(), brute)
+              << shape.describe() << (with_labels ? " labeled" : "")
+              << " strategy=" << partition_strategy_name(strategy);
+        }
+      }
+    }
+  }
+}
+
+TEST(ColorfulDpOracle, RejectsTriangleJoinsAndBadColorings) {
+  const Graph g = testing::complete_graph(5);
+  const std::vector<std::uint8_t> colors = {0, 1, 2, 3, 0};
+  const auto paw =
+      MixedTemplate::from_edges(4, {{0, 1}, {1, 2}, {0, 2}, {2, 3}});
+  EXPECT_THROW(exact::ColorfulDp(g, partition_mixed_template(paw), 4, colors),
+               std::invalid_argument);
+  const auto path = partition_template(TreeTemplate::path(3),
+                                       PartitionStrategy::kOneAtATime);
+  EXPECT_THROW(exact::ColorfulDp(g, path, 3, {colors.data(), 3}),
+               std::invalid_argument);
+  EXPECT_THROW(exact::ColorfulDp(g, path, 3, colors), std::invalid_argument);
 }
 
 }  // namespace

@@ -392,6 +392,19 @@ TEST(MixedExtract, SampledEmbeddingsValid) {
   }
 }
 
+TEST(MixedExtract, ReorderRejectedOnNonTreeTemplates) {
+  // Mixed sampling never reorders; a reorder request is a usage error,
+  // as it is for count_mixed_template, not a silently ignored knob.
+  CountOptions options;
+  options.execution.reorder = ReorderMode::kDegree;
+  try {
+    sample_mixed_embeddings(test_graph(), paw(), 4, options);
+    ADD_FAILURE() << "expected a usage error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.category(), ErrorCategory::kUsage);
+  }
+}
+
 TEST(MixedExtract, TreeDelegates) {
   const Graph g = test_graph();
   const MixedTemplate tree = MixedTemplate::from_tree(TreeTemplate::path(4));

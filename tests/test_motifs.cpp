@@ -4,6 +4,8 @@
 
 #include "core/counter.hpp"
 #include "exact/pattern_growth.hpp"
+#include "obs/metrics.hpp"
+#include "obs/report.hpp"
 #include "graph/components.hpp"
 #include "graph/generators.hpp"
 #include "util/stats.hpp"
@@ -26,6 +28,26 @@ TEST(Motifs, ProfileCoversAllTreelets) {
   EXPECT_EQ(profile.counts.size(), 3u);
   EXPECT_EQ(profile.seconds.size(), 3u);
   EXPECT_GT(profile.seconds_total, 0.0);
+}
+
+TEST(Motifs, ReportCarriesTheBatchMeasurements) {
+  struct ObsOff {
+    ~ObsOff() { obs::set_enabled(false); }
+  } off;
+  CountOptions options;
+  options.sampling.iterations = 2;
+  options.observability.enabled = true;
+  const MotifProfile profile = count_all_treelets(test_graph(), 5, options);
+  ASSERT_NE(profile.report, nullptr);
+  const obs::RunReport& report = *profile.report;
+  EXPECT_EQ(report.kind, "count_all_treelets");
+  EXPECT_EQ(report.tmpl.vertices, 5);
+  EXPECT_GT(report.stages.size(), 0u);
+  EXPECT_EQ(report.timing.per_iteration_seconds.size(), 2u);
+  EXPECT_FALSE(report.threads.mode.empty());
+  EXPECT_GT(report.memory.observed_peak_bytes, 0u);
+  EXPECT_EQ(report.jobs.size(), profile.trees.size());
+  EXPECT_EQ(report.sampling.estimate, profile.estimate);
 }
 
 TEST(Motifs, RelativeFrequenciesMeanOne) {

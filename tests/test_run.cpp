@@ -253,6 +253,39 @@ TEST(MemoryPlan, SuccinctRungBetweenCompactAndHash) {
   EXPECT_FALSE(plan.degradations.empty());
 }
 
+TEST(MemoryPlan, HashIsNotALadderRung) {
+  // A labeled partition, where hash models smaller than succinct: a
+  // budget between the two plans' estimates must not step onto hash.
+  // The ladder takes its next rung (here out-of-core paging) instead;
+  // hash is used only when requested.
+  TreeTemplate tree = TreeTemplate::path(5);
+  tree.set_labels({0, 1, 2, 1, 0});
+  const auto part =
+      partition_template(tree, PartitionStrategy::kOneAtATime, true);
+  const VertexId n = 100000;
+  const auto estimate = [&](TableKind kind) {
+    return run::plan_memory(part, 5, n, true, kind, 1, 0, 1)
+        .estimated_peak_bytes;
+  };
+  const std::size_t hash = estimate(TableKind::kHash);
+  const std::size_t succinct = estimate(TableKind::kSuccinct);
+  ASSERT_LT(hash, succinct);
+  const std::size_t budget = (hash + succinct) / 2;
+  for (const TableKind requested :
+       {TableKind::kNaive, TableKind::kCompact, TableKind::kSuccinct}) {
+    const auto plan = run::plan_memory(part, 5, n, true, requested, 1,
+                                       budget, 1, /*spill_available=*/true);
+    EXPECT_NE(plan.table, TableKind::kHash) << table_kind_name(requested);
+    EXPECT_TRUE(plan.spill) << table_kind_name(requested);
+  }
+  const auto asked = run::plan_memory(part, 5, n, true, TableKind::kHash, 1,
+                                      budget, 1, /*spill_available=*/true);
+  EXPECT_EQ(asked.table, TableKind::kHash);
+  EXPECT_FALSE(asked.spill);
+  EXPECT_TRUE(asked.fits);
+  EXPECT_TRUE(asked.degradations.empty());
+}
+
 TEST(MemoryPlan, SuccinctEstimateBracketsMeasuredPeak) {
   // Unlike naive's closed form, succinct bytes depend on run-time slot
   // occupancy (and slab rounding), so the contract is a factor

@@ -629,16 +629,5 @@ TEST(Sched, PinnedStrategyOrRootIsHonoured) {
             default_root(u10, PartitionStrategy::kOneAtATime));
 }
 
-TEST(Sched, ReferenceKernelJobsAreNotExact) {
-  // The reference kernels track no entry maxima, so nothing vouches
-  // for their entries.
-  const auto jobs = fixed_jobs(5, 2);
-  sched::BatchOptions options;
-  options.reference_kernels = true;
-  const sched::BatchResult batch =
-      sched::run_batch(test_graph(), jobs, options);
-  for (const sched::BatchJobResult& job : batch.jobs) EXPECT_FALSE(job.exact);
-}
-
 }  // namespace
 }  // namespace fascia
