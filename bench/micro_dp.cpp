@@ -8,9 +8,12 @@
 // all four kernels appear: one-at-a-time path partitions exercise the
 // pair and single-active kernels, star partitions the single-passive
 // kernel (the peeled leaf is the passive side), balanced path
-// partitions the general split-table kernel.  Each (table, shape,
-// strategy, k) configuration runs the same colorings through the
-// oracle and the engine, and checks that the root totals and every
+// partitions the general split-table kernel.  A balanced cut's root
+// uses every color, so it is a full-colorset join: the timed pass (a
+// run that reads only the total) takes its total route, and the kept
+// check pass its rows route.  Each (table, shape, strategy, k)
+// configuration runs the same colorings through the oracle and the
+// engine, and checks that the root totals and every
 // table entry are bitwise identical (DP values are exact integer
 // counts, so reassociation must not change them).  All four table
 // layouts are in the grid.
@@ -26,9 +29,11 @@
 // value — a machine-independent regression gate (both numbers are
 // oracle/fast ratios measured on the same host), run by CI on every
 // push.  One absolute gate needs no baseline: the obs toggle must stay
-// under 1.05x.
+// under 1.05x (median of paired per-round ratios, each side timing at
+// least 50 ms of passes).
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -237,15 +242,26 @@ struct Harness {
 /// A/B overhead measurement: the same engine + colorings with the
 /// observability layer disabled vs enabled at runtime.  The grid above
 /// runs obs-off (the process default), so its numbers stay comparable
-/// with pre-obs baselines; this isolates the toggle cost.  Min-of-runs
-/// per side so scheduler noise cannot manufacture an overhead.
+/// with pre-obs baselines; this isolates the toggle cost.  One pass
+/// takes about 2 ms, where scheduler noise alone moves a single timing
+/// by 10%, so each round times enough passes per side to take at least
+/// kObsSideSeconds, the two sides back to back on the same coloring
+/// (alternating which goes first, so drift cannot favour one), and the
+/// result is the median of the rounds' on/off ratios.
 struct ObsOverhead {
-  double off_seconds = 0.0;
-  double on_seconds = 0.0;
-  [[nodiscard]] double ratio() const {
-    return off_seconds > 0.0 ? on_seconds / off_seconds : 0.0;
-  }
+  double off_seconds = 0.0;  ///< median per-pass time, obs off
+  double on_seconds = 0.0;   ///< median per-pass time, obs on
+  double ratio = 0.0;        ///< median of the paired per-round ratios
 };
+
+constexpr double kObsSideSeconds = 0.05;
+
+double median_of(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                : 0.5 * (values[mid - 1] + values[mid]);
+}
 
 ObsOverhead measure_obs_overhead(const Graph& graph, int k, int iters) {
   TreeTemplate tmpl = make_shape("path", k);
@@ -260,29 +276,40 @@ ObsOverhead measure_obs_overhead(const Graph& graph, int k, int iters) {
   DpEngine<CompactTable> engine(graph, tmpl, partition, k,
                                 DpEngineOptions{});
 
-  const int rounds = std::max(8, 2 * iters);
-  const auto timed_run = [&](bool obs_on, int round) {
+  // Seconds per pass over `passes` passes of one round's coloring.
+  const auto timed_side = [&](bool obs_on, int round, int passes) {
     obs::set_enabled(obs_on);
     const ColorArray colors = detail::random_coloring(
         graph, k, detail::iteration_seed(7, round));
     WallTimer timer;
-    engine.run(colors, /*parallel_inner=*/false);
-    return timer.elapsed_s();
+    for (int pass = 0; pass < passes; ++pass) {
+      engine.run(colors, /*parallel_inner=*/false);
+    }
+    return timer.elapsed_s() / passes;
   };
-  // Warm both paths, then interleave off/on rounds (same coloring per
-  // round) so clock-frequency drift cannot bias one side; min-of-N per
-  // side discards scheduler noise.
-  timed_run(false, 0);
-  timed_run(true, 0);
-  ObsOverhead result;
+  // Warm both paths; the warm pass also sizes the rounds.
+  timed_side(true, 0, 1);
+  const double warm = timed_side(false, 0, 1);
+  const int passes = std::max(
+      1, static_cast<int>(std::ceil(kObsSideSeconds / std::max(warm, 1e-6))));
+  const int rounds = std::max(8, 2 * iters);
+  std::vector<double> off_times, on_times, ratios;
   for (int r = 0; r < rounds; ++r) {
-    const double off = timed_run(false, r);
-    const double on = timed_run(true, r);
-    if (r == 0 || off < result.off_seconds) result.off_seconds = off;
-    if (r == 0 || on < result.on_seconds) result.on_seconds = on;
+    double off = 0.0;
+    double on = 0.0;
+    if (r % 2 == 0) {
+      off = timed_side(false, r, passes);
+      on = timed_side(true, r, passes);
+    } else {
+      on = timed_side(true, r, passes);
+      off = timed_side(false, r, passes);
+    }
+    off_times.push_back(off);
+    on_times.push_back(on);
+    ratios.push_back(on / off);
   }
   obs::set_enabled(false);
-  return result;
+  return {median_of(off_times), median_of(on_times), median_of(ratios)};
 }
 
 /// Minimal line-based reader for the "kernel_speedups" block this
@@ -401,7 +428,7 @@ int main(int argc, char** argv) {
   std::printf("\nobs overhead (labeled path k=%d, compact): off %.4fs  "
               "on %.4fs  ratio %.3f  (registry saw %llu stage passes)\n",
               std::min(kmax, 7), obs_overhead.off_seconds,
-              obs_overhead.on_seconds, obs_overhead.ratio(),
+              obs_overhead.on_seconds, obs_overhead.ratio,
               static_cast<unsigned long long>(stage_seconds.hist.count));
 
   std::FILE* json = std::fopen(json_path.c_str(), "w");
@@ -423,7 +450,7 @@ int main(int argc, char** argv) {
                "  \"obs_overhead\": {\"off_seconds\": %.6f, "
                "\"on_seconds\": %.6f, \"ratio\": %.4f},\n",
                obs_overhead.off_seconds, obs_overhead.on_seconds,
-               obs_overhead.ratio());
+               obs_overhead.ratio);
   std::fprintf(json, "  \"entries\": [\n");
   {
     std::size_t emitted = 0;
@@ -482,14 +509,14 @@ int main(int argc, char** argv) {
     std::printf("check: all kernels within 25%% of %s\n", check_path.c_str());
     // Absolute gate, no baseline needed: enabling observability may not
     // slow the measured kernel loop by more than 5%.
-    if (obs_overhead.ratio() > kObsOverheadGate) {
+    if (obs_overhead.ratio > kObsOverheadGate) {
       std::fprintf(stderr,
                    "check: obs-on overhead %.3fx exceeds %.2fx gate\n",
-                   obs_overhead.ratio(), kObsOverheadGate);
+                   obs_overhead.ratio, kObsOverheadGate);
       return 1;
     }
     std::printf("check: obs toggle overhead %.3fx within %.2fx gate\n",
-                obs_overhead.ratio(), kObsOverheadGate);
+                obs_overhead.ratio, kObsOverheadGate);
   }
   return 0;
 }

@@ -217,4 +217,51 @@ SingleActiveSplit::SingleActiveSplit(int num_colors, int parent_size)
   }
 }
 
+ComplementSplit::ComplementSplit(int num_colors, int active_size)
+    : k_(num_colors), a_(active_size) {
+  if (a_ < 2 || k_ - a_ < 2) {
+    throw std::invalid_argument("ComplementSplit: need 2 <= a <= k - 2");
+  }
+  per_pair_ = num_colorsets(k_ - 2, a_ - 1);
+  const RootedColorsets actives(k_, a_);
+  const RootedColorsets passives(k_, k_ - a_);
+  // Global index of every size-a set's complement.
+  std::vector<ColorsetIndex> complement(num_colorsets(k_, a_));
+  std::vector<int> set(static_cast<std::size_t>(a_));
+  std::vector<int> rest;
+  std::iota(set.begin(), set.end(), 0);
+  ColorsetIndex index = 0;
+  do {
+    rest.clear();
+    for (int c = 0; c < k_; ++c) {
+      if (!std::binary_search(set.begin(), set.end(), c)) rest.push_back(c);
+    }
+    complement[index++] = colorset_index(rest);
+  } while (next_colorset(set, k_));
+
+  const std::size_t pairs_total =
+      static_cast<std::size_t>(k_) * k_ * per_pair_;
+  pair_active_.resize(pairs_total);
+  pair_passive_.resize(pairs_total);
+  for (int root = 0; root < k_; ++root) {
+    for (int other = 0; other < k_; ++other) {
+      if (other == root) continue;
+      const std::size_t base =
+          (static_cast<std::size_t>(root) * k_ + other) * per_pair_;
+      std::size_t filled = 0;
+      for (ColorsetIndex slot = 0; slot < actives.width(); ++slot) {
+        const ColorsetIndex global = actives.global(root, slot);
+        // A ∌ other exactly when K∖A holds it.
+        const ColorsetIndex pas_slot =
+            passives.slot(other, complement[global]);
+        if (pas_slot == kNoRootedSlot) continue;
+        pair_active_[base + filled] = slot;
+        pair_passive_[base + filled] = pas_slot;
+        ++filled;
+      }
+      assert(filled == per_pair_);
+    }
+  }
+}
+
 }  // namespace fascia

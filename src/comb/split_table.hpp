@@ -25,6 +25,9 @@
 // a single-vertex child, keyed by the (v, neighbor) color pair;
 // RootedSplit carries the general (a > 1, p > 1) lists, and both
 // splits of a triangle join (whose children may be single vertices).
+// ComplementSplit carries the lists of a general join whose size is the
+// number of colors: every row there is the one full colorset, so an
+// entry is a sum of per-edge dot products over complementary halves.
 // The global per-parent views (SplitTable, SingleActiveSplit::entries)
 // address rows by global colorset index: the oracle
 // (exact/colorful_dp.hpp) walks SplitTable, and the rooted pair lists
@@ -238,6 +241,54 @@ class SingleActiveSplit {
   std::vector<ColorsetIndex> pair_parent_;   ///< [root][other][entry]
   std::vector<ColorsetIndex> pair_passive_;
   std::vector<ColorsetIndex> pair_active_;
+};
+
+/// Lists for a general join of size k (every color) with active size a
+/// (2 <= a <= k-2).  Its rows hold one entry, the full colorset, and an
+/// edge (v, u) contributes Σ_A T_a[v][A] · T_p[u][K∖A] over the active
+/// sets A ∋ c(v), c(u) ∉ A: C(k-2, a-1) of them.  For an ordered color
+/// pair (root, other), root != other, two parallel arrays of rooted
+/// slots run over those A in colex order:
+///   actives  — A rooted at `root` (ascending: a monotone gather);
+///   passives — K∖A rooted at `other`.
+/// Empty when root == other: no colorful embedding maps an edge there.
+class ComplementSplit {
+ public:
+  ComplementSplit(int num_colors, int active_size);
+
+  [[nodiscard]] int active_size() const noexcept { return a_; }
+
+  /// Entries per color pair: C(k-2, a-1).
+  [[nodiscard]] std::uint32_t per_pair() const noexcept { return per_pair_; }
+
+  [[nodiscard]] std::span<const ColorsetIndex> actives(int root, int other)
+      const noexcept {
+    return pair_span(pair_active_, root, other);
+  }
+  [[nodiscard]] std::span<const ColorsetIndex> passives(int root, int other)
+      const noexcept {
+    return pair_span(pair_passive_, root, other);
+  }
+
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return (pair_active_.size() + pair_passive_.size()) *
+           sizeof(ColorsetIndex);
+  }
+
+ private:
+  [[nodiscard]] std::span<const ColorsetIndex> pair_span(
+      const std::vector<ColorsetIndex>& list, int root,
+      int other) const noexcept {
+    if (root == other) return {};
+    return {list.data() +
+                (static_cast<std::size_t>(root) * k_ + other) * per_pair_,
+            per_pair_};
+  }
+
+  int k_, a_;
+  std::uint32_t per_pair_;
+  std::vector<ColorsetIndex> pair_active_;  ///< [root][other][entry]
+  std::vector<ColorsetIndex> pair_passive_;
 };
 
 }  // namespace fascia

@@ -26,6 +26,13 @@
 //                       rooted slot pairs (§III-D).
 //   * p == 1          — mirrored fast path keyed by the neighbor color.
 //   * otherwise       — general split kernel (Alg. 2 lines 7-15).
+//   * h == k          — a general join over every color: each row is
+//                       the one full colorset, so v's entry is a sum of
+//                       per-edge dot products over complementary halves
+//                       (ComplementSplit).  When the pass's caller reads
+//                       only the total, the kernel commits no table and
+//                       sums the dots exactly; when both halves are one
+//                       table, each undirected edge is visited once.
 // A triangle join (Subtemplate::passive2 set; treelet/mixed_partition)
 // runs the triangle kernel whatever its sizes: over the adjacent
 // neighbor pairs (u, w) of v it sums T_a[v] · T_x[u] · T_y[w] across
@@ -220,6 +227,35 @@ namespace detail {
   return detail::saturating_mul(
       detail::saturating_mul(detail::saturating_mul(splits, m_a), max_degree),
       m_p);
+}
+
+/// Upper bound on every entry of a size-h triangle join (A ⊎ X ⊎ Y,
+/// active size a, X of size x, r = h - a):
+///
+///   Δ · (Δ - 1) · C(h-1, a-1) · C(r-1, x-1) · M_a · M_x · M_y
+///
+/// An entry sums, over the ordered pairs (u, w) of adjacent neighbors
+/// of v — at most Δ choices of u and, since w ∈ N(v) and w ≠ u, at most
+/// Δ - 1 of w — the products T_a[v][A] · T_x[u][X] · T_y[w][Y] over the
+/// splits S = A ⊎ X ⊎ Y with c(v) ∈ A, c(u) ∈ X, c(w) ∈ Y.  A holds
+/// c(v) and a - 1 of the other h - 1 colors of S; X holds c(u) and
+/// x - 1 of the other r - 1 colors of R = S∖A; Y is the rest.  Each
+/// product is at most M_a · M_x · M_y.  Leaf children count as 1;
+/// saturating as above.
+[[nodiscard]] inline std::uint64_t stage_entry_bound(
+    int h, int a, int x, std::uint64_t max_degree, double max_active,
+    double max_x, double max_y) noexcept {
+  const int r = h - a;
+  const std::uint64_t m_a = a == 1 ? 1 : detail::bound_operand(max_active);
+  const std::uint64_t m_x = x == 1 ? 1 : detail::bound_operand(max_x);
+  const std::uint64_t m_y = r - x == 1 ? 1 : detail::bound_operand(max_y);
+  const std::uint64_t pairs = detail::saturating_mul(
+      max_degree, max_degree > 0 ? max_degree - 1 : 0);
+  const std::uint64_t splits = detail::saturating_mul(
+      choose(h - 1, a - 1), choose(r - 1, x - 1));
+  return detail::saturating_mul(
+      detail::saturating_mul(detail::saturating_mul(pairs, splits), m_a),
+      detail::saturating_mul(m_x, m_y));
 }
 
 /// Bytes per entry a stage with this bound stores: 4 (int32_t) when
@@ -478,6 +514,8 @@ class DpEngine {
     node_general_.assign(static_cast<std::size_t>(num_nodes), nullptr);
     node_rest_.assign(static_cast<std::size_t>(num_nodes), nullptr);
     node_active_bound_.assign(static_cast<std::size_t>(num_nodes), 0);
+    node_complement_.assign(static_cast<std::size_t>(num_nodes), nullptr);
+    join_totals_.resize(static_cast<std::size_t>(num_nodes));
     for (int i = 0; i < num_nodes; ++i) {
       const Subtemplate& node = partition_.node(i);
       if (node.is_leaf()) continue;
@@ -513,7 +551,10 @@ class DpEngine {
         node_single_[static_cast<std::size_t>(i)] =
             &*single_splits_[static_cast<std::size_t>(h)];
       }
-      if (a > 1 && h - a > 1) {
+      if (a > 1 && h - a > 1 && h == k_) {
+        node_complement_[static_cast<std::size_t>(i)] =
+            &complement_splits_.try_emplace(a, k_, a).first->second;
+      } else if (a > 1 && h - a > 1) {
         auto [it, inserted] =
             general_splits_.try_emplace(std::make_pair(h, a), k_, h, a);
         (void)inserted;
@@ -544,11 +585,17 @@ class DpEngine {
   /// Intermediate tables are freed on the free_after schedule unless
   /// `keep` says otherwise (KeepTables); nodes with free_after == -1
   /// survive until release_all_tables() so callers can read them.
+  /// `root_rows` says whether the caller reads the rows of size-k
+  /// nodes (per-vertex totals, get()); when it does not and the pass
+  /// keeps nothing, full-colorset general joins commit no table and
+  /// leave only their exact totals for node_total().
   void compute_tables(const ColorArray& colors, bool parallel_inner,
                       const std::vector<char>* needed = nullptr,
-                      KeepTables keep = KeepTables::kNo) {
+                      KeepTables keep = KeepTables::kNo,
+                      bool root_rows = true) {
     release_all_tables();
     const bool keep_tables = keep != KeepTables::kNo;
+    const bool totals_only = !keep_tables && !root_rows;
     const int num_nodes = partition_.num_nodes();
     for (int i = 0; i < num_nodes; ++i) {
       // Cooperative stop (run/guard.hpp): polled between stage passes
@@ -572,8 +619,9 @@ class DpEngine {
           if (node.is_triangle_join()) ensure_resident(node.passive2);
         }
         compute_node(i, colors, parallel_inner,
-                     /*narrow_ok=*/keep != KeepTables::kForRecounts);
-        if (paging) {
+                     /*narrow_ok=*/keep != KeepTables::kForRecounts,
+                     totals_only);
+        if (paging && tables_[static_cast<std::size_t>(i)] != nullptr) {
           node_bytes_[static_cast<std::size_t>(i)] =
               tables_[static_cast<std::size_t>(i)]->bytes();
           resident_bytes_ += node_bytes_[static_cast<std::size_t>(i)];
@@ -593,15 +641,20 @@ class DpEngine {
   /// 128-bit integer and rounded once (count_table.hpp's exact root
   /// reduction), so the total does not depend on vertex order, and a
   /// template rooted anywhere gives the same double while its entries
-  /// are exact.
+  /// are exact.  A full-colorset join computed without rows returns
+  /// its per-edge dots' exact sum, the same rounding of the same
+  /// integer.
   [[nodiscard]] double node_total(int node) {
+    const auto idx = static_cast<std::size_t>(node);
+    if (join_totals_[idx]) return *join_totals_[idx];
     ensure_resident(node);
-    return tables_[static_cast<std::size_t>(node)]->total();
+    return tables_[idx]->total();
   }
 
   /// Whether every entry of a computed node's table is known to be at
-  /// most 2^53, so exact in a double.  Leaves are exact; delta passes
-  /// track no maxima and read false.
+  /// most 2^53, so exact in a double (for a join computed without rows:
+  /// every per-edge dot, so its exact total is exact).  Leaves are
+  /// exact; delta passes track no maxima and read false.
   [[nodiscard]] bool node_exact(int node) const noexcept {
     return node_max(node) <= 0x1p53;
   }
@@ -645,10 +698,12 @@ class DpEngine {
   }
 
   /// One full bottom-up DP pass for a fixed coloring; returns the sum
-  /// over the root table.
+  /// over the root table.  A pass that keeps nothing reads no root
+  /// rows.
   double run(const ColorArray& colors, bool parallel_inner,
              KeepTables keep = KeepTables::kNo) {
-    compute_tables(colors, parallel_inner, nullptr, keep);
+    compute_tables(colors, parallel_inner, nullptr, keep,
+                   /*root_rows=*/false);
     if (guard_ != nullptr && guard_->stopped()) return 0.0;
     const double total = root_total();
     if (keep == KeepTables::kNo) release_all_tables();
@@ -780,7 +835,8 @@ class DpEngine {
         }
         delta_restrict_ = &restricted;
       }
-      compute_node(i, colors, parallel_inner, /*narrow_ok=*/false);
+      compute_node(i, colors, parallel_inner, /*narrow_ok=*/false,
+                   /*totals_only=*/false);
       delta_restrict_ = nullptr;
       node_max_[idx] = kUnknownMax;  // the ball rows' maximum only
 
@@ -970,6 +1026,7 @@ class DpEngine {
       node_bytes_[idx] = 0;
     }
     tables_[idx].reset();
+    join_totals_[idx].reset();
     release_frontier(node);
   }
 
@@ -1055,9 +1112,11 @@ class DpEngine {
 
   /// Runs one stage into a fresh table.  Its width comes from the
   /// children's tracked maxima (stage_entry_bound): 4 bytes when the
-  /// bound fits int32_t and `narrow_ok`, else 8.
+  /// bound fits int32_t and `narrow_ok`, else 8.  With `totals_only`, a
+  /// full-colorset join whose per-edge dots provably fit 64 bits builds
+  /// no table and records its exact total instead.
   void compute_node(int index, const ColorArray& colors, bool parallel,
-                    bool narrow_ok) {
+                    bool narrow_ok, bool totals_only) {
     const Subtemplate& node = partition_.node(index);
     const int h = node.size();
     const auto num_sets = num_rooted_colorsets(k_, h);
@@ -1076,18 +1135,30 @@ class DpEngine {
                   : a == 1 ? 'A'
                   : p == 1 ? 'S'
                            : 'G';
-    // A triangle stage takes no width bound: it stores doubles, and its
-    // tracked maximum still bounds the stages above it.
-    stat.bound = triangle ? kSaturatedBound
-                          : stage_entry_bound(h, a, max_degree_,
-                                              node_max(node.active),
-                                              node_max(node.passive));
+    stat.bound =
+        triangle
+            ? stage_entry_bound(h, a, p, max_degree_, node_max(node.active),
+                                node_max(node.passive),
+                                node_max(node.passive2))
+            : stage_entry_bound(h, a, max_degree_, node_max(node.active),
+                                node_max(node.passive));
     stat.entry_bytes = narrow_ok ? stage_entry_bytes(stat.bound) : 8;
+    const ComplementSplit* full_join =
+        node_complement_[static_cast<std::size_t>(index)];
+    // A per-edge dot is one neighbor's share of an entry (the bound at
+    // Δ = 1); the total route converts each to a 64-bit integer.
+    const bool rowless =
+        full_join != nullptr && totals_only &&
+        stage_entry_bound(h, a, 1, node_max(node.active),
+                          node_max(node.passive)) != kSaturatedBound;
     // First-touch: zero the table with the same thread partition the
     // parallel sweep below uses (count_table.hpp TableInit).
     const TableInit init{parallel ? effective_inner_threads() : 1,
                          stat.entry_bytes};
-    auto table = std::make_unique<Table>(graph_.num_vertices(), num_sets, init);
+    std::unique_ptr<Table> table;
+    if (!rowless) {
+      table = std::make_unique<Table>(graph_.num_vertices(), num_sets, init);
+    }
     const bool obs_on = obs::enabled();
     WallClock clock(opts_.collect_stats || obs_on);
     // Span detail carries what the fixed args cannot: the table layout
@@ -1124,6 +1195,13 @@ class DpEngine {
                         kernel_single_passive<E>(*table, index, node, colors,
                                                  parallel, frontier_out,
                                                  stat);
+                      });
+    } else if (full_join != nullptr) {
+      with_entry_type(*tables_[static_cast<std::size_t>(node.passive)],
+                      [&]<class E>(std::type_identity<E>) {
+                        kernel_full_join<E>(table.get(), index, node, colors,
+                                            *full_join, parallel,
+                                            frontier_out, stat);
                       });
     } else {
       with_entry_type(*tables_[static_cast<std::size_t>(node.passive)],
@@ -1196,6 +1274,7 @@ class DpEngine {
     std::vector<std::uint8_t> mark;
     std::uint64_t macs = 0;  ///< multiply-accumulate tally
     double max_entry = 0.0;  ///< largest entry this thread committed
+    detail::Uint128 total = 0;  ///< exact per-edge dot sum (rowless join)
   };
 
   /// Candidate set of one kernel pass: an explicit frontier, or all n
@@ -1236,13 +1315,16 @@ class DpEngine {
   /// vertices, label lists, child frontiers, dirty balls) is sorted.
   /// Commit-layer filtering keeps zero rows out of the tables, so a
   /// frontier vertex without a stored row is read as zeros downstream.
-  /// Workspace buffers are sized once per thread.
+  /// Workspace buffers are sized once per thread.  Returns the sum of
+  /// the threads' exact `total` tallies (kernel_full_join's total
+  /// route; 0 for every other kernel).
   template <class Body>
-  void for_frontier(bool parallel, const FrontierView& front,
-                    std::uint32_t row_width, std::uint32_t psum_width,
-                    std::size_t active_bound,
-                    std::vector<VertexId>& frontier_out, DpStageStats& stat,
-                    Body&& body) {
+  detail::Uint128 for_frontier(bool parallel, const FrontierView& front,
+                               std::uint32_t row_width,
+                               std::uint32_t psum_width,
+                               std::size_t active_bound,
+                               std::vector<VertexId>& frontier_out,
+                               DpStageStats& stat, Body&& body) {
     const std::size_t count = front.size();
     stat.candidates = count;
     const auto prepare = [&](Workspace& ws) {
@@ -1270,6 +1352,9 @@ class DpEngine {
       const bool guided = opts_.guided_schedule;
       std::uint64_t macs = 0;
       double max_entry = 0.0;
+      // Reset outside the region: a thread that gets no candidates
+      // still adds its workspace's total below.
+      for (Workspace& ws : workspaces_) ws.total = 0;
 #pragma omp parallel num_threads(threads) reduction(+ : macs) \
     reduction(max : max_entry)
       {
@@ -1294,23 +1379,27 @@ class DpEngine {
         macs += ws.macs;
         max_entry = std::max(max_entry, ws.max_entry);
       }
+      detail::Uint128 total = 0;
+      for (const Workspace& ws : workspaces_) total += ws.total;
       stat.macs += macs;
       stat.max_entry = std::max(stat.max_entry, max_entry);
       for (std::size_t i = 0; i < count; ++i) {
         if (keep[i] != 0) frontier_out.push_back(front[i]);
       }
-      return;
+      return total;
     }
 #endif
     if (workspaces_.empty()) workspaces_.resize(1);
     Workspace& ws = workspaces_.front();
     prepare(ws);
+    ws.total = 0;
     for (std::size_t i = 0; i < count; ++i) {
       const VertexId v = front[i];
       if (body(v, ws)) frontier_out.push_back(v);
     }
     stat.macs += ws.macs;
     stat.max_entry = std::max(stat.max_entry, ws.max_entry);
+    return ws.total;
   }
 
   /// Commits ws.row as v's row and folds its largest entry into the
@@ -1394,7 +1483,8 @@ class DpEngine {
   // oracle bit for bit (header comment).  MAC tallies keep
   // their global-colorset definitions (C(k-1, h-1) per single-vertex
   // split, full-width passive rows and split tables in the general
-  // fold), so they compare across layouts and releases.
+  // fold), so they compare across layouts and releases; the
+  // full-colorset join counts the products it takes.
 
   void kernel_pair(Table& out, const Subtemplate& node,
                    const ColorArray& colors, bool parallel,
@@ -1612,7 +1702,6 @@ class DpEngine {
                       const ColorArray& colors, bool parallel,
                       std::vector<VertexId>& frontier_out,
                       DpStageStats& stat) {
-    const Table& ta = *tables_[static_cast<std::size_t>(node.active)];
     const Table& tp = *tables_[static_cast<std::size_t>(node.passive)];
     const RootedSplit& split =
         *node_general_[static_cast<std::size_t>(index)];
@@ -1647,32 +1736,10 @@ class DpEngine {
           // per neighbor color in the rooted split lists: passives
           // ascend (monotone gather) and parents are distinct
           // (conflict-free scatter).
-          const double* arow;
-          if constexpr (Table::kContiguousRows) {
-            if (ta.entry_bytes() == 4) {
-              const std::int32_t* narrow =
-                  ta.template row_ptr<std::int32_t>(v);
-              if (narrow == nullptr) return false;
-              ws.gather.assign(narrow, narrow + num_actives);
-              arow = ws.gather.data();
-            } else {
-              arow = ta.row_ptr(v);
-              if (arow == nullptr) return false;  // frontier guarantees rows
-            }
-          } else {
-            // Zero-row frontier carry-overs (see kernel_single_passive)
-            // decode to all zeros: drop them before paying the gather.
-            if (!ta.has_vertex(v)) return false;
-            ws.gather.resize(num_actives);
-            if constexpr (DecodableRowTable<Table>) {
-              ta.decode_row(v, ws.gather.data());
-            } else {
-              for (std::uint32_t idx = 0; idx < num_actives; ++idx) {
-                ws.gather[idx] = ta.get(v, idx);
-              }
-            }
-            arow = ws.gather.data();
-          }
+          // Zero-row frontier carry-overs (see kernel_single_passive)
+          // have no row: drop them before paying the gather.
+          const double* arow = child_row(node.active, v, ws.gather);
+          if (arow == nullptr) return false;
           auto& nz = ws.nz_active;
           nz.clear();
           for (std::uint32_t idx = 0; idx < num_actives; ++idx) {
@@ -1788,7 +1855,111 @@ class DpEngine {
         });
   }
 
-  /// v's row of child `node` as doubles, for the triangle kernel: a
+  /// The general join of size k (DESIGN.md §8, "Full-colorset root
+  /// joins").  v's one entry sums, over each neighbor u with a passive
+  /// row and c(u) != c(v), the dot product of v's active row and u's
+  /// passive row through the (c(v), c(u)) complement list.  With `out`
+  /// the entry is committed as a 1-wide row (the rows route); without,
+  /// nothing is committed and every dot is added to the node's exact
+  /// total (the total route), each undirected edge once when both
+  /// halves are one table: a colorful embedding split at that edge is
+  /// then counted once from each endpoint with the same dot, so the
+  /// sum over u > v is doubled.  The caller proved every dot below
+  /// 2^64.  MACs count the products taken.
+  /// E: the passive child's stored entry type (with_entry_type).
+  template <class E>
+  void kernel_full_join(Table* out, int index, const Subtemplate& node,
+                        const ColorArray& colors,
+                        const ComplementSplit& split, bool parallel,
+                        std::vector<VertexId>& frontier_out,
+                        DpStageStats& stat) {
+    const Table& tp = *tables_[static_cast<std::size_t>(node.passive)];
+    const std::vector<VertexId>& active_frontier =
+        delta_restrict_ != nullptr
+            ? *delta_restrict_
+            : frontiers_[static_cast<std::size_t>(node.active)];
+    const std::size_t m = split.per_pair();
+    const bool each_edge_once = out == nullptr && node.active == node.passive;
+    const detail::Uint128 total = for_frontier(
+        parallel, {&active_frontier, graph_.num_vertices()},
+        out != nullptr ? 1 : 0,
+        DecodableRowTable<Table> ? tp.num_colorsets() : 0, 0, frontier_out,
+        stat, [&](VertexId v, Workspace& ws) {
+          const double* arow = child_row(node.active, v, ws.gather);
+          if (arow == nullptr) return false;
+          const int cv = colors[static_cast<std::size_t>(v)];
+          const auto neighbors = graph_.neighbors(v);
+          const VertexId* nbr = neighbors.data();
+          std::size_t deg = neighbors.size();
+          if (each_edge_once) {
+            // Adjacency is sorted: the neighbors above v are a suffix.
+            const VertexId* above = std::upper_bound(nbr, nbr + deg, v);
+            deg -= static_cast<std::size_t>(above - nbr);
+            nbr = above;
+          }
+          double entry = 0.0;
+          std::size_t nu = 0;
+          for (std::size_t j = 0; j < deg; ++j) {
+            if constexpr (Table::kContiguousRows) {
+              if (j + kPrefetchSlotAhead < deg) {
+                tp.prefetch_slot(nbr[j + kPrefetchSlotAhead]);
+              }
+              if (j + kPrefetchRowAhead < deg) {
+                tp.prefetch_row(nbr[j + kPrefetchRowAhead]);
+              }
+            }
+            const VertexId u = nbr[j];
+            const E* prow = nullptr;
+            if constexpr (Table::kContiguousRows) {
+              prow = tp.template row_ptr<E>(u);
+              if (prow == nullptr) continue;
+            } else {
+              if (!tp.has_vertex(u)) continue;
+            }
+            ++nu;
+            const int cu = colors[static_cast<std::size_t>(u)];
+            if (cu == cv) continue;  // the list is empty
+            const ColorsetIndex* act = split.actives(cv, cu).data();
+            const ColorsetIndex* pas = split.passives(cv, cu).data();
+            if constexpr (DecodableRowTable<Table>) {
+              tp.decode_row(u, ws.psum.data());
+              prow = ws.psum.data();
+            }
+            double dot = 0.0;
+            if constexpr (Table::kContiguousRows ||
+                          DecodableRowTable<Table>) {
+#ifdef _OPENMP
+#pragma omp simd reduction(+ : dot)
+#endif
+              for (std::size_t s = 0; s < m; ++s) {
+                dot += arow[act[s]] * prow[pas[s]];
+              }
+            } else {
+              for (std::size_t s = 0; s < m; ++s) {
+                dot += arow[act[s]] * tp.get(u, pas[s]);
+              }
+            }
+            ws.macs += m;
+            if (out != nullptr) {
+              entry += dot;
+            } else {
+              ws.total += static_cast<std::uint64_t>(dot);
+              ws.max_entry = std::max(ws.max_entry, dot);
+            }
+          }
+          if (out == nullptr || nu == 0) return false;
+          ws.row[0] = entry;
+          commit(*out, v, ws);
+          return true;
+        });
+    if (out == nullptr) {
+      join_totals_[static_cast<std::size_t>(index)] =
+          static_cast<double>(each_edge_once ? 2 * total : total);
+    }
+  }
+
+  /// v's row of child `node` as doubles, for the kernels that read a
+  /// row once per vertex (general, full-join, triangle): a
   /// leaf child is a 1-wide rooted row ({1} when v matches its label);
   /// a table row is borrowed when it stores contiguous doubles, else
   /// widened or decoded into `scratch`.  nullptr when v has no row.
@@ -1959,6 +2130,13 @@ class DpEngine {
   /// Triangle joins: node_general_ splits S = A ⊎ R, this R = X ⊎ Y.
   std::vector<const RootedSplit*> node_rest_;
   std::vector<std::size_t> node_active_bound_;
+  /// Full-colorset general joins (h == k): their complement lists,
+  /// shared per active size; null for every other node.
+  std::map<int, ComplementSplit> complement_splits_;
+  std::vector<const ComplementSplit*> node_complement_;
+  /// Exact totals of the full-colorset joins a pass computed without
+  /// rows, until the node is freed.
+  std::vector<std::optional<double>> join_totals_;
   std::vector<DpStageStats> stats_;
   /// Per-thread scratch, persistent across stages and iterations.
   std::vector<Workspace> workspaces_;

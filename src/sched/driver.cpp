@@ -529,10 +529,12 @@ void execute(const Graph& graph, const std::vector<BatchJob>& jobs,
                            drive_out.delta);
         } else {
           // Retained passes stay 8 bytes wide: recounts patch and copy
-          // their rows (DpEngine::run_delta).
+          // their rows (DpEngine::run_delta).  Root rows are read only
+          // for per-vertex totals.
           engine.compute_tables(colors, parallel_inner, &needed,
                                 store != nullptr ? KeepTables::kForRecounts
-                                                 : KeepTables::kNo);
+                                                 : KeepTables::kNo,
+                                /*root_rows=*/vertex_out != nullptr);
         }
         if (guard.stopped()) {  // aborted mid-pass: discard
           engine.release_all_tables();

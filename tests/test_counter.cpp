@@ -7,16 +7,19 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <set>
 
 #include "core/coloring.hpp"
 #include "core/engine.hpp"
+#include "core/incremental.hpp"
 #include "dp/table_compact.hpp"
 #include "dp/table_hash.hpp"
 #include "dp/table_naive.hpp"
 #include "dp/table_succinct.hpp"
 #include "exact/colorful_dp.hpp"
 #include "graph/components.hpp"
+#include "graph/delta.hpp"
 #include "graph/generators.hpp"
 #include "graph/labels.hpp"
 #include "graph/reorder.hpp"
@@ -298,11 +301,13 @@ TEST(Counter, ExactRootSumAgreesAcrossRootsAndReordersPastTwoToThe53) {
   constexpr int k = 8;
   const Graph g = erdos_renyi_gnp(800, 0.25, 5);
   const TreeTemplate path = TreeTemplate::path(k);
-  const auto count = [&](int root, ReorderMode reorder) {
+  const auto count = [&](int root, ReorderMode reorder,
+                          std::optional<PartitionStrategy> strategy = {}) {
     CountOptions options;
     options.sampling.iterations = 1;
     options.sampling.seed = 17;
     options.execution.reorder = reorder;
+    options.execution.partition = strategy;
     options.root = root;
     options.observability.enabled = true;
     return count_template(g, path, options);
@@ -321,6 +326,238 @@ TEST(Counter, ExactRootSumAgreesAcrossRootsAndReordersPastTwoToThe53) {
   for (const ReorderMode mode : {ReorderMode::kDegree, ReorderMode::kBfs}) {
     EXPECT_EQ(count(0, mode).per_iteration, end.per_iteration)
         << reorder_mode_name(mode);
+  }
+  // The balanced cut joins two copies of one 4-path table at the root:
+  // its total comes from per-edge dots, each undirected edge once, and
+  // every dot is exact, so the total is the same exact integer.
+  for (const ReorderMode mode : {ReorderMode::kNone, ReorderMode::kDegree}) {
+    const CountResult balanced =
+        count(-1, mode, PartitionStrategy::kBalanced);
+    EXPECT_EQ(balanced.per_iteration, end.per_iteration)
+        << reorder_mode_name(mode);
+    ASSERT_NE(balanced.report, nullptr);
+    const obs::ReportStage& root = balanced.report->stages.back();
+    EXPECT_EQ(root.kernel, "general");
+    EXPECT_EQ(root.parent_size, k);
+    EXPECT_EQ(root.active_size, k / 2);
+    EXPECT_EQ(root.survivors, 0.0);  // no rows committed
+    for (const obs::ReportStage& stage : balanced.report->stages) {
+      EXPECT_TRUE(stage.exact) << "node " << stage.node;
+    }
+  }
+}
+
+// ---- full-colorset root joins.  A general join whose size is the
+// number of colors sums per-edge dot products over complementary
+// halves.  Counts that read only the root total commit no root rows
+// and sum the dots exactly (each undirected edge once when both halves
+// are one table); per-vertex counts and recounts commit 1-wide rows.
+// Either way the totals are the oracle's exact integers.
+
+/// Centre 0 with legs of 4, 2 and 1 vertices: the balanced cut at the
+/// centre has two 4-vertex halves of different shapes, so they are two
+/// tables.
+TreeTemplate uneven_spider() {
+  return TreeTemplate::from_edges(
+      8, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 5}, {5, 6}, {0, 7}});
+}
+
+/// Labels symmetric about the path's centre, so a balanced cut still
+/// finds two copies of one labeled half.
+TreeTemplate palindromic_path(int k) {
+  TreeTemplate path = TreeTemplate::path(k);
+  std::vector<std::uint8_t> labels(static_cast<std::size_t>(k));
+  for (int v = 0; v < k; ++v) {
+    labels[static_cast<std::size_t>(v)] =
+        static_cast<std::uint8_t>(std::min(v, k - 1 - v) % 2);
+  }
+  path.set_labels(std::move(labels));
+  return path;
+}
+
+/// The root join of the balanced partition: size k with both children
+/// of size >= 2, and whether the children are one table.
+bool balanced_root_is_shared(const TreeTemplate& tree) {
+  const auto part = partition_template(tree, PartitionStrategy::kBalanced);
+  const Subtemplate& root = part.node(part.root_node());
+  EXPECT_EQ(root.size(), tree.size());
+  EXPECT_GE(part.node(root.active).size(), 2);
+  EXPECT_GE(part.node(root.passive).size(), 2);
+  return root.active == root.passive;
+}
+
+TEST(Counter, FullColorsetRootJoinsMatchOracle) {
+  struct ObsOff {
+    ~ObsOff() { obs::set_enabled(false); }
+  } off;
+  const Graph plain = largest_component(chung_lu(200, 700, 2.3, 40, 9));
+  Graph labeled = plain;
+  assign_random_labels(labeled, 2, 23);
+  TreeTemplate labeled_spider = uneven_spider();
+  labeled_spider.set_labels({0, 1, 0, 1, 0, 1, 0, 1});
+  struct Case {
+    const Graph* graph;
+    TreeTemplate tree;
+  };
+  std::vector<Case> cases;
+  for (const int k : {4, 6, 8}) {
+    cases.push_back({&plain, TreeTemplate::path(k)});
+    cases.push_back({&labeled, palindromic_path(k)});
+  }
+  cases.push_back({&plain, catalog_entry("U10-1").tree});
+  cases.push_back({&plain, uneven_spider()});
+  cases.push_back({&labeled, labeled_spider});
+  int shared = 0;
+  for (const Case& c : cases) {
+    shared += balanced_root_is_shared(c.tree) ? 1 : 0;
+  }
+  EXPECT_EQ(shared, 7);  // the paths; the spiders join two tables
+
+  constexpr int kIterations = 2;
+  constexpr std::uint64_t kSeed = 29;
+  for (const Case& c : cases) {
+    const Graph& g = *c.graph;
+    const int k = c.tree.size();
+    const auto part =
+        partition_template(c.tree, PartitionStrategy::kBalanced);
+    std::vector<double> oracle_totals;
+    for (int iter = 0; iter < kIterations; ++iter) {
+      const ColorArray colors = detail::random_coloring(
+          g, k, detail::iteration_seed(kSeed, iter));
+      oracle_totals.push_back(
+          exact::ColorfulDp(g, part, k, colors).root_total());
+      ASSERT_GT(oracle_totals.back(), 0.0) << c.tree.describe();
+    }
+    for (const TableKind table :
+         {TableKind::kNaive, TableKind::kCompact, TableKind::kHash,
+          TableKind::kSuccinct}) {
+      for (const ParallelMode mode :
+           {ParallelMode::kSerial, ParallelMode::kInnerLoop,
+            ParallelMode::kOuterLoop, ParallelMode::kHybrid}) {
+        for (const ReorderMode reorder :
+             {ReorderMode::kNone, ReorderMode::kDegree}) {
+          CountOptions options;
+          options.sampling.iterations = kIterations;
+          options.sampling.seed = kSeed;
+          options.execution.table = table;
+          options.execution.mode = mode;
+          options.execution.threads = mode == ParallelMode::kSerial ? 1 : 4;
+          options.execution.reorder = reorder;
+          options.execution.partition = PartitionStrategy::kBalanced;
+          options.observability.enabled = true;
+          const CountResult result = count_template(g, c.tree, options);
+          const std::string tag =
+              c.tree.describe() + " table=" + table_kind_name(table) +
+              " mode=" + parallel_mode_name(mode) +
+              " reorder=" + reorder_mode_name(reorder);
+          const double scale =
+              1.0 / (result.colorful_probability *
+                     static_cast<double>(result.automorphisms));
+          ASSERT_EQ(result.per_iteration.size(),
+                    static_cast<std::size_t>(kIterations))
+              << tag;
+          for (int iter = 0; iter < kIterations; ++iter) {
+            EXPECT_EQ(result.per_iteration[static_cast<std::size_t>(iter)],
+                      oracle_totals[static_cast<std::size_t>(iter)] * scale)
+                << tag << " iter=" << iter;
+          }
+          ASSERT_NE(result.report, nullptr);
+          const obs::ReportStage& root = result.report->stages.back();
+          EXPECT_EQ(root.kernel, "general") << tag;
+          EXPECT_EQ(root.parent_size, k) << tag;
+          EXPECT_EQ(root.survivors, 0.0) << tag;  // the total route
+          for (const obs::ReportStage& stage : result.report->stages) {
+            EXPECT_TRUE(stage.exact) << tag << " node " << stage.node;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Counter, FullColorsetRowsRouteMatchesOracleRowSums) {
+  // Per-vertex counts read the root's rows: the join commits its
+  // 1-wide rows, each the oracle's row sum at that vertex.
+  const Graph g = largest_component(chung_lu(200, 700, 2.3, 40, 9));
+  constexpr int kIterations = 2;
+  constexpr std::uint64_t kSeed = 31;
+  for (const int k : {6, 8}) {
+    const TreeTemplate path = TreeTemplate::path(k);
+    const int centre = k / 2 - 1;
+    const auto part = partition_template(path, PartitionStrategy::kBalanced,
+                                         true, centre);
+    const Subtemplate& root = part.node(part.root_node());
+    ASSERT_EQ(root.active, root.passive) << "k=" << k;
+    std::vector<double> sums(static_cast<std::size_t>(g.num_vertices()));
+    for (int iter = 0; iter < kIterations; ++iter) {
+      const ColorArray colors = detail::random_coloring(
+          g, k, detail::iteration_seed(kSeed, iter));
+      const exact::ColorfulDp oracle(g, part, k, colors);
+      for (VertexId v = 0; v < g.num_vertices(); ++v) {
+        sums[static_cast<std::size_t>(v)] +=
+            oracle.get(part.root_node(), v, 0);
+      }
+    }
+    for (const ParallelMode mode :
+         {ParallelMode::kSerial, ParallelMode::kInnerLoop}) {
+      for (const ReorderMode reorder :
+           {ReorderMode::kNone, ReorderMode::kDegree}) {
+        CountOptions options;
+        options.sampling.iterations = kIterations;
+        options.sampling.seed = kSeed;
+        options.execution.mode = mode;
+        options.execution.threads = mode == ParallelMode::kSerial ? 1 : 4;
+        options.execution.reorder = reorder;
+        options.execution.partition = PartitionStrategy::kBalanced;
+        const CountResult result = graphlet_degrees(g, path, centre, options);
+        const double vertex_scale =
+            1.0 / (result.colorful_probability *
+                   static_cast<double>(result.root_stabilizer));
+        ASSERT_EQ(result.vertex_counts.size(), sums.size());
+        int mismatches = 0;
+        for (std::size_t v = 0; v < sums.size(); ++v) {
+          const double want =
+              sums[v] * vertex_scale / static_cast<double>(kIterations);
+          if (result.vertex_counts[v] != want) ++mismatches;
+        }
+        EXPECT_EQ(mismatches, 0)
+            << "k=" << k << " mode=" << parallel_mode_name(mode)
+            << " reorder=" << reorder_mode_name(reorder);
+      }
+    }
+  }
+}
+
+TEST(Counter, FullColorsetRecountMatchesFullCount) {
+  // Recounts retain and patch the root's rows (the rows route); the
+  // full count of the edited graph reads only its total.
+  const Graph g = largest_component(chung_lu(200, 700, 2.3, 40, 9));
+  const TreeTemplate path = TreeTemplate::path(8);
+  for (const TableKind table : {TableKind::kCompact, TableKind::kHash}) {
+    Graph edited = g;
+    const CountOptions options = CountOptions::builder()
+                                     .iterations(2)
+                                     .seed(37)
+                                     .table(table)
+                                     .partition(PartitionStrategy::kBalanced)
+                                     .build();
+    RunHandle handle = begin_incremental(edited, path, options);
+    EXPECT_EQ(handle.result().per_iteration,
+              count_template(edited, path, options).per_iteration);
+    GraphDelta delta;
+    const auto first = edited.neighbors(0);
+    ASSERT_FALSE(first.empty());
+    delta.remove(0, first.front());
+    for (VertexId v = 1; v < edited.num_vertices(); ++v) {
+      if (!edited.has_edge(0, v)) {
+        delta.insert(0, v);
+        break;
+      }
+    }
+    edited.apply(delta);
+    EXPECT_EQ(handle.recount(edited, delta).per_iteration,
+              count_template(edited, path, options).per_iteration)
+        << table_kind_name(table);
   }
 }
 
@@ -446,6 +683,15 @@ TEST(StageEntryBound, KernelFormulas) {
   EXPECT_EQ(stage_entry_bound(7, 3, kDelta, 13.0, 11.0),
             choose(6, 2) * 13 * kDelta * 11);  // general
   EXPECT_EQ(stage_entry_bound(7, 3, 0, 13.0, 11.0), 0u);  // edgeless
+  // triangle: Δ·(Δ-1)·C(h-1, a-1)·C(r-1, x-1)·M_a·M_x·M_y, r = h - a
+  EXPECT_EQ(stage_entry_bound(7, 3, 2, kDelta, 13.0, 11.0, 5.0),
+            kDelta * (kDelta - 1) * choose(6, 2) * choose(3, 1) * 13 * 11 *
+                5);
+  EXPECT_EQ(stage_entry_bound(3, 1, 1, kDelta, 13.0, 11.0, 5.0),
+            kDelta * (kDelta - 1));  // three leaves count as 1
+  EXPECT_EQ(stage_entry_bound(3, 1, 1, 0, 1.0, 1.0, 1.0), 0u);
+  EXPECT_EQ(stage_entry_bound(5, 3, 1, kDelta, 0x1p60, 1.0, 1.0),
+            kSaturatedBound);
 }
 
 TEST(StageEntryBound, LeavesCountAsOne) {

@@ -180,10 +180,17 @@ void expect_dp_matches_brute_force(int seed_offset) {
         g, tmpl, std::vector<std::uint8_t>(colors.begin(), colors.end()));
     for (int root : {-1, 0, tmpl.size() - 1}) {
       const PartitionTree partition = partition_mixed_template(tmpl, root);
-      DpEngine<Table> engine(g, partition, k);
+      DpEngineOptions opts;
+      opts.collect_stats = true;
+      DpEngine<Table> engine(g, partition, k, opts);
       const double raw = engine.run(colors, /*parallel_inner=*/false);
       ASSERT_EQ(raw, brute) << tmpl.describe() << " root=" << root << " "
                             << Table::kName;
+      // Every stage's bound, the triangle's included, holds.
+      for (const DpStageStats& stat : engine.stage_stats()) {
+        EXPECT_LE(stat.max_entry, static_cast<double>(stat.bound))
+            << tmpl.describe() << " node " << stat.node;
+      }
     }
   }
 }
@@ -369,7 +376,11 @@ TEST(MixedCounter, ReportNamesTheTriangleStage) {
   EXPECT_EQ(result.report->run.status, "completed");
   bool triangle = false;
   for (const obs::ReportStage& stage : result.report->stages) {
-    triangle = triangle || stage.kernel == "triangle";
+    if (stage.kernel != "triangle") continue;
+    triangle = true;
+    // The triangle bound fits int32 on this graph: 4-byte entries.
+    EXPECT_EQ(stage.narrow_passes, stage.passes);
+    EXPECT_LE(stage.max_bound, 2147483647.0);
   }
   EXPECT_TRUE(triangle);
 }

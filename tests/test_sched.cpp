@@ -432,6 +432,49 @@ TEST(Sched, RerootedJobsMatchCountTemplateBitForBit) {
   }
 }
 
+TEST(Sched, OddProfileFullJoinsKeepTheirBits) {
+  // At k = 7 five of the profile's roots are general joins over every
+  // color (3 + 4 halves): their totals come from per-edge dots over all
+  // directed edges, with no root rows committed.  The per-iteration
+  // estimates are pinned to the values the row-committing kernel gave.
+  const Graph g = power_law_graph();
+  const auto jobs = fixed_jobs(7, 3);
+  sched::BatchOptions options;
+  options.seed = 43;
+  options.mode = ParallelMode::kOuterLoop;
+  options.num_threads = 4;
+  const sched::BatchPlan plan = sched::plan_batch(g, jobs, options);
+  int full_joins = 0;
+  for (int i = 0; i < plan.merged.num_nodes(); ++i) {
+    const Subtemplate& node = plan.merged.node(i);
+    if (node.is_leaf() || node.size() != 7) continue;
+    if (plan.merged.node(node.active).size() > 1 &&
+        plan.merged.node(node.passive).size() > 1) {
+      ++full_joins;
+    }
+  }
+  EXPECT_EQ(full_joins, 5);
+  const std::vector<std::vector<double>> pinned = {
+      {0x1.adcbb7ac305bp+30, 0x1.a744be27c71c6p+30, 0x1.f03457ebeeeeep+30},
+      {0x1.2ca7cdc1782d8p+31, 0x1.11fd6d6edbbbbp+31, 0x1.3f98d3e500b6p+31},
+      {0x1.615954535ddddp+30, 0x1.4a51257151111p+30, 0x1.7ca389609c71cp+30},
+      {0x1.57d9d60db60b6p+32, 0x1.43bfb8ddaf49fp+32, 0x1.794171a65b60bp+32},
+      {0x1.f171a6d649f49p+29, 0x1.e1996b6f93e93p+29, 0x1.1b9d5e5e305bp+30},
+      {0x1.b6bb0d7c57777p+31, 0x1.91ee0a8465b05p+31, 0x1.db4cf3f428888p+31},
+      {0x1.191d62f1b05bp+27, 0x1.a133df005b05ap+26, 0x1.00a5f58a44443p+27},
+      {0x1.861b32271a4fap+31, 0x1.763698d980b6p+31, 0x1.b3de6f28a38e3p+31},
+      {0x1.7d66ace24ffffp+32, 0x1.6fde64f3beeeep+32, 0x1.ad1dd25e52221p+32},
+      {0x1.7dc847e47bbbbp+30, 0x1.413375e1582d8p+30, 0x1.810ccba00fa4fp+30},
+      {0x1.0d6e98347a4fap+31, 0x1.e186243409f49p+30, 0x1.1b8650c4f27d2p+31},
+  };
+  const sched::BatchResult batch = sched::run_batch(g, jobs, options);
+  ASSERT_EQ(batch.jobs.size(), pinned.size());
+  for (std::size_t j = 0; j < pinned.size(); ++j) {
+    EXPECT_EQ(batch.jobs[j].per_iteration, pinned[j]) << "job " << j;
+    EXPECT_TRUE(batch.jobs[j].exact) << "job " << j;
+  }
+}
+
 TEST(Sched, MotifProfilePlanSharesMoreStages) {
   const auto jobs = fixed_jobs(7, 1);
   const sched::BatchOptions options;

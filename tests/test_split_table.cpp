@@ -237,5 +237,52 @@ TEST(SingleActiveSplit, RejectsBadShapes) {
   EXPECT_THROW(SingleActiveSplit(5, 6), std::invalid_argument);
 }
 
+class ComplementProperty : public ::testing::TestWithParam<SplitParam> {};
+
+TEST_P(ComplementProperty, PairListsAreComplementaryHalves) {
+  const auto [k, a, h_unused] = GetParam();
+  (void)h_unused;
+  const ComplementSplit split(k, a);
+  const RootedColorsets actives(k, a), passives(k, k - a);
+  EXPECT_EQ(split.per_pair(), num_colorsets(k - 2, a - 1));
+  for (int root = 0; root < k; ++root) {
+    for (int other = 0; other < k; ++other) {
+      const auto act = split.actives(root, other);
+      const auto pas = split.passives(root, other);
+      if (root == other) {
+        EXPECT_TRUE(act.empty() && pas.empty());
+        continue;
+      }
+      ASSERT_EQ(act.size(), split.per_pair());
+      ASSERT_EQ(pas.size(), act.size());
+      for (std::size_t s = 0; s < act.size(); ++s) {
+        const auto active = colorset_colors(actives.global(root, act[s]), a);
+        const auto passive =
+            colorset_colors(passives.global(other, pas[s]), k - a);
+        EXPECT_FALSE(
+            std::binary_search(active.begin(), active.end(), other));
+        std::vector<int> merged;
+        std::merge(active.begin(), active.end(), passive.begin(),
+                   passive.end(), std::back_inserter(merged));
+        ASSERT_EQ(merged.size(), static_cast<std::size_t>(k));
+        for (int c = 0; c < k; ++c) EXPECT_EQ(merged[c], c);
+        if (s > 0) EXPECT_LT(act[s - 1], act[s]);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, ComplementProperty,
+                         ::testing::Values(SplitParam{4, 2, 0},
+                                           SplitParam{7, 3, 0},
+                                           SplitParam{8, 4, 0},
+                                           SplitParam{10, 5, 0},
+                                           SplitParam{10, 3, 0}));
+
+TEST(ComplementSplit, RejectsBadShapes) {
+  EXPECT_THROW(ComplementSplit(5, 1), std::invalid_argument);
+  EXPECT_THROW(ComplementSplit(5, 4), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace fascia
