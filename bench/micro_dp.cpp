@@ -55,6 +55,7 @@
 #include "treelet/partition.hpp"
 #include "treelet/tree_template.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -256,13 +257,6 @@ struct ObsOverhead {
 
 constexpr double kObsSideSeconds = 0.05;
 
-double median_of(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  const std::size_t mid = values.size() / 2;
-  return values.size() % 2 == 1 ? values[mid]
-                                : 0.5 * (values[mid - 1] + values[mid]);
-}
-
 ObsOverhead measure_obs_overhead(const Graph& graph, int k, int iters) {
   TreeTemplate tmpl = make_shape("path", k);
   std::vector<std::uint8_t> labels(static_cast<std::size_t>(k));
@@ -309,7 +303,7 @@ ObsOverhead measure_obs_overhead(const Graph& graph, int k, int iters) {
     ratios.push_back(on / off);
   }
   obs::set_enabled(false);
-  return {median_of(off_times), median_of(on_times), median_of(ratios)};
+  return {median(off_times), median(on_times), median(ratios)};
 }
 
 /// Minimal line-based reader for the "kernel_speedups" block this

@@ -256,8 +256,6 @@ class ComplementSplit {
  public:
   ComplementSplit(int num_colors, int active_size);
 
-  [[nodiscard]] int active_size() const noexcept { return a_; }
-
   /// Entries per color pair: C(k-2, a-1).
   [[nodiscard]] std::uint32_t per_pair() const noexcept { return per_pair_; }
 
@@ -268,11 +266,6 @@ class ComplementSplit {
   [[nodiscard]] std::span<const ColorsetIndex> passives(int root, int other)
       const noexcept {
     return pair_span(pair_passive_, root, other);
-  }
-
-  [[nodiscard]] std::size_t bytes() const noexcept {
-    return (pair_active_.size() + pair_passive_.size()) *
-           sizeof(ColorsetIndex);
   }
 
  private:
